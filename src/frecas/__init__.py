@@ -6,7 +6,7 @@ analysis tools.
 """
 
 from ._kernels import backend
-from .bank import CAMap, LatentBank, bank_resample, make_bank, predict
+from .bank import CAMap, LatentBank, Posterior, bank_resample, make_bank, posterior, predict
 from .cascade import (
     PRESETS,
     RunReport,

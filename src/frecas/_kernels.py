@@ -1,44 +1,18 @@
-"""Hot numeric kernels, each with a numba-jitted and a pure-numpy twin.
+"""Hot numeric kernels, one vectorized numpy implementation each.
 
-The active backend is picked once at import time from the FRECAS_BACKEND
-environment variable: "numba", "numpy", or unset/"auto" (numba when
-importable, numpy otherwise). Both twins of a kernel implement the same
-arithmetic; the jitted ones exist because these loops dominate the runtime
-of cascade runs (per-step bank distances, bilinear band splits).
-
-`benchmarks/bench_kernels.py` times the two backends against each other.
+These four loops dominate the runtime of cascade runs: the per-step bank
+distances (whole latent and per patch), the patchwise bank mixture, and the
+corner-aligned bilinear resampling behind band splits and transitions.
+Every caller reaches them through this module, so a faster formulation of a
+kernel replaces it here without touching the callers.
 """
-
-import os
 
 import numpy as np
 
-_CHOICE = os.environ.get("FRECAS_BACKEND", "auto").strip().lower() or "auto"
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"FRECAS_BACKEND must be 'numba', 'numpy' or 'auto', got {_CHOICE!r}"
-    )
-
-_HAVE_NUMBA = False
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-if not _HAVE_NUMBA:
-    def njit(*args, **kwargs):
-        # identity decorator so the _nb twins stay importable without numba
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
 
 def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation; there is only the numpy one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +23,7 @@ def backend() -> str:
 # bit-exact: for equal neighbours the deltas are exactly zero.
 # ---------------------------------------------------------------------------
 
-def _bilinear_np(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+def bilinear_resample(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     c, h, w = src.shape
     sy = (h - 1) / (out_h - 1) if out_h > 1 else 0.0
     sx = (w - 1) / (out_w - 1) if out_w > 1 else 0.0
@@ -70,65 +44,13 @@ def _bilinear_np(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top + fy * (bot - top)
 
 
-@njit(cache=True)
-def _bilinear_nb(src, out_h, out_w):  # pragma: no cover - exercised via dispatch
-    c, h, w = src.shape
-    out = np.empty((c, out_h, out_w), dtype=np.float64)
-    sy = (h - 1) / (out_h - 1) if out_h > 1 else 0.0
-    sx = (w - 1) / (out_w - 1) if out_w > 1 else 0.0
-    for ch in range(c):
-        for i in range(out_h):
-            y = i * sy
-            y0 = int(y)
-            if y0 > h - 2:
-                y0 = h - 2
-            if y0 < 0:
-                y0 = 0
-            y1 = y0 + 1
-            if y1 > h - 1:
-                y1 = h - 1
-            fy = y - y0
-            for j in range(out_w):
-                x = j * sx
-                x0 = int(x)
-                if x0 > w - 2:
-                    x0 = w - 2
-                if x0 < 0:
-                    x0 = 0
-                x1 = x0 + 1
-                if x1 > w - 1:
-                    x1 = w - 1
-                fx = x - x0
-                v00 = src[ch, y0, x0]
-                v01 = src[ch, y0, x1]
-                v10 = src[ch, y1, x0]
-                v11 = src[ch, y1, x1]
-                top = v00 + fx * (v01 - v00)
-                bot = v10 + fx * (v11 - v10)
-                out[ch, i, j] = top + fy * (bot - top)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # squared distances ||z - s * x_k||^2 against a stacked bank, (K, N) x (N,)
 # ---------------------------------------------------------------------------
 
-def _sq_dists_np(bank_flat: np.ndarray, z_flat: np.ndarray, scale: float) -> np.ndarray:
+def sq_dists(bank_flat: np.ndarray, z_flat: np.ndarray, scale: float) -> np.ndarray:
     diff = z_flat[None, :] - scale * bank_flat
     return np.einsum("kn,kn->k", diff, diff)
-
-
-@njit(cache=True)
-def _sq_dists_nb(bank_flat, z_flat, scale):  # pragma: no cover
-    k, n = bank_flat.shape
-    out = np.empty(k, dtype=np.float64)
-    for i in range(k):
-        acc = 0.0
-        for j in range(n):
-            d = z_flat[j] - scale * bank_flat[i, j]
-            acc += d * d
-        out[i] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +58,7 @@ def _sq_dists_nb(bank_flat, z_flat, scale):  # pragma: no cover
 # size (ph x pw); result is (K, gh * gw)
 # ---------------------------------------------------------------------------
 
-def _patch_sq_dists_np(bank, z, scale, ph, pw):
+def patch_sq_dists(bank, z, scale, ph, pw):
     k, c, h, w = bank.shape
     gh, gw = h // ph, w // pw
     diff = z[None] - scale * bank
@@ -144,63 +66,13 @@ def _patch_sq_dists_np(bank, z, scale, ph, pw):
     return diff2.sum(axis=(1, 3, 5)).reshape(k, gh * gw)
 
 
-@njit(cache=True)
-def _patch_sq_dists_nb(bank, z, scale, ph, pw):  # pragma: no cover
-    k, c, h, w = bank.shape
-    gw = w // pw
-    out = np.zeros((k, (h // ph) * gw), dtype=np.float64)
-    for i in range(k):
-        for ch in range(c):
-            for y in range(h):
-                base = (y // ph) * gw
-                x = 0
-                for px in range(gw):
-                    acc = 0.0
-                    for _ in range(pw):
-                        d = z[ch, y, x] - scale * bank[i, ch, y, x]
-                        acc += d * d
-                        x += 1
-                    out[i, base + px] += acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # patchwise mixture: out[c,y,x] = sum_k weights[k, patch(y,x)] * bank[k,c,y,x]
 # ---------------------------------------------------------------------------
 
-def _patch_mix_np(bank, weights, ph, pw):
+def patch_mix(bank, weights, ph, pw):
     k, c, h, w = bank.shape
     gh, gw = h // ph, w // pw
     wgrid = weights.reshape(k, gh, gw)
     wpix = np.repeat(np.repeat(wgrid, ph, axis=1), pw, axis=2)
     return np.einsum("khw,kchw->chw", wpix, bank)
-
-
-@njit(cache=True)
-def _patch_mix_nb(bank, weights, ph, pw):  # pragma: no cover
-    k, c, h, w = bank.shape
-    gw = w // pw
-    out = np.zeros((c, h, w), dtype=np.float64)
-    for i in range(k):
-        for ch in range(c):
-            for y in range(h):
-                base = (y // ph) * gw
-                x = 0
-                for px in range(gw):
-                    wgt = weights[i, base + px]
-                    for _ in range(pw):
-                        out[ch, y, x] += wgt * bank[i, ch, y, x]
-                        x += 1
-    return out
-
-
-if _HAVE_NUMBA:
-    bilinear_resample = _bilinear_nb
-    sq_dists = _sq_dists_nb
-    patch_sq_dists = _patch_sq_dists_nb
-    patch_mix = _patch_mix_nb
-else:
-    bilinear_resample = _bilinear_np
-    sq_dists = _sq_dists_np
-    patch_sq_dists = _patch_sq_dists_np
-    patch_mix = _patch_mix_np

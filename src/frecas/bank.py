@@ -18,8 +18,15 @@ Attention maps: the latent is tiled into p x p patches and each patch gets
 its own posterior over class ids from patch-restricted distances. These
 row-stochastic maps are the analytic analogue of cross-attention weights;
 the cascade fuses them across stages and feeds them back via the
-``ca_mixture`` argument of :func:`predict`, which turns the prediction into
-a patchwise mixture of class-conditional posterior means.
+``ca_mixture`` argument of :meth:`Posterior.field`, which turns the
+prediction into a patchwise mixture of class-conditional posterior means.
+
+One posterior per (latent, t) serves all four uses: :func:`posterior` makes
+one patch-distance pass and one whole-latent distance pass over the whole
+bank, and the unconditional, conditional and mixture predictions and the
+attention map are all read off those two arrays. The conditional posterior
+indexes the whole-bank distances with its class's rows instead of measuring
+them again.
 """
 
 import os
@@ -161,6 +168,100 @@ def _class_log_evidence(log_patch, class_ids, classes):
     return out
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Posterior:
+    """The bank posterior at one (latent, t), shared by every prediction.
+
+    Built by :func:`posterior` from one patch-distance pass and one
+    whole-latent distance pass over all K items; the unconditional,
+    conditional and mixture fields and the attention map ``ca`` all derive
+    from these arrays without touching the bank distances again.
+    """
+
+    bank: LatentBank
+    z_t: LatentGrid
+    t: float
+    sched: NoiseSchedule
+    scale: float
+    var: float
+    patch_size: int
+    log_patch: np.ndarray  # (K, P) per-item patch log-weights
+    evidence: np.ndarray  # (n_classes, P) per-class patch log-evidence
+    d_full: np.ndarray  # (K,) whole-latent squared distances
+    ca: CAMap
+
+    def field(self, condition: int | None, ca_mixture: CAMap | None = None) -> LatentGrid:
+        """Predicted noise (VP) or velocity (flow) under ``condition``.
+
+        With ``ca_mixture`` the clean-signal estimate becomes a patchwise
+        mixture: each patch mixes the class-conditional posterior means with
+        the supplied row-stochastic weights, which is how fused attention
+        maps from an earlier stage steer the layout.
+        """
+        bank, classes, p = self.bank, self.ca.classes, self.patch_size
+        if condition is not None and int(condition) not in classes:
+            raise ValueError(f"unknown class id {condition}")
+        if ca_mixture is not None:
+            if ca_mixture.values.shape != self.ca.values.shape:
+                raise ValueError("mixture map does not match the patch grid and classes")
+            # within-class patch posteriors, then mixture weights per item
+            cls_index = np.searchsorted(np.asarray(classes), bank.class_ids)
+            item_resp = np.exp(self.log_patch - self.evidence[cls_index, :])  # (K, P)
+            mix = ca_mixture.values.T[cls_index, :]  # (K, P)
+            z0 = _kernels.patch_mix(bank.data, item_resp * mix, p, p)
+        else:
+            if condition is None:
+                adm = np.arange(bank.size)
+            else:
+                adm = np.flatnonzero(bank.class_ids == int(condition))
+            lw = np.log(bank.weights)[adm] - self.d_full[adm] / (2.0 * self.var)
+            lw -= lw.max()
+            post = np.exp(lw)
+            post /= post.sum()
+            z0 = np.tensordot(post, bank.data[adm], axes=1)
+
+        if self.sched.kind is ScheduleKind.VARIANCE_PRESERVING:
+            out = (self.z_t.data - self.scale * z0) / np.sqrt(self.var)
+        else:
+            out = (self.z_t.data - z0) / self.t
+        return LatentGrid(out)
+
+
+def posterior(
+    bank: LatentBank,
+    z_t: LatentGrid,
+    t: float,
+    sched: NoiseSchedule,
+    patch_size: int | None = None,
+) -> Posterior:
+    """The bank posterior at latent z_t and time t.
+
+    Makes one patch-distance pass and one whole-latent distance pass over
+    the bank. Its ``ca`` holds the patchwise class responsibilities of the
+    whole bank at this latent, independent of any conditioning.
+    """
+    if bank.data.shape[1:] != z_t.shape:
+        raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.data.shape[1:]}")
+    scale, var = _kernel_params(sched, t)
+    side = z_t.height
+    p = default_patch_size(side) if patch_size is None else int(patch_size)
+    if p < 1 or z_t.height % p or z_t.width % p:
+        raise ValueError(f"patch size {p} must divide the latent dimensions")
+    gh, gw = z_t.height // p, z_t.width // p
+    classes = bank.classes()
+
+    log_prior = np.log(bank.weights)
+    d_patch = _kernels.patch_sq_dists(bank.data, z_t.data, scale, p, p)
+    log_patch = log_prior[:, None] - d_patch / (2.0 * var)  # (K, P)
+    d_full = _kernels.sq_dists(bank.data.reshape(bank.size, -1), z_t.data.ravel(), scale)
+
+    evidence = _class_log_evidence(log_patch, bank.class_ids, classes)
+    m = evidence.max(axis=0)
+    resp = np.exp(evidence - m)
+    ca = CAMap((resp / resp.sum(axis=0)).T, gh, gw, classes)
+    return Posterior(bank, z_t, t, sched, scale, var, p, log_patch, evidence, d_full, ca)
+
+
 def predict(
     bank: LatentBank,
     z_t: LatentGrid,
@@ -170,65 +271,9 @@ def predict(
     patch_size: int | None = None,
     ca_mixture: CAMap | None = None,
 ):
-    """Posterior-mean prediction and the step's attention map.
-
-    Returns (field, ca): field is the predicted noise (VP) or velocity
-    (flow); ca holds the patchwise class responsibilities of the whole bank
-    at this latent, independent of the conditioning.
-
-    With ``ca_mixture`` the clean-signal estimate becomes a patchwise
-    mixture: each patch mixes the class-conditional posterior means with the
-    supplied row-stochastic weights, which is how fused attention maps from
-    an earlier stage steer the layout.
-    """
-    if bank.data.shape[1:] != z_t.shape:
-        raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.data.shape[1:]}")
-    classes = bank.classes()
-    if condition is not None and int(condition) not in classes:
-        raise ValueError(f"unknown class id {condition}")
-    scale, var = _kernel_params(sched, t)
-    side = z_t.height
-    p = default_patch_size(side) if patch_size is None else int(patch_size)
-    if p < 1 or z_t.height % p or z_t.width % p:
-        raise ValueError(f"patch size {p} must divide the latent dimensions")
-    gh, gw = z_t.height // p, z_t.width // p
-
-    log_prior = np.log(bank.weights)
-    d_patch = _kernels.patch_sq_dists(bank.data, z_t.data, scale, p, p)
-    log_patch = log_prior[:, None] - d_patch / (2.0 * var)  # (K, P)
-
-    evidence = _class_log_evidence(log_patch, bank.class_ids, classes)
-    m = evidence.max(axis=0)
-    resp = np.exp(evidence - m)
-    ca = CAMap((resp / resp.sum(axis=0)).T, gh, gw, classes)
-
-    if ca_mixture is not None:
-        if ca_mixture.values.shape != (gh * gw, len(classes)):
-            raise ValueError("mixture map does not match the patch grid and classes")
-        # within-class patch posteriors, then mixture weights per item
-        cls_index = np.searchsorted(np.asarray(classes), bank.class_ids)
-        item_resp = np.exp(log_patch - evidence[cls_index, :])  # (K, P)
-        mix = ca_mixture.values.T[cls_index, :]  # (K, P)
-        z0 = _kernels.patch_mix(bank.data, item_resp * mix, p, p)
-    else:
-        if condition is None:
-            adm = np.arange(bank.size)
-        else:
-            adm = np.flatnonzero(bank.class_ids == int(condition))
-        d_full = _kernels.sq_dists(
-            bank.data[adm].reshape(len(adm), -1), z_t.data.ravel(), scale
-        )
-        lw = log_prior[adm] - d_full / (2.0 * var)
-        lw -= lw.max()
-        post = np.exp(lw)
-        post /= post.sum()
-        z0 = np.tensordot(post, bank.data[adm], axes=1)
-
-    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
-        field = (z_t.data - scale * z0) / np.sqrt(var)
-    else:
-        field = (z_t.data - z0) / t
-    return LatentGrid(field), ca
+    """(field, ca) of one posterior; see :class:`Posterior`."""
+    post = posterior(bank, z_t, t, sched, patch_size)
+    return post.field(condition, ca_mixture), post.ca
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +385,18 @@ def load_bank(directory) -> LatentBank:
     manifest = os.path.join(directory, "manifest.txt")
     items = []
     with open(manifest) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            name, cls, weight = line.split()
-            items.append((read_grid(os.path.join(directory, name)), int(cls), float(weight)))
+            try:
+                name, cls, weight = line.split()
+                cls, weight = int(cls), float(weight)
+            except ValueError:
+                raise ValueError(
+                    f"{manifest}:{lineno}: expected 'filename class_id weight', "
+                    f"got {line.strip()!r}"
+                ) from None
+            items.append((read_grid(os.path.join(directory, name)), cls, weight))
+    if not items:
+        raise ValueError(f"{manifest}: no bank items")
     return LatentBank.from_items(items)

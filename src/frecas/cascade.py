@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bank import CAMap, LatentBank, bank_resample, default_patch_size, predict
+from .bank import CAMap, LatentBank, bank_resample, default_patch_size, posterior, predict
 from .codec import LatentCodec, decode, encode
 from .grid import LatentGrid, Resolution, resample_bilinear_rect, seeded_gaussian, subseed
 from .sampler import (
@@ -198,16 +198,17 @@ def run_stage(
     step_maps = []
     for idx in range(spec.steps):
         t, t_next = float(grid[idx]), float(grid[idx + 1])
-        eps_unc, step_map = predict(bank, z, t, None, sched)
+        post = posterior(bank, z, t, sched)
+        eps_unc = post.field(None)
         if reused_maps is not None:
-            fused = fuse_ca_maps(step_map, reused_maps, spec.ca_fusion)
+            fused = fuse_ca_maps(post.ca, reused_maps, spec.ca_fusion)
             if verify:
                 _verify_row_stochastic(fused, f"stage {stage_index} step {idx}")
-            eps_c, _ = predict(bank, z, t, condition, sched, ca_mixture=fused)
+            eps_c = post.field(condition, ca_mixture=fused)
             step_maps.append(fused)
         else:
-            eps_c, _ = predict(bank, z, t, condition, sched)
-            step_maps.append(step_map)
+            eps_c = post.field(condition)
+            step_maps.append(post.ca)
         if stage_index == 0:
             eps_hat = cfg_combine(eps_unc, eps_c, spec.guidance.w_l)
         else:

@@ -22,12 +22,14 @@ from .cascade import (
     StageSpec,
     compute_cost,
     direct_plan,
+    plan_from_preset,
     run_cascade,
 )
 from .codec import decode
 from .config import (
     ConfigError,
     RunConfig,
+    _preset_with_overrides,
     build_bank,
     build_codec,
     build_direct_plan,
@@ -39,7 +41,7 @@ from .config import (
 from .freq import PsdCurve, band_energy_fractions, psd_decomposition, radial_psd, write_psd_csv
 from .grid import LatentGrid, Resolution, seeded_gaussian, subseed, write_grid
 from .sampler import GuidanceWeights
-from .schedule import ScheduleKind
+from .schedule import NoiseSchedule, ScheduleKind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,10 +207,7 @@ def _plan_for_n(cfg: RunConfig, n: int, sched) -> StagePlan:
     """Cascade with n additional stages interpolating the preset's ladder."""
     if cfg.stages is not None:
         raise ValueError("the N ablation needs a preset, not an explicit stage list")
-    preset = PRESETS[cfg.preset]
-    for name in ("gamma", "w_l", "w_h", "w_c"):
-        if getattr(cfg, name) is not None:
-            preset = replace(preset, **{name: getattr(cfg, name)})
+    preset = _preset_with_overrides(cfg)
     if n == 0:
         return direct_plan(preset, cfg.base_side, sched)
     target_mult = preset.scale_per_stage[-1]
@@ -350,8 +349,9 @@ def cmd_presets(cfg: RunConfig) -> int:
         sides = ",".join(str(cfg.base_side * m) for m in p.scale_per_stage)
         steps = ",".join(str(s) for s in p.steps)
         ls = ",".join(f"{v:g}" for v in p.last_timesteps)
-        cost = sum(s * m * m for s, m in zip(p.steps, p.scale_per_stage))
-        direct = p.direct_steps * p.scale_per_stage[-1] ** 2
+        sched = NoiseSchedule(p.schedule_kind, cfg.T)
+        cost = compute_cost(plan_from_preset(p, cfg.base_side, sched))
+        direct = compute_cost(direct_plan(p, cfg.base_side, sched))
         print(f"{name:10s} {sched_name:8s} {sides:14s} {steps:12s} "
               f"{ls:10s} {p.gamma:<5g} {p.w_l:<5g} {p.w_h:<5g} {p.w_c:<4g} "
               f"{cost:<6g} {direct / cost:<7.3g}")

@@ -7,6 +7,7 @@ float64 array, and every operation returns a new grid. That makes the
 determinism and thread-safety guarantees trivial.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -118,6 +119,11 @@ def write_grid(path, g: LatentGrid) -> None:
 
 
 def read_grid(path) -> LatentGrid:
+    """Read a dump written by :func:`write_grid`.
+
+    The header is checked against the file size before any payload is
+    read, so a corrupt header fails fast instead of allocating its claim.
+    """
     with open(path, "rb") as f:
         header = f.read(16)
         if len(header) != 16:
@@ -125,8 +131,14 @@ def read_grid(path) -> LatentGrid:
         magic, c, h, w = struct.unpack("<4sIII", header)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        payload = f.read(4 * c * h * w)
-    if len(payload) != 4 * c * h * w:
-        raise ValueError(f"{path}: truncated grid payload")
+        expected = 16 + 4 * c * h * w
+        size = os.fstat(f.fileno()).st_size
+        if size < expected:
+            raise ValueError(f"{path}: truncated grid payload "
+                             f"({size} bytes, header claims {expected})")
+        if size > expected:
+            raise ValueError(f"{path}: trailing bytes after grid payload "
+                             f"({size} bytes, header claims {expected})")
+        payload = f.read(expected - 16)
     arr = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
     return LatentGrid(arr.astype(np.float64))

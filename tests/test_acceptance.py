@@ -61,16 +61,6 @@ def criterion(number: int, title: str):
     print(f"PASS criterion {number}: {title}")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels outside any timed section
-    g = LatentGrid(np.zeros((1, 4, 4)))
-    band_split(g, Resolution(2))
-    bank = LatentBank(np.zeros((2, 1, 4, 4)) + [[[[1.0]]], [[[2.0]]]],
-                      np.array([0, 1]), np.array([0.5, 0.5]))
-    predict(bank, g, 500, None, SCHED)
-
-
 def test_criterion_1_facfg_degeneracy():
     with criterion(1, "frequency-aware guidance degenerates to plain guidance"):
         rng = np.random.default_rng(101)

@@ -12,17 +12,22 @@ from frecas.bank import (
     make_bank,
     make_value_noise_bank,
     make_white_bank,
+    posterior,
     predict,
     save_bank,
 )
 from frecas.freq import radial_psd
-from frecas.grid import LatentGrid, Resolution
+from frecas.cascade import PRESETS, plan_from_preset
+from frecas.grid import LatentGrid, Resolution, write_grid
 from frecas.sampler import ddim_step
 from frecas.schedule import (
     NoiseSchedule,
     ScheduleKind,
     alpha_at,
+    diffuse,
     flow_schedule,
+    shift_timestep_flow,
+    shift_timestep_vp,
     vp_default,
 )
 
@@ -196,6 +201,74 @@ class TestPredict:
         np.testing.assert_allclose(z.data, stack[target], atol=1e-3)
 
 
+def smallest_preset_t(sched: NoiseSchedule) -> float:
+    """Lowest evaluation time of any shipped preset on this schedule: the last
+    step of a cascade's final stage, entered at the SNR-matched shift of the
+    previous stage's L, or the last step of the direct baseline."""
+    vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
+    times = []
+    for preset in PRESETS.values():
+        if preset.schedule_kind is not sched.kind:
+            continue
+        plan = plan_from_preset(preset, 16, sched)
+        prev, final = plan.stages[-2], plan.stages[-1]
+        ratio = prev.resolution.side / final.resolution.side
+        if vp:
+            F = shift_timestep_vp(prev.last_timestep, ratio, plan.gamma, sched)
+        else:
+            F = shift_timestep_flow(prev.last_timestep, 1.0 / ratio)
+        times += [F / final.steps, (sched.T if vp else 1.0) / preset.direct_steps]
+    return min(times)
+
+
+def direct_field(bank, z, t, condition, sched):
+    """Per-item ||z - s x_k||^2 posterior, written out item by item."""
+    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
+        a = alpha_at(sched, t)
+        scale, var = math.sqrt(a), 1.0 - a
+    else:
+        scale, var = 1.0 - t, t * t
+    members = [k for k in range(bank.size)
+               if condition is None or bank.class_ids[k] == condition]
+    logw = np.array([math.log(bank.weights[k])
+                     - np.sum((z.data - scale * bank.data[k]) ** 2) / (2.0 * var)
+                     for k in members])
+    p = np.exp(logw - logw.max())
+    p /= p.sum()
+    z0 = sum(pk * bank.data[k] for pk, k in zip(p, members))
+    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
+        return (z.data - scale * z0) / math.sqrt(var)
+    return (z.data - z0) / t
+
+
+class TestPosterior:
+    @pytest.mark.parametrize("sched", [SCHED, FLOW], ids=["vp", "flow"])
+    def test_field_matches_direct_form_at_smallest_preset_t(self, rng, sched):
+        t = smallest_preset_t(sched)
+        bank = small_bank(rng, n_items=8, channels=3, side=16, n_classes=4)
+        # a noisy copy of item 1 (class 1) and a point between items 2 and 3
+        noise = LatentGrid(rng.standard_normal((3, 16, 16)))
+        between = LatentGrid(0.5 * (bank.data[2] + bank.data[3]))
+        for z in (diffuse(bank.item(1), t, noise, sched), diffuse(between, t, noise, sched)):
+            post = posterior(bank, z, t, sched)
+            for condition in (None, 0, 1, 2, 3):
+                np.testing.assert_allclose(
+                    post.field(condition).data, direct_field(bank, z, t, condition, sched),
+                    rtol=1e-9, atol=1e-9,
+                )
+
+    def test_predict_is_field_and_map_of_one_posterior(self, rng):
+        bank = small_bank(rng)
+        z = rand_grid(rng, channels=2, side=8)
+        post = posterior(bank, z, 300.0, SCHED)
+        mix = CAMap(np.tile([0.2, 0.5, 0.3], (post.ca.n_rows, 1)),
+                    post.ca.rows_h, post.ca.rows_w, post.ca.classes)
+        for condition, mixture in ((None, None), (2, None), (1, mix)):
+            field, ca = predict(bank, z, 300.0, condition, SCHED, ca_mixture=mixture)
+            np.testing.assert_array_equal(field.data, post.field(condition, mixture).data)
+            np.testing.assert_array_equal(ca.values, post.ca.values)
+
+
 class TestCaMaps:
     def test_rows_sum_to_one_tightly(self, rng):
         bank = small_bank(rng, n_items=6, channels=2, side=8, n_classes=3)
@@ -304,3 +377,20 @@ class TestSerialization:
         np.testing.assert_array_equal(back.class_ids, bank.class_ids)
         np.testing.assert_allclose(back.weights, bank.weights, rtol=1e-12)
         np.testing.assert_allclose(back.data, bank.data, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("line", [
+        "item_0000.frcg 0",
+        "item_0000.frcg 0 0.5 extra",
+        "item_0000.frcg zero 0.5",
+        "item_0000.frcg 0 half",
+    ])
+    def test_malformed_manifest_line_is_named(self, rng, tmp_path, line):
+        write_grid(tmp_path / "item_0000.frcg", rand_grid(rng, channels=1, side=4))
+        (tmp_path / "manifest.txt").write_text(f"item_0000.frcg 1 0.5\n\n{line}\n")
+        with pytest.raises(ValueError, match=r"manifest\.txt:3: expected 'filename class_id weight'"):
+            load_bank(tmp_path)
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text("\n")
+        with pytest.raises(ValueError, match="no bank items"):
+            load_bank(tmp_path)

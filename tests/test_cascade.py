@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frecas import _kernels
 from frecas.bank import CAMap, LatentBank, bank_resample, predict
 from frecas.cascade import (
     PRESETS,
@@ -207,6 +208,27 @@ class TestRunStage:
         with_maps, _ = run_stage(plan.stages[1], z, 500.0, toy_bank(rng, side=8, n_items=6, n_classes=2),
                                  1, plan, 1, reused_maps=skewed)
         assert with_maps.shape == z.shape
+
+
+    @pytest.mark.parametrize("with_map", [False, True])
+    def test_one_distance_pass_of_each_kind_per_step(self, rng, monkeypatch, with_map):
+        calls = {"patch_sq_dists": 0, "sq_dists": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(_kernels, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(_kernels, name, counted)
+        bank = toy_bank(rng, side=8, n_items=6, n_classes=2)
+        plan = toy_plan(steps=(5, 3))
+        z = LatentGrid(rng.standard_normal((2, 8, 8)))
+        if with_map:
+            reused = CAMap(np.tile([0.7, 0.3], (64, 1)), 8, 8, (0, 1))
+            run_stage(plan.stages[1], z, 500.0, bank, 1, plan, 1, reused_maps=reused)
+            steps = 3
+        else:
+            run_stage(plan.stages[0], z, 1000.0, bank, 1, plan, 0)
+            steps = 5
+        assert calls == {"patch_sq_dists": steps, "sq_dists": steps}
 
 
 class TestRunCascade:

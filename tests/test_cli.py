@@ -100,6 +100,21 @@ class TestExitCodes:
                      "--out", str(blocker)])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("item,manifest", [
+        (b"FRCG" + b"\xff" * 12, "item_0000.frcg 0 1.0\n"),
+        (None, "item_0000.frcg 0 1.0 2\n"),
+    ])
+    def test_malformed_bank_is_runtime_error(self, tmp_path, capsys, item, manifest):
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        if item is not None:
+            (bank / "item_0000.frcg").write_bytes(item)
+        (bank / "manifest.txt").write_text(manifest)
+        code = main(["sample", *FAST, "--bank-path", str(bank), "--out", str(tmp_path / "r")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("frecas: error: ") and "Traceback" not in err
+
     def test_unknown_ablate_param_is_usage_error(self, tmp_path):
         code = main(["ablate", "--param", "zeta", "--values", "1", *FAST,
                      "--out", str(tmp_path / "r")])

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,29 @@ class TestGridDump:
         path.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(ValueError, match="magic"):
             read_grid(path)
+
+    @pytest.mark.parametrize("dims,match", [
+        ((2**32 - 1,) * 3, "truncated"),  # claims far more than any index can hold
+        ((3, 64, 64), "truncated"),  # plausible, but larger than the file
+        ((1, 2, 2), "trailing bytes"),  # smaller than the file
+    ])
+    def test_header_checked_against_file_size(self, tmp_path, dims, match):
+        path = tmp_path / "g.frcg"
+        path.write_bytes(struct.pack("<4sIII", b"FRCG", *dims) + b"\x00" * 64)
+        with pytest.raises(ValueError, match=match):
+            read_grid(path)
+
+    def test_oversized_header_allocates_nothing(self, tmp_path):
+        path = tmp_path / "g.frcg"
+        path.write_bytes(struct.pack("<4sIII", b"FRCG", 4, 1024, 1024) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                read_grid(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the header claims 16 MiB
 
     def test_rejects_truncation(self, rng, tmp_path):
         g = rand_grid(rng, channels=1, side=4)

@@ -1,79 +1,110 @@
-"""The numba and numpy kernel twins must agree; backend selection is env-driven."""
-
-import os
-import subprocess
-import sys
+"""Each vectorized kernel must agree with its plain-loop twin, kept here as
+the reference formulation of the kernel's arithmetic."""
 
 import numpy as np
 
 from frecas import _kernels as K
 
 
+def bilinear_loop(src, out_h, out_w):
+    c, h, w = src.shape
+    out = np.empty((c, out_h, out_w))
+    sy = (h - 1) / (out_h - 1) if out_h > 1 else 0.0
+    sx = (w - 1) / (out_w - 1) if out_w > 1 else 0.0
+    for ch in range(c):
+        for i in range(out_h):
+            y = i * sy
+            y0 = max(min(int(y), h - 2), 0)
+            y1 = min(y0 + 1, h - 1)
+            fy = y - y0
+            for j in range(out_w):
+                x = j * sx
+                x0 = max(min(int(x), w - 2), 0)
+                x1 = min(x0 + 1, w - 1)
+                fx = x - x0
+                top = src[ch, y0, x0] + fx * (src[ch, y0, x1] - src[ch, y0, x0])
+                bot = src[ch, y1, x0] + fx * (src[ch, y1, x1] - src[ch, y1, x0])
+                out[ch, i, j] = top + fy * (bot - top)
+    return out
+
+
+def sq_dists_loop(bank_flat, z_flat, scale):
+    out = np.zeros(bank_flat.shape[0])
+    for i, row in enumerate(bank_flat):
+        for zj, xj in zip(z_flat, row):
+            out[i] += (zj - scale * xj) ** 2
+    return out
+
+
+def patch_sq_dists_loop(bank, z, scale, ph, pw):
+    k, c, h, w = bank.shape
+    gw = w // pw
+    out = np.zeros((k, (h // ph) * gw))
+    for i in range(k):
+        for ch in range(c):
+            for y in range(h):
+                for x in range(w):
+                    d = z[ch, y, x] - scale * bank[i, ch, y, x]
+                    out[i, (y // ph) * gw + x // pw] += d * d
+    return out
+
+
+def patch_mix_loop(bank, weights, ph, pw):
+    k, c, h, w = bank.shape
+    gw = w // pw
+    out = np.zeros((c, h, w))
+    for i in range(k):
+        for ch in range(c):
+            for y in range(h):
+                for x in range(w):
+                    out[ch, y, x] += weights[i, (y // ph) * gw + x // pw] * bank[i, ch, y, x]
+    return out
+
+
 def test_backend_reports_active_choice():
-    assert K.backend() in ("numba", "numpy")
+    assert K.backend() == "numpy"
 
 
 def test_bilinear_twins_agree(rng):
-    for shape, out in [((3, 8, 8), (16, 16)), ((1, 5, 7), (11, 3)), ((2, 16, 16), (4, 4))]:
+    for shape, out in [((3, 8, 8), (16, 16)), ((1, 5, 7), (11, 3)), ((2, 16, 16), (4, 4)),
+                       ((1, 2, 2), (1, 5))]:
         src = rng.standard_normal(shape)
-        a = K._bilinear_np(src, *out)
-        b = K._bilinear_nb(src, *out)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(K.bilinear_resample(src, *out), bilinear_loop(src, *out),
+                                   rtol=0, atol=1e-12)
 
 
 def test_sq_dists_twins_agree(rng):
     bank = rng.standard_normal((12, 300))
     z = rng.standard_normal(300)
-    a = K._sq_dists_np(bank, z, 0.7)
-    b = K._sq_dists_nb(bank, z, 0.7)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    np.testing.assert_allclose(K.sq_dists(bank, z, 0.7), sq_dists_loop(bank, z, 0.7),
+                               rtol=1e-12)
 
 
 def test_patch_sq_dists_twins_agree(rng):
-    bank = rng.standard_normal((5, 3, 8, 8))
-    z = rng.standard_normal((3, 8, 8))
-    a = K._patch_sq_dists_np(bank, z, 0.5, 2, 2)
-    b = K._patch_sq_dists_nb(bank, z, 0.5, 2, 2)
-    assert a.shape == (5, 16)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    bank = rng.standard_normal((5, 3, 8, 12))
+    z = rng.standard_normal((3, 8, 12))
+    a = K.patch_sq_dists(bank, z, 0.5, 2, 4)
+    assert a.shape == (5, 12)
+    np.testing.assert_allclose(a, patch_sq_dists_loop(bank, z, 0.5, 2, 4), rtol=1e-12)
 
 
 def test_patch_sq_dists_matches_full_distance(rng):
     bank = rng.standard_normal((4, 2, 6, 6))
     z = rng.standard_normal((2, 6, 6))
-    per_patch = K._patch_sq_dists_np(bank, z, 0.9, 3, 3)
-    full = K._sq_dists_np(bank.reshape(4, -1), z.ravel(), 0.9)
+    per_patch = K.patch_sq_dists(bank, z, 0.9, 3, 3)
+    full = K.sq_dists(bank.reshape(4, -1), z.ravel(), 0.9)
     np.testing.assert_allclose(per_patch.sum(axis=1), full, rtol=1e-12)
 
 
 def test_patch_mix_twins_agree(rng):
     bank = rng.standard_normal((6, 3, 8, 8))
     w = rng.random((6, 16))
-    a = K._patch_mix_np(bank, w, 2, 2)
-    b = K._patch_mix_nb(bank, w, 2, 2)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    np.testing.assert_allclose(K.patch_mix(bank, w, 2, 2), patch_mix_loop(bank, w, 2, 2),
+                               rtol=1e-12)
 
 
 def test_patch_mix_uniform_weights_is_weighted_sum(rng):
     bank = rng.standard_normal((4, 2, 4, 4))
     w = np.full((4, 4), 0.25)
-    out = K._patch_mix_np(bank, w, 2, 2)
+    out = K.patch_mix(bank, w, 2, 2)
     np.testing.assert_allclose(out, bank.mean(axis=0), rtol=1e-12)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, FRECAS_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from frecas._kernels import backend; print(backend())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_garbage():
-    env = dict(os.environ, FRECAS_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import frecas._kernels"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode != 0
