@@ -16,6 +16,7 @@ from .cascade import (
     compute_cost,
     direct_plan,
     fuse_ca_maps,
+    ladder,
     plan_from_preset,
     run_cascade,
     transition,

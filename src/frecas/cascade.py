@@ -357,45 +357,47 @@ PRESETS = {
 }
 
 
-def plan_from_preset(preset: Preset, base_side: int, sched: NoiseSchedule) -> StagePlan:
-    """Materialize a preset at a concrete base latent side.
+def preset_timestep(L: float, sched: NoiseSchedule) -> float:
+    """A tabulated preset L (a training-timestep index) in the schedule's
+    units: divided by T on flow schedules, unchanged on VP ones."""
+    return L / sched.T if sched.kind is ScheduleKind.FLOW_MATCHING else float(L)
 
-    For flow schedules the tabulated L values are training-timestep indices
-    and are normalized by the schedule's T into [0, 1].
+
+def ladder(sides, steps, last_timesteps, *, w_l, w_h, w_c, gamma, sched,
+           train_side=None) -> StagePlan:
+    """The stage plan that climbs `sides`: stage i runs steps[i] steps down to
+    last_timesteps[i] (schedule units, one per non-final stage; the final
+    stage runs to 0) with FA-CFG cut at sides[i-1] (stage 0 at its own side).
     """
+    if not len(sides) == len(steps) == len(last_timesteps) + 1:
+        raise ValueError("a ladder needs a side and a step count per stage "
+                         "and a last timestep per non-final stage")
+    lasts = [float(L) for L in last_timesteps] + [0.0]
+    cuts = [sides[0], *sides[:-1]]
+    stages = tuple(
+        StageSpec(Resolution(side), n, last, GuidanceWeights(w_l, w_h, Resolution(cut)), w_c)
+        for side, n, last, cut in zip(sides, steps, lasts, cuts)
+    )
+    return StagePlan(stages, gamma, sched, train_side)
+
+
+def plan_from_preset(preset: Preset, base_side: int, sched: NoiseSchedule) -> StagePlan:
+    """Materialize a preset at a concrete base latent side."""
     if sched.kind is not preset.schedule_kind:
         raise ValueError(f"preset {preset.name} needs a {preset.schedule_kind.value} schedule")
-    stages = []
-    flow = sched.kind is ScheduleKind.FLOW_MATCHING
-    for i, mult in enumerate(preset.scale_per_stage):
-        side = base_side * mult
-        prev_side = base_side * preset.scale_per_stage[max(i - 1, 0)]
-        if i < len(preset.scale_per_stage) - 1:
-            last = preset.last_timesteps[i]
-            last = last / sched.T if flow else float(last)
-        else:
-            last = 0.0
-        stages.append(
-            StageSpec(
-                resolution=Resolution(side),
-                steps=preset.steps[i],
-                last_timestep=last,
-                guidance=GuidanceWeights(preset.w_l, preset.w_h, Resolution(prev_side)),
-                ca_fusion=preset.w_c,
-            )
-        )
-    return StagePlan(stages=tuple(stages), gamma=preset.gamma, schedule=sched)
+    return ladder(
+        [base_side * m for m in preset.scale_per_stage],
+        preset.steps,
+        [preset_timestep(L, sched) for L in preset.last_timesteps],
+        w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
+    )
 
 
 def direct_plan(preset: Preset, base_side: int, sched: NoiseSchedule) -> StagePlan:
     """Single-stage baseline at the preset's target resolution; cost units
     stay relative to the training side."""
-    target = base_side * preset.scale_per_stage[-1]
-    spec = StageSpec(
-        resolution=Resolution(target),
-        steps=preset.direct_steps,
-        last_timestep=0.0,
-        guidance=GuidanceWeights(preset.w_l, preset.w_h, Resolution(target)),
-        ca_fusion=0.0,
+    return ladder(
+        [base_side * preset.scale_per_stage[-1]], [preset.direct_steps], [],
+        w_l=preset.w_l, w_h=preset.w_h, w_c=0.0, gamma=preset.gamma, sched=sched,
+        train_side=base_side,
     )
-    return StagePlan(stages=(spec,), gamma=preset.gamma, schedule=sched, train_side=base_side)

@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +18,11 @@ from .bank import LatentBank
 from .cascade import (
     PRESETS,
     StagePlan,
-    StageSpec,
     compute_cost,
     direct_plan,
+    ladder,
     plan_from_preset,
+    preset_timestep,
     run_cascade,
 )
 from .codec import decode
@@ -39,8 +39,7 @@ from .config import (
     parse_config_file,
 )
 from .freq import PsdCurve, band_energy_fractions, psd_decomposition, radial_psd, write_psd_csv
-from .grid import LatentGrid, Resolution, seeded_gaussian, subseed, write_grid
-from .sampler import GuidanceWeights
+from .grid import LatentGrid, seeded_gaussian, subseed, write_grid
 from .schedule import NoiseSchedule, ScheduleKind
 
 EXIT_OK = 0
@@ -49,15 +48,6 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 _SUBSEED_PSD_NOISE = 2
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("FRECAS_THREADS", "")
-    try:
-        n = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"FRECAS_THREADS must be an integer, got {raw!r}")
-    return max(n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +212,11 @@ def _plan_for_n(cfg: RunConfig, n: int, sched) -> StagePlan:
     extra = [budget // n] * n
     for i in range(budget % n):
         extra[-1 - i] += 1
-    L = float(preset.last_timesteps[0])
-    flow = sched.kind is ScheduleKind.FLOW_MATCHING
-    if flow:
-        L = L / sched.T
-    stages = []
-    steps = [preset.steps[0]] + extra
-    for i, side in enumerate(sides):
-        prev = sides[max(i - 1, 0)]
-        stages.append(
-            StageSpec(
-                resolution=Resolution(side),
-                steps=steps[i],
-                last_timestep=0.0 if i == n else L,
-                guidance=GuidanceWeights(preset.w_l, preset.w_h, Resolution(prev)),
-                ca_fusion=preset.w_c,
-            )
-        )
-    return StagePlan(stages=tuple(stages), gamma=preset.gamma, schedule=sched,
-                     train_side=cfg.base_side)
+    L = preset_timestep(preset.last_timesteps[0], sched)
+    return ladder(
+        sides, [preset.steps[0], *extra], [L] * n,
+        w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
+    )
 
 
 def _ablation_plan(cfg: RunConfig, param: str, value: float, sched) -> StagePlan:
@@ -260,12 +236,8 @@ def _ablation_plan(cfg: RunConfig, param: str, value: float, sched) -> StagePlan
         if not 0.0 < value < sched.t_max:
             raise ValueError(f"L must lie in (0, {sched.t_max}), got {value}")
         plan = build_plan(cfg, sched)
-        stages = tuple(
-            spec if i == len(plan.stages) - 1 else replace(spec, last_timestep=value)
-            for i, spec in enumerate(plan.stages)
-        )
-        return StagePlan(stages=stages, gamma=plan.gamma, schedule=sched,
-                         train_side=plan.train_side)
+        *head, last = plan.stages
+        return replace(plan, stages=(*(replace(s, last_timestep=value) for s in head), last))
     raise ConfigError(f"unknown ablation parameter {param!r}; "
                       "choose from w_h, w_l, w_c, N, L")
 
@@ -298,12 +270,7 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
         dist = float(np.sqrt(np.sum((curve.power - bank_psd) ** 2)))
         return report.cost_units, float(high), float(low), dist
 
-    if cfg.parallel and len(plans) > 1:
-        with ThreadPoolExecutor(max_workers=_threads_cap()) as pool:
-            rows = list(pool.map(one, plans))
-    else:
-        rows = [one(p) for p in plans]
-
+    rows = [one(p) for p in plans]
     lines = ["value,cost_units,high_band_energy,low_band_energy,bank_psd_distance"]
     for v, (cost, high, low, dist) in zip(values, rows):
         lines.append(f"{v:g},{cost:.17g},{high:.17g},{low:.17g},{dist:.17g}")
@@ -325,11 +292,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         _, report = run_cascade(plan, codec, bank, cfg.condition, cfg.seed + i)
         return time.perf_counter() - start, report.cost_units
 
-    if cfg.parallel:
-        with ThreadPoolExecutor(max_workers=_threads_cap()) as pool:
-            results = list(pool.map(one, range(5)))
-    else:
-        results = [one(i) for i in range(5)]
+    results = [one(i) for i in range(5)]
     for i, (secs, cost) in enumerate(results):
         print(f"run {i}: wall_seconds = {secs:.3f} cost_units = {_fmt(cost)}")
     mean_last3 = sum(s for s, _ in results[2:]) / 3.0
@@ -345,14 +308,14 @@ def cmd_presets(cfg: RunConfig) -> int:
           f"{'L':10s} {'gamma':5s} {'w_l':5s} {'w_h':5s} {'w_c':4s} {'cost':6s} {'speedup':7s}")
     for name in sorted(PRESETS):
         p = PRESETS[name]
-        sched_name = "flow" if p.schedule_kind is ScheduleKind.FLOW_MATCHING else "vp"
-        sides = ",".join(str(cfg.base_side * m) for m in p.scale_per_stage)
+        sched = NoiseSchedule(p.schedule_kind, cfg.T)
+        plan = plan_from_preset(p, cfg.base_side, sched)
+        sides = ",".join(str(s.resolution.side) for s in plan.stages)
         steps = ",".join(str(s) for s in p.steps)
         ls = ",".join(f"{v:g}" for v in p.last_timesteps)
-        sched = NoiseSchedule(p.schedule_kind, cfg.T)
-        cost = compute_cost(plan_from_preset(p, cfg.base_side, sched))
+        cost = compute_cost(plan)
         direct = compute_cost(direct_plan(p, cfg.base_side, sched))
-        print(f"{name:10s} {sched_name:8s} {sides:14s} {steps:12s} "
+        print(f"{name:10s} {sched.kind.value:8s} {sides:14s} {steps:12s} "
               f"{ls:10s} {p.gamma:<5g} {p.w_l:<5g} {p.w_h:<5g} {p.w_c:<4g} "
               f"{cost:<6g} {direct / cost:<7.3g}")
     return EXIT_OK
@@ -387,7 +350,6 @@ def _add_common(p):
                    help="enable in-run invariant assertions")
     p.add_argument("--dump-stages", action="store_true", default=None,
                    dest="dump_stages")
-    p.add_argument("--parallel", action="store_true", default=None)
     p.add_argument("--bank-path", dest="bank_path")
     p.add_argument("--bank-kind", choices=["value_noise", "white"], dest="bank_kind")
     p.add_argument("--bank-seed", type=int, dest="bank_seed")
@@ -458,7 +420,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"frecas: io error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, AssertionError) as e:
+    except (ValueError, AssertionError, MemoryError) as e:
         print(f"frecas: error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

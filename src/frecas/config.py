@@ -22,7 +22,6 @@ Recognized keys:
     out             output directory
     verify          true/false: in-run invariant assertions
     dump_stages     true/false: dump each stage's final latent
-    parallel        true/false: run independent seeds concurrently
     bank.path       directory with a serialized bank (wins over procedural)
     bank.kind       value_noise | white
     bank.seed       procedural generator seed (0)
@@ -36,17 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import LatentBank, load_bank, make_bank
-from .cascade import (
-    PRESETS,
-    Preset,
-    StagePlan,
-    StageSpec,
-    direct_plan,
-    plan_from_preset,
-)
+from .cascade import PRESETS, Preset, StagePlan, direct_plan, ladder, plan_from_preset
 from .codec import HAAR1, IDENTITY, LatentCodec, encode
-from .grid import Resolution
-from .sampler import GuidanceWeights
 from .schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
 
 
@@ -71,7 +61,6 @@ class RunConfig:
     out: str = "out"
     verify: bool = False
     dump_stages: bool = False
-    parallel: bool = False
     bank_path: str | None = None
     bank_kind: str = "value_noise"
     bank_seed: int = 0
@@ -96,7 +85,6 @@ _KEY_TO_FIELD = {
     "out": "out",
     "verify": "verify",
     "dump_stages": "dump_stages",
-    "parallel": "parallel",
     "bank.path": "bank_path",
     "bank.kind": "bank_kind",
     "bank.seed": "bank_seed",
@@ -105,7 +93,7 @@ _KEY_TO_FIELD = {
     "bank.channels": "bank_channels",
 }
 
-_BOOL_FIELDS = {"verify", "dump_stages", "parallel"}
+_BOOL_FIELDS = {"verify", "dump_stages"}
 _INT_FIELDS = {"base_side", "T", "condition", "seed", "bank_seed", "bank_items",
                "bank_classes", "bank_channels"}
 _FLOAT_FIELDS = {"gamma", "w_l", "w_h", "w_c"}
@@ -201,27 +189,19 @@ def _parse_stage_triples(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
             triples.append((int(bits[0]), int(bits[1]), float(bits[2])))
         except ValueError as e:
             raise ConfigError(f"stage {part!r}: {e}") from e
+    sides, steps, lasts = zip(*triples)
+    if lasts[-1] != 0:
+        raise ConfigError("final stage must run to timestep 0")
     w_l = cfg.w_l if cfg.w_l is not None else 7.5
     w_h = cfg.w_h if cfg.w_h is not None else 35.0
     w_c = cfg.w_c if cfg.w_c is not None else 0.6
     gamma = cfg.gamma if cfg.gamma is not None else 2.0
     flow = sched.kind is ScheduleKind.FLOW_MATCHING
-    stages = []
-    for i, (side, steps, last) in enumerate(triples):
-        prev_side = triples[max(i - 1, 0)][0]
-        if flow and last > 1.0:
-            last = last / sched.T
-        stages.append(
-            StageSpec(
-                resolution=Resolution(side),
-                steps=steps,
-                last_timestep=last,
-                guidance=GuidanceWeights(w_l, w_h, Resolution(prev_side)),
-                ca_fusion=w_c,
-            )
-        )
     try:
-        return StagePlan(stages=tuple(stages), gamma=gamma, schedule=sched)
+        return ladder(
+            sides, steps, [L / sched.T if flow and L > 1.0 else L for L in lasts[:-1]],
+            w_l=w_l, w_h=w_h, w_c=w_c, gamma=gamma, sched=sched,
+        )
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -242,17 +222,12 @@ def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> 
     stage lists)."""
     if cfg.stages is None and cfg.preset:
         return direct_plan(_preset_with_overrides(cfg), cfg.base_side, sched)
-    target = plan.stages[-1].resolution
-    total_steps = sum(s.steps for s in plan.stages)
-    spec = StageSpec(
-        resolution=target,
-        steps=total_steps,
-        last_timestep=0.0,
-        guidance=plan.stages[-1].guidance,
-        ca_fusion=0.0,
+    last = plan.stages[-1]
+    return ladder(
+        [last.resolution.side], [sum(s.steps for s in plan.stages)], [],
+        w_l=last.guidance.w_l, w_h=last.guidance.w_h, w_c=0.0, gamma=plan.gamma,
+        sched=sched, train_side=plan.train_side,
     )
-    return StagePlan(stages=(spec,), gamma=plan.gamma, schedule=sched,
-                     train_side=plan.train_side)
 
 
 def build_codec(cfg: RunConfig) -> LatentCodec:

@@ -31,8 +31,10 @@ _ALPHA_BISECT_TOL = 1e-9   # required accuracy in alpha
 _BISECT_ITERS = 200        # narrows t far below that in practice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
+    """Schedules compare by kind, T and the values of alpha."""
+
     kind: ScheduleKind
     T: int = DEFAULT_T
     alpha: np.ndarray = field(default=None, repr=False)
@@ -54,6 +56,16 @@ class NoiseSchedule:
             object.__setattr__(self, "alpha", alpha)
         else:
             object.__setattr__(self, "alpha", None)
+
+    def __eq__(self, other):
+        if not isinstance(other, NoiseSchedule):
+            return NotImplemented
+        return (self.kind, self.T) == (other.kind, other.T) and (
+            self.alpha is None or np.array_equal(self.alpha, other.alpha)
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.T))
 
     @property
     def t_max(self) -> float:

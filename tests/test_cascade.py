@@ -11,6 +11,7 @@ from frecas.cascade import (
     compute_cost,
     direct_plan,
     fuse_ca_maps,
+    ladder,
     plan_from_preset,
     resample_ca_map,
     run_cascade,
@@ -399,3 +400,24 @@ class TestPlansAndCost:
         fs = flow_schedule()
         plan = plan_from_preset(PRESETS["sd3-x4"], 16, fs)
         assert plan.stages[0].last_timestep == pytest.approx(0.05)
+
+    def test_ladder_cuts_guidance_at_previous_side(self):
+        plan = ladder([8, 12, 16], [4, 3, 2], [300, 100.5], w_l=7.5, w_h=35.0,
+                      w_c=0.6, gamma=2.0, sched=SCHED)
+        assert [s.resolution.side for s in plan.stages] == [8, 12, 16]
+        assert [s.steps for s in plan.stages] == [4, 3, 2]
+        assert [s.last_timestep for s in plan.stages] == [300.0, 100.5, 0.0]
+        assert [s.guidance.base.side for s in plan.stages] == [8, 8, 12]
+        assert plan.train_side == 8
+
+    def test_ladder_equals_hand_built_plan(self):
+        plan = ladder([8, 16], [4, 3], [200], w_l=7.5, w_h=35.0, w_c=0.6,
+                      gamma=2.0, sched=vp_default())
+        assert plan == toy_plan()
+
+    def test_ladder_length_mismatch(self):
+        kw = dict(w_l=7.5, w_h=35.0, w_c=0.6, gamma=2.0, sched=SCHED)
+        with pytest.raises(ValueError, match="ladder"):
+            ladder([8, 16], [4, 2], [], **kw)
+        with pytest.raises(ValueError, match="ladder"):
+            ladder([8, 16], [4], [100], **kw)

@@ -115,6 +115,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("frecas: error: ") and "Traceback" not in err
 
+    def test_oversized_bank_is_runtime_error(self, tmp_path, capsys):
+        # 10^12 items of 3x64x64 float64 is 87.3 PiB: the allocation is
+        # refused outright, no memory is touched
+        code = main(["sample", "--bank-items", "1000000000000", "--out", str(tmp_path / "r")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("frecas: error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+
     def test_unknown_ablate_param_is_usage_error(self, tmp_path):
         code = main(["ablate", "--param", "zeta", "--values", "1", *FAST,
                      "--out", str(tmp_path / "r")])
@@ -200,24 +209,11 @@ class TestBenchAndPresets:
         assert out.count("cost_units = 6") == 6  # five runs + summary line
         assert "mean_wall_seconds_last3" in out
 
-    def test_bench_parallel(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FRECAS_THREADS", "2")
-        code = main(["bench", "--stages", "8:2:100,16:1:0", "--bank-items", "4",
-                     "--seed", "5", "--parallel"])
-        assert code == EXIT_OK
-
     def test_bench_x16_preset_cost(self, capsys):
         code = main(["bench", "--preset", "sdxl-x16", "--base-side", "8",
                      "--bank-items", "8", "--seed", "1"])
         assert code == EXIT_OK
         assert "bench: cost_units = 290" in capsys.readouterr().out
-
-    def test_garbage_thread_cap_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("FRECAS_THREADS", "lots")
-        code = main(["bench", "--stages", "8:2:100,16:1:0", "--bank-items", "4",
-                     "--seed", "5", "--parallel"])
-        assert code == EXIT_USAGE
-        assert "FRECAS_THREADS" in capsys.readouterr().err
 
     def test_presets_lists_all(self, capsys):
         assert main(["presets"]) == EXIT_OK

@@ -1,5 +1,12 @@
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frecas.cascade import PRESETS
+from frecas.cli import _build_parser, _config_from_args, _plan_for_n
 from frecas.codec import HAAR1, IDENTITY
 from frecas.config import (
     ConfigError,
@@ -33,9 +40,10 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("wibble = 3\n")
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_file(path)
+        for line in ("wibble = 3\n", "parallel = true\n"):
+            path.write_text(line)
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_file(path)
 
     def test_bad_boolean_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -150,3 +158,115 @@ class TestBuildBank:
         plan = build_plan(cfg, sched)
         with pytest.raises(ConfigError, match="resolution"):
             build_bank(cfg, plan, IDENTITY)
+
+
+def cfg_from_flags(*flags) -> RunConfig:
+    return _config_from_args(_build_parser().parse_args(["sample", *flags]))
+
+
+def plans_of(cfg: RunConfig):
+    """(cascade plan, direct plan) as the CLI builds them."""
+    sched = build_schedule(cfg)
+    plan = build_plan(cfg, sched)
+    return plan, build_direct_plan(cfg, plan, sched)
+
+
+def spell(sides, steps, lasts) -> str:
+    return ",".join(f"{side}:{n}:{L!r}" for side, n, L in zip(sides, steps, lasts))
+
+
+def preset_as_stages(name, base_side=32) -> str:
+    p = PRESETS[name]
+    sides = [base_side * m for m in p.scale_per_stage]
+    return spell(sides, p.steps, [*p.last_timesteps, 0])
+
+
+class TestLadderRoutes:
+    """Every route to a plan meets in one ladder, so equal settings build
+    equal plans (stages, gamma, train_side, schedule kind and T)."""
+
+    @pytest.mark.parametrize("flags,preset", [
+        (["--stages", "32:40:200,64:10:0", "--gamma", "1.5"], "sdxl-x4"),
+        (["--stages", "32:20:50,64:8:0", "--schedule", "flow", "--w-l", "7",
+          "--w-c", "0.5"], "sd3-x4"),
+    ])
+    def test_stage_flags_build_the_preset(self, flags, preset):
+        assert plans_of(cfg_from_flags(*flags)) == plans_of(RunConfig(preset=preset))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_stages_spelling_of_every_preset(self, name):
+        p = PRESETS[name]
+        cfg = RunConfig(preset=None, stages=preset_as_stages(name),
+                        schedule=p.schedule_kind.value, gamma=p.gamma,
+                        w_l=p.w_l, w_h=p.w_h, w_c=p.w_c)
+        assert plans_of(cfg) == plans_of(RunConfig(preset=name))
+
+    @pytest.mark.parametrize("name", sorted(n for n, p in PRESETS.items()
+                                            if len(p.scale_per_stage) == 2))
+    def test_one_extra_stage_is_the_preset(self, name):
+        cfg = RunConfig(preset=name)
+        sched = build_schedule(cfg)
+        assert _plan_for_n(cfg, 1, sched) == build_plan(cfg, sched)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_no_extra_stage_is_the_direct_plan(self, name):
+        cfg = RunConfig(preset=name)
+        sched = build_schedule(cfg)
+        plan = build_plan(cfg, sched)
+        assert _plan_for_n(cfg, 0, sched) == build_direct_plan(cfg, plan, sched)
+
+
+@st.composite
+def stage_lists(draw):
+    """(sides, steps, lasts) of a valid --stages list."""
+    n = draw(st.integers(1, 4))
+    sides = sorted(draw(st.sets(st.integers(2, 256), min_size=n, max_size=n)))
+    steps = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    positive = st.integers(1, 2000) | st.floats(1e-6, 2000.0)
+    lasts = draw(st.lists(positive, min_size=n - 1, max_size=n - 1))
+    return sides, steps, [*lasts, 0]
+
+
+class TestStageListProperties:
+    @settings(deadline=None)
+    @given(stage_lists(), st.sampled_from([None, "vp", "flow"]), st.integers(1, 3000))
+    def test_stage_list_parses_into_its_ladder(self, ladder, schedule, T):
+        sides, steps, lasts = ladder
+        cfg = RunConfig(preset=None, stages=spell(sides, steps, lasts),
+                        schedule=schedule, T=T)
+        plan = build_plan(cfg, build_schedule(cfg))
+        flow = schedule == "flow"
+        assert [s.resolution.side for s in plan.stages] == sides
+        assert [s.steps for s in plan.stages] == steps
+        assert [s.last_timestep for s in plan.stages] == [
+            L / T if flow and L > 1 else L for L in lasts
+        ]
+        assert [s.guidance.base.side for s in plan.stages] == [sides[0], *sides[:-1]]
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.fixed_dictionaries({"preset": st.sampled_from(sorted(PRESETS)),
+                                   "base_side": st.integers(2, 64)}),
+            st.fixed_dictionaries({"stages": stage_lists().map(lambda s: spell(*s)),
+                                   "schedule": st.sampled_from(["vp", "flow"])}),
+        ),
+        st.fixed_dictionaries({}, optional={
+            "T": st.integers(1, 3000),
+            "gamma": st.floats(0.0, 10.0),
+            "w_l": st.floats(0.0, 100.0),
+            "w_h": st.floats(0.0, 100.0),
+            "w_c": st.floats(0.0, 1.0),
+        }),
+    )
+    def test_config_file_and_flags_build_equal_plans(self, ladder, extra):
+        values = {**ladder, **extra}
+        text = "".join(f"{key} = {value}\n" for key, value in values.items())
+        flags = [arg for key, value in values.items()
+                 for arg in (f"--{key.replace('_', '-')}", str(value))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as f:
+                f.write(text)
+            from_file = cfg_from_flags("--config", path)
+        assert plans_of(from_file) == plans_of(cfg_from_flags(*flags))

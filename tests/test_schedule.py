@@ -57,6 +57,23 @@ class TestAlpha:
             NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 2, alpha=np.array([0.9, 0.5, 0.1]))
 
 
+class TestEquality:
+    def test_vp_schedules_compare_by_value(self):
+        assert vp_default(1000) == vp_default(1000)
+        assert hash(vp_default(1000)) == hash(vp_default(1000))
+        assert vp_default(1000) != vp_default(999)
+        assert vp_default(10) != flow_schedule(10)
+        assert flow_schedule(10) == flow_schedule(10)
+        assert flow_schedule(10) != flow_schedule(20)
+
+    def test_custom_alpha_values_count(self):
+        a = np.array([1.0, 0.9, 0.5, 0.1])
+        b = np.array([1.0, 0.8, 0.5, 0.1])
+        vp = ScheduleKind.VARIANCE_PRESERVING
+        assert NoiseSchedule(vp, 3, alpha=a) == NoiseSchedule(vp, 3, alpha=a.copy())
+        assert NoiseSchedule(vp, 3, alpha=a) != NoiseSchedule(vp, 3, alpha=b)
+
+
 class TestAlphaInverse:
     def test_inverts_alpha(self, rng):
         for t in rng.uniform(0.0, 1000.0, 50):
