@@ -1,10 +1,17 @@
 """Hot numeric kernels, one vectorized numpy implementation each.
 
-These four loops dominate the runtime of cascade runs: the per-step bank
-distances (whole latent and per patch), the patchwise bank mixture, and the
-corner-aligned bilinear resampling behind band splits and transitions.
-Every caller reaches them through this module, so a faster formulation of a
-kernel replaces it here without touching the callers.
+These loops dominate the runtime of cascade runs: the per-step bank
+distances, the patchwise bank mixture, and the corner-aligned bilinear
+resampling behind band splits and transitions. Every caller reaches them
+through this module, so a faster formulation of a kernel replaces it here
+without touching the callers.
+
+The per-patch distances use the norm expansion of exact L2 search,
+||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2, with the bank norms
+||x_kp||^2 supplied by the caller (see :func:`patch_sq_norms`). The
+whole-latent distance is the row sum of the patch distances, so the bank
+posterior makes one pass per step; :func:`sq_dists` stays as the direct
+form that tests compare against.
 """
 
 import numpy as np
@@ -56,14 +63,34 @@ def sq_dists(bank_flat: np.ndarray, z_flat: np.ndarray, scale: float) -> np.ndar
 # ---------------------------------------------------------------------------
 # patch-restricted squared distances: latent tiled into (gh x gw) patches of
 # size (ph x pw); result is (K, gh * gw)
+#
+# Norm-expanded, with the cross term as one einsum over reshaped views, so no
+# K x C x H x W difference tensor is built. Cancellation where z_p ~ s x_kp
+# can leave a tiny negative value, hence the clamp at 0.
 # ---------------------------------------------------------------------------
 
-def patch_sq_dists(bank, z, scale, ph, pw):
-    k, c, h, w = bank.shape
-    gh, gw = h // ph, w // pw
-    diff = z[None] - scale * bank
-    diff2 = (diff * diff).reshape(k, c, gh, ph, gw, pw)
-    return diff2.sum(axis=(1, 3, 5)).reshape(k, gh * gw)
+def _patches(x, ph, pw):
+    """View (..., C, H, W) as (..., C, gh, ph, gw, pw)."""
+    *lead, c, h, w = x.shape
+    return x.reshape(*lead, c, h // ph, ph, w // pw, pw)
+
+
+def patch_sq_norms(x, ph, pw):
+    """Per-patch squared norms of (..., C, H, W): shape (..., gh * gw)."""
+    xp = _patches(x, ph, pw)
+    return np.einsum("...ciajb,...ciajb->...ij", xp, xp).reshape(*x.shape[:-3], -1)
+
+
+def patch_sq_dists(bank, z, scale, ph, pw, bank_norms=None):
+    k = bank.shape[0]
+    if bank_norms is None:
+        bank_norms = patch_sq_norms(bank, ph, pw)
+    cross = np.einsum("kciajb,ciajb->kij", _patches(bank, ph, pw), _patches(z, ph, pw))
+    d = cross.reshape(k, -1)
+    d *= -2.0 * scale
+    d += patch_sq_norms(z, ph, pw)
+    d += (scale * scale) * bank_norms
+    return np.maximum(d, 0.0, out=d)
 
 
 # ---------------------------------------------------------------------------

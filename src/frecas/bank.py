@@ -22,11 +22,14 @@ the cascade fuses them across stages and feeds them back via the
 prediction into a patchwise mixture of class-conditional posterior means.
 
 One posterior per (latent, t) serves all four uses: :func:`posterior` makes
-one patch-distance pass and one whole-latent distance pass over the whole
-bank, and the unconditional, conditional and mixture predictions and the
-attention map are all read off those two arrays. The conditional posterior
-indexes the whole-bank distances with its class's rows instead of measuring
-them again.
+one patch-distance pass over the whole bank, and the unconditional,
+conditional and mixture predictions and the attention map are all read off
+it. The pass uses the norm expansion
+||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2; the per-patch bank norms are
+computed once per bank and patch size and memoized on the bank
+(:meth:`LatentBank.patch_norms`). The whole-latent distances are the row
+sums of the patch distances, and the conditional posterior indexes them with
+its class's rows instead of measuring them again.
 """
 
 import os
@@ -78,6 +81,8 @@ class LatentBank:
     data: np.ndarray = field(repr=False)  # (K, C, H, W)
     class_ids: np.ndarray
     weights: np.ndarray
+    # patch size -> (K, P) per-patch squared norms; filled on first use
+    _patch_norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -123,6 +128,15 @@ class LatentBank:
 
     def classes(self) -> tuple:
         return tuple(int(c) for c in np.unique(self.class_ids))
+
+    def patch_norms(self, p: int) -> np.ndarray:
+        """||x_kp||^2 over the p x p patches of every item, (K, P), read-only."""
+        norms = self._patch_norms.get(p)
+        if norms is None:
+            norms = _kernels.patch_sq_norms(self.data, p, p)
+            norms.setflags(write=False)
+            self._patch_norms[p] = norms
+        return norms
 
 
 def bank_resample(bank: LatentBank, target: Resolution) -> LatentBank:
@@ -172,10 +186,10 @@ def _class_log_evidence(log_patch, class_ids, classes):
 class Posterior:
     """The bank posterior at one (latent, t), shared by every prediction.
 
-    Built by :func:`posterior` from one patch-distance pass and one
-    whole-latent distance pass over all K items; the unconditional,
-    conditional and mixture fields and the attention map ``ca`` all derive
-    from these arrays without touching the bank distances again.
+    Built by :func:`posterior` from one patch-distance pass over all K
+    items; the unconditional, conditional and mixture fields and the
+    attention map ``ca`` all derive from it without touching the bank
+    distances again.
     """
 
     bank: LatentBank
@@ -187,7 +201,7 @@ class Posterior:
     patch_size: int
     log_patch: np.ndarray  # (K, P) per-item patch log-weights
     evidence: np.ndarray  # (n_classes, P) per-class patch log-evidence
-    d_full: np.ndarray  # (K,) whole-latent squared distances
+    d_full: np.ndarray  # (K,) whole-latent squared distances, row sums of the patch ones
     ca: CAMap
 
     def field(self, condition: int | None, ca_mixture: CAMap | None = None) -> LatentGrid:
@@ -236,9 +250,9 @@ def posterior(
 ) -> Posterior:
     """The bank posterior at latent z_t and time t.
 
-    Makes one patch-distance pass and one whole-latent distance pass over
-    the bank. Its ``ca`` holds the patchwise class responsibilities of the
-    whole bank at this latent, independent of any conditioning.
+    Makes one patch-distance pass over the bank. Its ``ca`` holds the
+    patchwise class responsibilities of the whole bank at this latent,
+    independent of any conditioning.
     """
     if bank.data.shape[1:] != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.data.shape[1:]}")
@@ -251,9 +265,10 @@ def posterior(
     classes = bank.classes()
 
     log_prior = np.log(bank.weights)
-    d_patch = _kernels.patch_sq_dists(bank.data, z_t.data, scale, p, p)
+    d_patch = _kernels.patch_sq_dists(bank.data, z_t.data, scale, p, p,
+                                      bank_norms=bank.patch_norms(p))
     log_patch = log_prior[:, None] - d_patch / (2.0 * var)  # (K, P)
-    d_full = _kernels.sq_dists(bank.data.reshape(bank.size, -1), z_t.data.ravel(), scale)
+    d_full = d_patch.sum(axis=1)
 
     evidence = _class_log_evidence(log_patch, bank.class_ids, classes)
     m = evidence.max(axis=0)

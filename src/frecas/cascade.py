@@ -78,6 +78,11 @@ class StagePlan:
             raise ValueError("final stage must run to timestep 0")
         if any(s.last_timestep <= 0 for s in stages[:-1]):
             raise ValueError("non-final stages must stop at a positive timestep")
+        t_max = self.schedule.t_max
+        if any(s.last_timestep >= t_max for s in stages[:-1]):
+            raise ValueError(f"non-final stages must stop below the schedule's "
+                             f"t_max = {t_max:g}, got L = "
+                             f"{', '.join(f'{s.last_timestep:g}' for s in stages[:-1])}")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         object.__setattr__(self, "stages", stages)

@@ -119,11 +119,20 @@ def _manifest_entries(cfg: RunConfig, plan, report, direct_cost, outputs):
 # commands
 # ---------------------------------------------------------------------------
 
+def _check_condition(cfg: RunConfig, bank: LatentBank) -> None:
+    """Reject a condition with no bank items before any sampling starts."""
+    classes = bank.classes()
+    if cfg.condition not in classes:
+        raise ConfigError(f"condition {cfg.condition} is not a class of the bank; "
+                          f"available: {', '.join(str(c) for c in classes)}")
+
+
 def cmd_sample(cfg: RunConfig) -> int:
     sched = build_schedule(cfg)
     plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, plan, codec)
+    _check_condition(cfg, bank)
     os.makedirs(cfg.out, exist_ok=True)
 
     dumps = []
@@ -256,6 +265,7 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
     base_plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, base_plan, codec)
+    _check_condition(cfg, bank)
     bank_psd = _bank_mean_psd(bank, codec)
     os.makedirs(cfg.out, exist_ok=True)
 
@@ -286,6 +296,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, plan, codec)
+    _check_condition(cfg, bank)
 
     def one(i):
         start = time.perf_counter()
@@ -304,20 +315,25 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def cmd_presets(cfg: RunConfig) -> int:
-    print(f"{'name':10s} {'schedule':8s} {'sides':14s} {'steps':12s} "
-          f"{'L':10s} {'gamma':5s} {'w_l':5s} {'w_h':5s} {'w_c':4s} {'cost':6s} {'speedup':7s}")
+    rows = []
     for name in sorted(PRESETS):
         p = PRESETS[name]
         sched = NoiseSchedule(p.schedule_kind, cfg.T)
-        plan = plan_from_preset(p, cfg.base_side, sched)
+        try:
+            plan = plan_from_preset(p, cfg.base_side, sched)
+            direct = compute_cost(direct_plan(p, cfg.base_side, sched))
+        except ValueError as e:
+            raise ConfigError(f"preset {name}: {e}") from e
         sides = ",".join(str(s.resolution.side) for s in plan.stages)
         steps = ",".join(str(s) for s in p.steps)
         ls = ",".join(f"{v:g}" for v in p.last_timesteps)
         cost = compute_cost(plan)
-        direct = compute_cost(direct_plan(p, cfg.base_side, sched))
-        print(f"{name:10s} {sched.kind.value:8s} {sides:14s} {steps:12s} "
-              f"{ls:10s} {p.gamma:<5g} {p.w_l:<5g} {p.w_h:<5g} {p.w_c:<4g} "
-              f"{cost:<6g} {direct / cost:<7.3g}")
+        rows.append(f"{name:10s} {sched.kind.value:8s} {sides:14s} {steps:12s} "
+                    f"{ls:10s} {p.gamma:<5g} {p.w_l:<5g} {p.w_h:<5g} {p.w_c:<4g} "
+                    f"{cost:<6g} {direct / cost:<7.3g}")
+    print(f"{'name':10s} {'schedule':8s} {'sides':14s} {'steps':12s} "
+          f"{'L':10s} {'gamma':5s} {'w_l':5s} {'w_h':5s} {'w_c':4s} {'cost':6s} {'speedup':7s}")
+    print("\n".join(rows))
     return EXIT_OK
 
 

@@ -87,6 +87,15 @@ class TestBankType:
         bank = small_bank(rng, n_items=5, n_classes=2)
         assert bank.classes() == (0, 1)
 
+    def test_patch_norms_memoized_per_patch_size(self, rng):
+        bank = small_bank(rng, n_items=3, channels=2, side=8)
+        for p in (2, 4, 2):
+            norms = bank.patch_norms(p)
+            direct = (bank.data.reshape(3, 2, 8 // p, p, 8 // p, p) ** 2).sum(axis=(1, 3, 5))
+            np.testing.assert_allclose(norms, direct.reshape(3, -1), rtol=1e-12)
+            assert bank.patch_norms(p) is norms and not norms.flags.writeable
+        assert bank_resample(bank, Resolution(4)).patch_norms(2).shape == (3, 4)
+
 
 class TestBankResample:
     def test_same_resolution_identity(self, rng):
@@ -256,6 +265,35 @@ class TestPosterior:
                     post.field(condition).data, direct_field(bank, z, t, condition, sched),
                     rtol=1e-9, atol=1e-9,
                 )
+
+    @pytest.mark.parametrize("channels", [3, 12])
+    @pytest.mark.parametrize("sched", [SCHED, FLOW], ids=["vp", "flow"])
+    def test_field_at_shipped_shape_and_balanced_point(self, rng, sched, channels):
+        # side 64 with 3 (identity) or 12 (haar1) channels, as the shipped
+        # presets run their final stage at base side 32
+        t = smallest_preset_t(sched)
+        vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
+        stack = rng.standard_normal((8, channels, 64, 64))
+        bank = LatentBank(stack, np.arange(8) % 4, np.full(8, 1.0 / 8))
+        scale = math.sqrt(alpha_at(sched, t)) if vp else 1.0 - t
+        var = 1.0 - scale**2 if vp else t * t
+        noise = LatentGrid(rng.standard_normal((channels, 64, 64)))
+        # at the exactly balanced point items 2 and 3 tie, and the VP field
+        # cancels to ~0, so errors are measured against one item's field
+        balanced = LatentGrid(scale * 0.5 * (stack[2] + stack[3]))
+        for z in (diffuse(bank.item(1), t, noise, sched), balanced):
+            item_field = ((z.data - scale * stack[2]) / math.sqrt(var) if vp
+                          else (z.data - stack[2]) / t)
+            field_scale = np.max(np.abs(item_field))
+            # the norm expansion rounds each distance to within about
+            # eps * (||z||^2 + s^2 ||x||^2), and the posterior divides it by 2 var
+            budget = np.finfo(float).eps * (
+                np.sum(z.data**2) + scale**2 * np.sum(stack[2] ** 2)) / (2.0 * var)
+            post = posterior(bank, z, t, sched)
+            for condition in (None, 0, 1, 2, 3):
+                err = np.max(np.abs(post.field(condition).data
+                                    - direct_field(bank, z, t, condition, sched)))
+                assert err <= budget * field_scale
 
     def test_predict_is_field_and_map_of_one_posterior(self, rng):
         bank = small_bank(rng)

@@ -212,12 +212,12 @@ class TestRunStage:
 
 
     @pytest.mark.parametrize("with_map", [False, True])
-    def test_one_distance_pass_of_each_kind_per_step(self, rng, monkeypatch, with_map):
+    def test_one_distance_pass_per_step(self, rng, monkeypatch, with_map):
         calls = {"patch_sq_dists": 0, "sq_dists": 0}
         for name in calls:
-            def counted(*args, _fn=getattr(_kernels, name), _name=name):
+            def counted(*args, _fn=getattr(_kernels, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(_kernels, name, counted)
         bank = toy_bank(rng, side=8, n_items=6, n_classes=2)
         plan = toy_plan(steps=(5, 3))
@@ -229,7 +229,7 @@ class TestRunStage:
         else:
             run_stage(plan.stages[0], z, 1000.0, bank, 1, plan, 0)
             steps = 5
-        assert calls == {"patch_sq_dists": steps, "sq_dists": steps}
+        assert calls == {"patch_sq_dists": steps, "sq_dists": 0}
 
 
 class TestRunCascade:

@@ -124,6 +124,34 @@ class TestExitCodes:
         assert err.startswith("frecas: error: ") and "Traceback" not in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["presets", "--T", "7"],
+        ["sample", "--preset", "sdxl-x4", "--T", "150"],
+        ["sample", "--stages", "8:2:1.0,16:1:0", "--schedule", "flow"],
+    ])
+    def test_unreachable_stage_exit_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        # a non-final L at or above the schedule's t_max: rejected with the
+        # plan, before a bank is built or a table printed
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main([*argv, *FAST, "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("frecas: config error: ") and "t_max" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sample"], ["ablate", "--param", "w_c", "--values", "0.5"], ["bench"],
+    ])
+    def test_unknown_condition_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("frecas.cli.run_cascade", pytest.fail)
+        code = main([*command, *FAST, "--condition", "99", "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("frecas: config error: condition 99 is not a class of the bank; "
+                       "available: 0, 1, 2, 3\n")
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_ablate_param_is_usage_error(self, tmp_path):
         code = main(["ablate", "--param", "zeta", "--values", "1", *FAST,
                      "--out", str(tmp_path / "r")])

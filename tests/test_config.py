@@ -171,6 +171,14 @@ def plans_of(cfg: RunConfig):
     return plan, build_direct_plan(cfg, plan, sched)
 
 
+def plans_or_error(cfg: RunConfig):
+    """plans_of(cfg), or the message of the config error it raises."""
+    try:
+        return plans_of(cfg)
+    except ConfigError as e:
+        return str(e)
+
+
 def spell(sides, steps, lasts) -> str:
     return ",".join(f"{side}:{n}:{L!r}" for side, n, L in zip(sides, steps, lasts))
 
@@ -234,13 +242,17 @@ class TestStageListProperties:
         sides, steps, lasts = ladder
         cfg = RunConfig(preset=None, stages=spell(sides, steps, lasts),
                         schedule=schedule, T=T)
-        plan = build_plan(cfg, build_schedule(cfg))
+        sched = build_schedule(cfg)
         flow = schedule == "flow"
+        expected = [L / T if flow and L > 1 else L for L in lasts]
+        if any(L >= sched.t_max for L in expected[:-1]):
+            with pytest.raises(ConfigError, match="t_max"):
+                build_plan(cfg, sched)
+            return
+        plan = build_plan(cfg, sched)
         assert [s.resolution.side for s in plan.stages] == sides
         assert [s.steps for s in plan.stages] == steps
-        assert [s.last_timestep for s in plan.stages] == [
-            L / T if flow and L > 1 else L for L in lasts
-        ]
+        assert [s.last_timestep for s in plan.stages] == expected
         assert [s.guidance.base.side for s in plan.stages] == [sides[0], *sides[:-1]]
 
     @settings(deadline=None)
@@ -269,4 +281,4 @@ class TestStageListProperties:
             with open(path, "w") as f:
                 f.write(text)
             from_file = cfg_from_flags("--config", path)
-        assert plans_of(from_file) == plans_of(cfg_from_flags(*flags))
+        assert plans_or_error(from_file) == plans_or_error(cfg_from_flags(*flags))

@@ -2,6 +2,8 @@
 the reference formulation of the kernel's arithmetic."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frecas import _kernels as K
 
@@ -94,6 +96,36 @@ def test_patch_sq_dists_matches_full_distance(rng):
     per_patch = K.patch_sq_dists(bank, z, 0.9, 3, 3)
     full = K.sq_dists(bank.reshape(4, -1), z.ravel(), 0.9)
     np.testing.assert_allclose(per_patch.sum(axis=1), full, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 5), c=st.integers(1, 4),
+    gh=st.integers(1, 3), gw=st.integers(1, 3), ph=st.integers(1, 4), pw=st.integers(1, 4),
+    scale=st.floats(0.01, 1.5), exact_row=st.integers(0, 4) | st.none(),
+    jitter=st.sampled_from([0.0, 1e-6]), seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_expanded_patch_dists_match_direct_form(k, c, gh, gw, ph, pw, scale,
+                                                     exact_row, jitter, seed):
+    # the expansion loses most where z_p ~ s x_kp, so some latents sit on a
+    # scaled bank item, exactly or within 1e-6
+    rng = np.random.default_rng(seed)
+    bank = rng.standard_normal((k, c, gh * ph, gw * pw))
+    z = rng.standard_normal((c, gh * ph, gw * pw))
+    if exact_row is not None:
+        z = scale * bank[exact_row % k] + jitter * rng.standard_normal(z.shape)
+    d = K.patch_sq_dists(bank, z, scale, ph, pw)
+    assert d.shape == (k, gh * gw)
+    assert np.all(d >= 0)
+    # rounding error of the expansion is relative to the norms it cancels
+    norms = K.patch_sq_norms(z, ph, pw)[None] + scale**2 * K.patch_sq_norms(bank, ph, pw)
+    np.testing.assert_array_less(np.abs(d - patch_sq_dists_loop(bank, z, scale, ph, pw)),
+                                 1e-12 * norms + 1e-300)
+    full = K.sq_dists(bank.reshape(k, -1), z.ravel(), scale)
+    np.testing.assert_array_less(np.abs(d.sum(axis=1) - full),
+                                 1e-12 * norms.sum(axis=1) + 1e-300)
+    np.testing.assert_array_equal(d, K.patch_sq_dists(bank, z, scale, ph, pw,
+                                                      K.patch_sq_norms(bank, ph, pw)))
 
 
 def test_patch_mix_twins_agree(rng):
