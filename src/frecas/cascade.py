@@ -14,7 +14,8 @@ plan costs sum(steps_i * (s_i / s0)**2). Guidance's two evaluations per step
 are a constant factor and excluded.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +55,9 @@ class StageSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("each stage needs at least one step")
-        if self.last_timestep < 0:
-            raise ValueError("last timestep must be non-negative")
+        if not 0 <= self.last_timestep < math.inf:
+            raise ValueError(f"last timestep must be finite and non-negative, "
+                             f"got {self.last_timestep}")
         if not 0.0 <= self.ca_fusion <= 1.0:
             raise ValueError("ca fusion weight must lie in [0, 1]")
 
@@ -83,8 +85,8 @@ class StagePlan:
             raise ValueError(f"non-final stages must stop below the schedule's "
                              f"t_max = {t_max:g}, got L = "
                              f"{', '.join(f'{s.last_timestep:g}' for s in stages[:-1])}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         object.__setattr__(self, "stages", stages)
         if self.train_side is None:
             object.__setattr__(self, "train_side", stages[0].resolution.side)
@@ -112,7 +114,6 @@ class RunReport:
     seed: int
     cost_units: float
     stages: tuple
-    outputs: tuple = field(default=())
 
 
 def compute_cost(plan: StagePlan) -> float:
@@ -347,17 +348,16 @@ class Preset:
     w_l: float
     w_h: float
     w_c: float
-    direct_steps: int  # single-stage baseline step count at the target size
 
 
 PRESETS = {
     p.name: p
     for p in [
-        Preset("sd21-x4", ScheduleKind.VARIANCE_PRESERVING, (1, 2), (40, 10), (100,), 3.0, 7.5, 45.0, 0.6, 50),
-        Preset("sd21-x16", ScheduleKind.VARIANCE_PRESERVING, (1, 2, 4), (30, 10, 10), (200, 200), 3.0, 7.5, 35.0, 0.4, 50),
-        Preset("sdxl-x4", ScheduleKind.VARIANCE_PRESERVING, (1, 2), (40, 10), (200,), 1.5, 7.5, 35.0, 0.6, 50),
-        Preset("sdxl-x16", ScheduleKind.VARIANCE_PRESERVING, (1, 2, 4), (30, 5, 15), (400, 200), 2.0, 7.5, 35.0, 0.6, 50),
-        Preset("sd3-x4", ScheduleKind.FLOW_MATCHING, (1, 2), (20, 8), (50,), 2.0, 7.0, 35.0, 0.5, 28),
+        Preset("sd21-x4", ScheduleKind.VARIANCE_PRESERVING, (1, 2), (40, 10), (100,), 3.0, 7.5, 45.0, 0.6),
+        Preset("sd21-x16", ScheduleKind.VARIANCE_PRESERVING, (1, 2, 4), (30, 10, 10), (200, 200), 3.0, 7.5, 35.0, 0.4),
+        Preset("sdxl-x4", ScheduleKind.VARIANCE_PRESERVING, (1, 2), (40, 10), (200,), 1.5, 7.5, 35.0, 0.6),
+        Preset("sdxl-x16", ScheduleKind.VARIANCE_PRESERVING, (1, 2, 4), (30, 5, 15), (400, 200), 2.0, 7.5, 35.0, 0.6),
+        Preset("sd3-x4", ScheduleKind.FLOW_MATCHING, (1, 2), (20, 8), (50,), 2.0, 7.0, 35.0, 0.5),
     ]
 }
 
@@ -399,10 +399,11 @@ def plan_from_preset(preset: Preset, base_side: int, sched: NoiseSchedule) -> St
 
 
 def direct_plan(preset: Preset, base_side: int, sched: NoiseSchedule) -> StagePlan:
-    """Single-stage baseline at the preset's target resolution; cost units
-    stay relative to the training side."""
+    """Single-stage baseline at the preset's target resolution with the
+    cascade's total step count; cost units stay relative to the training
+    side."""
     return ladder(
-        [base_side * preset.scale_per_stage[-1]], [preset.direct_steps], [],
+        [base_side * preset.scale_per_stage[-1]], [sum(preset.steps)], [],
         w_l=preset.w_l, w_h=preset.w_h, w_c=0.0, gamma=preset.gamma, sched=sched,
         train_side=base_side,
     )

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .codec import decode
 from .config import (
     ConfigError,
     RunConfig,
+    _coerce,
     _preset_with_overrides,
     build_bank,
     build_codec,
@@ -156,7 +157,6 @@ def cmd_sample(cfg: RunConfig) -> int:
     write_grid(os.path.join(cfg.out, "image.frcg"), image)
     outputs.append(("grid", "image.frcg"))
     outputs.extend(dumps)
-    report = replace(report, outputs=tuple(name for _, name in outputs))
     write_manifest(
         os.path.join(cfg.out, "manifest.txt"),
         _manifest_entries(cfg, plan, report, direct_cost, outputs),
@@ -230,23 +230,18 @@ def _plan_for_n(cfg: RunConfig, n: int, sched) -> StagePlan:
 
 def _ablation_plan(cfg: RunConfig, param: str, value: float, sched) -> StagePlan:
     if param == "N":
-        if value != int(value) or value < 0:
-            raise ValueError(f"N must be a non-negative integer, got {value}")
+        if not (float(value).is_integer() and value >= 0):
+            raise ConfigError(f"N must be a non-negative integer, got {value}")
         return _plan_for_n(cfg, int(value), sched)
-    if param in ("w_l", "w_h"):
-        if value < 0:
-            raise ValueError(f"{param} must be non-negative, got {value}")
+    if param in ("w_l", "w_h", "w_c"):
         return build_plan(replace(cfg, **{param: value}), sched)
-    if param == "w_c":
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"w_c must lie in [0, 1], got {value}")
-        return build_plan(replace(cfg, w_c=value), sched)
     if param == "L":
-        if not 0.0 < value < sched.t_max:
-            raise ValueError(f"L must lie in (0, {sched.t_max}), got {value}")
         plan = build_plan(cfg, sched)
         *head, last = plan.stages
-        return replace(plan, stages=(*(replace(s, last_timestep=value) for s in head), last))
+        try:
+            return replace(plan, stages=(*(replace(s, last_timestep=value) for s in head), last))
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     raise ConfigError(f"unknown ablation parameter {param!r}; "
                       "choose from w_h, w_l, w_c, N, L")
 
@@ -349,29 +344,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p):
     p.add_argument("--config", help="config file (key = value lines)")
-    p.add_argument("--preset", help="named cascade preset")
-    p.add_argument("--stages", help="explicit plan: side:steps:L,...")
-    p.add_argument("--base-side", type=int, dest="base_side")
-    p.add_argument("--schedule", choices=["vp", "flow"])
-    p.add_argument("--T", type=int, dest="T")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--w-l", type=float, dest="w_l")
-    p.add_argument("--w-h", type=float, dest="w_h")
-    p.add_argument("--w-c", type=float, dest="w_c")
-    p.add_argument("--condition", type=int)
-    p.add_argument("--codec", choices=["identity", "haar1"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--verify", action="store_true", default=None,
-                   help="enable in-run invariant assertions")
-    p.add_argument("--dump-stages", action="store_true", default=None,
-                   dest="dump_stages")
-    p.add_argument("--bank-path", dest="bank_path")
-    p.add_argument("--bank-kind", choices=["value_noise", "white"], dest="bank_kind")
-    p.add_argument("--bank-seed", type=int, dest="bank_seed")
-    p.add_argument("--bank-items", type=int, dest="bank_items")
-    p.add_argument("--bank-classes", type=int, dest="bank_classes")
-    p.add_argument("--bank-channels", type=int, dest="bank_channels")
+    for f in fields(RunConfig):
+        # argparse only collects strings; config._coerce types them
+        switch = {"action": "store_true", "default": None} if f.type is bool else {}
+        p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata.get("help"), **switch)
 
 
 def _build_parser():
@@ -404,10 +380,7 @@ def _config_from_args(args) -> RunConfig:
     for name in RunConfig.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is not None:
-            overrides[name] = value
-    if args.stages is not None and args.preset is None:
-        # an explicit CLI stage list replaces any preset from the config file
-        overrides["preset"] = None
+            overrides[name] = value if value is True else _coerce(name, value)
     return merge_config(cfg, overrides)
 
 

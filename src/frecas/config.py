@@ -5,6 +5,11 @@ Config files hold one ``key = value`` pair per line; ``#`` starts a comment.
 Dotted keys group related settings (``bank.kind = value_noise``). Command
 line flags override file values, which override the defaults below.
 
+The fields of `RunConfig` are the only list of settings. A field's key is its
+name in lower case with ``bank_`` written ``bank.``, its flag is ``--`` plus
+the name with ``_`` written ``-`` (``bank.items`` is ``--bank-items``, ``T``
+is ``--T``), and its annotation types the values of both routes.
+
 Recognized keys:
 
     preset          one of the shipped cascade presets (see `frecas presets`)
@@ -30,12 +35,13 @@ Recognized keys:
     bank.channels   image channels, 1 or 3 (3)
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args
 
 import numpy as np
 
 from .bank import LatentBank, load_bank, make_bank
-from .cascade import PRESETS, Preset, StagePlan, direct_plan, ladder, plan_from_preset
+from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset
 from .codec import HAAR1, IDENTITY, LatentCodec, encode
 from .schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
 
@@ -46,8 +52,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    preset: str | None = "sdxl-x4"
-    stages: str | None = None
+    preset: str | None = field(default="sdxl-x4", metadata={"help": "named cascade preset"})
+    stages: str | None = field(default=None,
+                               metadata={"help": "explicit plan: side:steps:L,..."})
     base_side: int = 32
     schedule: str | None = None
     T: int = 1000
@@ -59,7 +66,8 @@ class RunConfig:
     codec: str = "identity"
     seed: int = 0
     out: str = "out"
-    verify: bool = False
+    verify: bool = field(default=False,
+                         metadata={"help": "enable in-run invariant assertions"})
     dump_stages: bool = False
     bank_path: str | None = None
     bank_kind: str = "value_noise"
@@ -69,34 +77,13 @@ class RunConfig:
     bank_channels: int = 3
 
 
-_KEY_TO_FIELD = {
-    "preset": "preset",
-    "stages": "stages",
-    "base_side": "base_side",
-    "schedule": "schedule",
-    "t": "T",
-    "gamma": "gamma",
-    "w_l": "w_l",
-    "w_h": "w_h",
-    "w_c": "w_c",
-    "condition": "condition",
-    "codec": "codec",
-    "seed": "seed",
-    "out": "out",
-    "verify": "verify",
-    "dump_stages": "dump_stages",
-    "bank.path": "bank_path",
-    "bank.kind": "bank_kind",
-    "bank.seed": "bank_seed",
-    "bank.items": "bank_items",
-    "bank.classes": "bank_classes",
-    "bank.channels": "bank_channels",
+# config-file key -> field: the name in lower case, ``bank_*`` written ``bank.*``
+_KEY_FIELDS = {f.name.lower().replace("bank_", "bank.", 1): f.name for f in fields(RunConfig)}
+# The value type of each field: its annotation with None stripped.
+_FIELD_TYPES = {
+    f.name: next(t for t in get_args(f.type) or (f.type,) if t is not type(None))
+    for f in fields(RunConfig)
 }
-
-_BOOL_FIELDS = {"verify", "dump_stages"}
-_INT_FIELDS = {"base_side", "T", "condition", "seed", "bank_seed", "bank_items",
-               "bank_classes", "bank_channels"}
-_FLOAT_FIELDS = {"gamma", "w_l", "w_h", "w_c"}
 
 
 def parse_config_file(path) -> dict:
@@ -114,7 +101,7 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        fname = _KEY_TO_FIELD.get(key.lower())
+        fname = _KEY_FIELDS.get(key.lower())
         if fname is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[fname] = _coerce(fname, value)
@@ -122,7 +109,9 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(fname: str, value: str):
-    if fname in _BOOL_FIELDS:
+    """Type a config-file or flag value as the field's annotation says."""
+    kind = _FIELD_TYPES[fname]
+    if kind is bool:
         low = value.lower()
         if low in ("true", "1", "yes", "on"):
             return True
@@ -130,13 +119,9 @@ def _coerce(fname: str, value: str):
             return False
         raise ConfigError(f"{fname}: expected a boolean, got {value!r}")
     try:
-        if fname in _INT_FIELDS:
-            return int(value)
-        if fname in _FLOAT_FIELDS:
-            return float(value)
+        return kind(value)
     except ValueError as e:
         raise ConfigError(f"{fname}: {e}") from e
-    return value
 
 
 def merge_config(base: RunConfig, overrides: dict) -> RunConfig:
@@ -217,11 +202,9 @@ def build_plan(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
 
 
 def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> StagePlan:
-    """Single-stage baseline at the plan's target resolution, same step
-    budget semantics as the preset (or the plan's total steps for explicit
-    stage lists)."""
-    if cfg.stages is None and cfg.preset:
-        return direct_plan(_preset_with_overrides(cfg), cfg.base_side, sched)
+    """Single-stage baseline at the plan's target resolution: the plan's
+    total steps, its final stage's guidance weights, no attention fusion,
+    and cost units relative to the plan's training side."""
     last = plan.stages[-1]
     return ladder(
         [last.resolution.side], [sum(s.steps for s in plan.stages)], [],
@@ -253,16 +236,23 @@ def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBan
                 f"plan's target side {plan.stages[-1].resolution.side}"
             )
         return bank
+    for key, count in (("bank.items", cfg.bank_items), ("bank.classes", cfg.bank_classes),
+                       ("bank.channels", cfg.bank_channels)):
+        if count < 1:
+            raise ConfigError(f"{key} must be at least 1, got {count}")
     latent_side = plan.stages[-1].resolution.side
     pixel_side = latent_side * codec.spatial_factor
-    images = make_bank(
-        cfg.bank_kind,
-        pixel_side,
-        channels=cfg.bank_channels,
-        n_items=cfg.bank_items,
-        n_classes=cfg.bank_classes,
-        seed=cfg.bank_seed,
-    )
+    try:
+        images = make_bank(
+            cfg.bank_kind,
+            pixel_side,
+            channels=cfg.bank_channels,
+            n_items=cfg.bank_items,
+            n_classes=cfg.bank_classes,
+            seed=cfg.bank_seed,
+        )
+    except ValueError as e:  # an unknown bank.kind, or numpy refusing a negative bank.seed
+        raise ConfigError(str(e)) from e
     if codec is IDENTITY:
         return images
     stack = np.stack(

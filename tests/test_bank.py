@@ -226,7 +226,7 @@ def smallest_preset_t(sched: NoiseSchedule) -> float:
             F = shift_timestep_vp(prev.last_timestep, ratio, plan.gamma, sched)
         else:
             F = shift_timestep_flow(prev.last_timestep, 1.0 / ratio)
-        times += [F / final.steps, (sched.T if vp else 1.0) / preset.direct_steps]
+        times += [F / final.steps, (sched.T if vp else 1.0) / sum(preset.steps)]
     return min(times)
 
 

@@ -421,3 +421,14 @@ class TestPlansAndCost:
             ladder([8, 16], [4, 2], [], **kw)
         with pytest.raises(ValueError, match="ladder"):
             ladder([8, 16], [4], [100], **kw)
+
+    @pytest.mark.parametrize("L", [float("nan"), float("inf"), -1.0])
+    def test_stage_rejects_non_finite_or_negative_last_timestep(self, L):
+        gw = GuidanceWeights(7.5, 35.0, Resolution(8))
+        with pytest.raises(ValueError, match="last timestep must be finite"):
+            StageSpec(Resolution(8), 4, L, gw)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.5])
+    def test_plan_rejects_non_finite_or_negative_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            toy_plan(gamma=gamma)

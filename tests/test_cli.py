@@ -157,10 +157,35 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_USAGE
 
-    def test_ablate_value_out_of_domain_is_runtime_error(self, tmp_path):
-        code = main(["ablate", "--param", "w_c", "--values", "1.5", *FAST,
+    @pytest.mark.parametrize("param,value", [
+        ("w_c", "1.5"), ("w_h", "-1"), ("L", "1000"), ("L", "nan"), ("N", "1.5"),
+    ])
+    def test_ablate_value_out_of_domain_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       param, value):
+        # every swept plan is checked like a sample plan, before the bank is built
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main(["ablate", "--param", param, "--values", value, *FAST,
                      "--out", str(tmp_path / "r")])
-        assert code == EXIT_RUNTIME
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("frecas: config error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--stages", "32:40:nan,64:10:0"], ["--gamma", "nan"], ["--gamma", "inf"],
+    ])
+    def test_non_finite_plan_number_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main(["sample", *argv, "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("frecas: config error: ") and "finite" in err
+
+    @pytest.mark.parametrize("key", ["bank.items", "bank.classes", "bank.channels"])
+    def test_procedural_bank_count_below_one_is_usage_error(self, tmp_path, capsys, key):
+        flag = "--" + key.replace(".", "-")
+        code = main(["sample", *FAST, flag, "0", "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"frecas: config error: {key} must be at least 1, got 0\n"
 
 
 class TestPsd:

@@ -1,12 +1,13 @@
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frecas.cascade import PRESETS
-from frecas.cli import _build_parser, _config_from_args, _plan_for_n
+from frecas.cli import EXIT_USAGE, _build_parser, _config_from_args, _plan_for_n, main
 from frecas.codec import HAAR1, IDENTITY
 from frecas.config import (
     ConfigError,
@@ -59,6 +60,88 @@ class TestConfigFile:
         cfg = merge_config(RunConfig(), {"seed": 5, "codec": "haar1"})
         assert cfg.seed == 5 and cfg.codec == "haar1"
         assert cfg.preset == "sdxl-x4"
+
+
+# Every config key and flag, written out rather than derived, so a change to
+# the naming rule that drops or renames one fails here: key, flag, RunConfig
+# field, a valid value and its typed form.
+SETTINGS = [
+    ("preset", "--preset", "preset", "sd3-x4", "sd3-x4"),
+    ("stages", "--stages", "stages", "8:4:100,16:2:0", "8:4:100,16:2:0"),
+    ("base_side", "--base-side", "base_side", "16", 16),
+    ("schedule", "--schedule", "schedule", "flow", "flow"),
+    ("T", "--T", "T", "500", 500),
+    ("gamma", "--gamma", "gamma", "2.5", 2.5),
+    ("w_l", "--w-l", "w_l", "6.5", 6.5),
+    ("w_h", "--w-h", "w_h", "30", 30.0),
+    ("w_c", "--w-c", "w_c", "0.25", 0.25),
+    ("condition", "--condition", "condition", "2", 2),
+    ("codec", "--codec", "codec", "haar1", "haar1"),
+    ("seed", "--seed", "seed", "7", 7),
+    ("out", "--out", "out", "elsewhere", "elsewhere"),
+    ("verify", "--verify", "verify", "true", True),
+    ("dump_stages", "--dump-stages", "dump_stages", "true", True),
+    ("bank.path", "--bank-path", "bank_path", "some/bank", "some/bank"),
+    ("bank.kind", "--bank-kind", "bank_kind", "white", "white"),
+    ("bank.seed", "--bank-seed", "bank_seed", "3", 3),
+    ("bank.items", "--bank-items", "bank_items", "12", 12),
+    ("bank.classes", "--bank-classes", "bank_classes", "3", 3),
+    ("bank.channels", "--bank-channels", "bank_channels", "1", 1),
+]
+BOOL_FLAGS = {"--verify", "--dump-stages"}
+
+
+def flag_args(flag, value):
+    return [flag] if flag in BOOL_FLAGS else [flag, value]
+
+
+def cfg_from_file(tmp_path, text) -> RunConfig:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return cfg_from_flags("--config", str(path))
+
+
+class TestOneSchema:
+    """Config-file keys, flags and value types all come from RunConfig."""
+
+    def test_settings_cover_every_field(self):
+        assert [row[2] for row in SETTINGS] == list(RunConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("key,flag,name,value,typed", SETTINGS)
+    def test_key_and_flag_give_equal_configs(self, tmp_path, key, flag, name, value, typed):
+        from_file = cfg_from_file(tmp_path, f"{key} = {value}\n")
+        from_flags = cfg_from_flags(*flag_args(flag, value))
+        assert getattr(from_file, name) == typed
+        assert from_file == from_flags == replace(RunConfig(), **{name: typed})
+
+    def test_all_keys_at_once(self, tmp_path):
+        text = "".join(f"{key} = {value}\n" for key, _, _, value, _ in SETTINGS)
+        flags = [arg for _, flag, _, value, _ in SETTINGS for arg in flag_args(flag, value)]
+        expected = RunConfig(**{name: typed for _, _, name, _, typed in SETTINGS})
+        assert cfg_from_file(tmp_path, text) == cfg_from_flags(*flags) == expected
+        # --config is the 22nd flag
+        assert cfg_from_flags("--config", str(tmp_path / "run.cfg"), "--seed", "9") == \
+            replace(expected, seed=9)
+
+    @pytest.mark.parametrize("key,flag,value", [
+        *((key, flag, "x") for key, flag, _, _, typed in SETTINGS
+          if type(typed) in (int, float)),
+        ("schedule", "--schedule", "foo"),
+        ("codec", "--codec", "foo"),
+        ("bank.kind", "--bank-kind", "foo"),
+    ])
+    def test_invalid_value_is_the_same_config_error(self, tmp_path, capsys, monkeypatch,
+                                                    key, flag, value):
+        monkeypatch.setattr("frecas.cli.run_cascade", pytest.fail)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        errors = []
+        for args in (["--config", str(path)], [flag, value]):
+            assert main(["sample", *args, "--out", str(tmp_path / "r")]) == EXIT_USAGE
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("frecas: config error: ") and value in errors[0]
+        assert not (tmp_path / "r").exists()
 
 
 class TestBuilders:
@@ -147,6 +230,15 @@ class TestBuildBank:
         plan = build_plan(cfg, sched)
         bank = build_bank(cfg, plan, IDENTITY)
         assert bank.size == 4
+
+    def test_bank_path_ignores_procedural_counts(self, tmp_path):
+        from frecas.bank import make_white_bank, save_bank
+
+        save_bank(tmp_path / "bank", make_white_bank(16, 2, 4, 2, seed=3))
+        cfg = RunConfig(stages="8:2:100,16:1:0", preset=None, bank_path=str(tmp_path / "bank"),
+                        bank_items=0, bank_classes=0, bank_channels=0, bank_kind="foo")
+        plan = build_plan(cfg, build_schedule(cfg))
+        assert build_bank(cfg, plan, IDENTITY).size == 4
 
     def test_bank_path_resolution_mismatch(self, tmp_path):
         from frecas.bank import make_white_bank, save_bank
