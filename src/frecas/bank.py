@@ -246,21 +246,18 @@ def posterior(
     z_t: LatentGrid,
     t: float,
     sched: NoiseSchedule,
-    patch_size: int | None = None,
 ) -> Posterior:
     """The bank posterior at latent z_t and time t.
 
-    Makes one patch-distance pass over the bank. Its ``ca`` holds the
-    patchwise class responsibilities of the whole bank at this latent,
-    independent of any conditioning.
+    Makes one patch-distance pass over the bank with the default patch size
+    of the latent's side. Its ``ca`` holds the patchwise class
+    responsibilities of the whole bank at this latent, independent of any
+    conditioning.
     """
     if bank.data.shape[1:] != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.data.shape[1:]}")
     scale, var = _kernel_params(sched, t)
-    side = z_t.height
-    p = default_patch_size(side) if patch_size is None else int(patch_size)
-    if p < 1 or z_t.height % p or z_t.width % p:
-        raise ValueError(f"patch size {p} must divide the latent dimensions")
+    p = default_patch_size(z_t.height)
     gh, gw = z_t.height // p, z_t.width // p
     classes = bank.classes()
 
@@ -283,11 +280,10 @@ def predict(
     t: float,
     condition: int | None,
     sched: NoiseSchedule,
-    patch_size: int | None = None,
     ca_mixture: CAMap | None = None,
 ):
     """(field, ca) of one posterior; see :class:`Posterior`."""
-    post = posterior(bank, z_t, t, sched, patch_size)
+    post = posterior(bank, z_t, t, sched)
     return post.field(condition, ca_mixture), post.ca
 
 

@@ -20,17 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bank import CAMap, LatentBank, bank_resample, default_patch_size, posterior, predict
+from .bank import CAMap, LatentBank, bank_resample, posterior, predict
 from .codec import LatentCodec, decode, encode
 from .grid import LatentGrid, Resolution, resample_bilinear_rect, seeded_gaussian, subseed
-from .sampler import (
-    GuidanceWeights,
-    cfg_combine,
-    ddim_step,
-    euler_flow_step,
-    facfg_combine,
-    predict_z0,
-)
+from .sampler import GuidanceWeights, ddim_step, euler_flow_step, facfg_combine, predict_z0
 from .schedule import (
     NoiseSchedule,
     ScheduleKind,
@@ -116,11 +109,14 @@ class RunReport:
     stages: tuple
 
 
-def compute_cost(plan: StagePlan) -> float:
+def stage_costs(plan: StagePlan) -> tuple:
+    """Cost units of each stage: steps * (side / s0)**2."""
     s0 = plan.train_side
-    return float(
-        sum(s.steps * (s.resolution.side / s0) ** 2 for s in plan.stages)
-    )
+    return tuple(s.steps * (s.resolution.side / s0) ** 2 for s in plan.stages)
+
+
+def compute_cost(plan: StagePlan) -> float:
+    return float(sum(stage_costs(plan)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +188,12 @@ def run_stage(
 ):
     """Run one stage from first_timestep down to its last timestep.
 
-    Stage 0 combines scores with plain guidance; later stages use the
-    frequency-aware combination cut at the previous stage's resolution. When
-    an averaged map from the previous stage is supplied, it is fused with
-    each step's own map and steers the conditional prediction patchwise.
-    Returns the stage's final latent and the step-averaged attention map.
+    Scores are combined with the frequency-aware guidance of ``spec``, which
+    is plain guidance when the cut is the stage's own side (stage 0). When an
+    averaged map from the previous stage is supplied, it is regridded to this
+    stage's patch grid, fused with each step's own map and steers the
+    conditional prediction patchwise. Returns the stage's final latent and
+    the step-averaged attention map.
     """
     sched = plan.schedule
     vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
@@ -207,6 +204,7 @@ def run_stage(
         post = posterior(bank, z, t, sched)
         eps_unc = post.field(None)
         if reused_maps is not None:
+            reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
             fused = fuse_ca_maps(post.ca, reused_maps, spec.ca_fusion)
             if verify:
                 _verify_row_stochastic(fused, f"stage {stage_index} step {idx}")
@@ -215,10 +213,7 @@ def run_stage(
         else:
             eps_c = post.field(condition)
             step_maps.append(post.ca)
-        if stage_index == 0:
-            eps_hat = cfg_combine(eps_unc, eps_c, spec.guidance.w_l)
-        else:
-            eps_hat = facfg_combine(eps_unc, eps_c, spec.guidance)
+        eps_hat = facfg_combine(eps_unc, eps_c, spec.guidance)
         if vp:
             z = ddim_step(z, eps_hat, t, t_next, sched)
         else:
@@ -288,8 +283,8 @@ def run_cascade(
 
     records = []
     avg_map = None
-    for i, spec in enumerate(plan.stages):
-        z, avg_map_new = run_stage(
+    for i, (spec, cost) in enumerate(zip(plan.stages, stage_costs(plan))):
+        z, avg_map = run_stage(
             spec,
             z,
             first,
@@ -300,7 +295,6 @@ def run_cascade(
             reused_maps=avg_map,
             verify=verify,
         )
-        cost = spec.steps * (spec.resolution.side / plan.train_side) ** 2
         records.append(
             StageRecord(spec.resolution.side, spec.steps, first, spec.last_timestep, cost)
         )
@@ -317,16 +311,11 @@ def run_cascade(
                 target = snr(sched, spec.last_timestep) * ratio**plan.gamma
                 if abs(snr(sched, first) - target) > 1e-6 * target:
                     raise AssertionError(f"transition {i}: SNR mismatch")
-            p = default_patch_size(nxt.resolution.side)
-            grid_side = nxt.resolution.side // p
-            avg_map = resample_ca_map(avg_map_new, grid_side, grid_side)
-        else:
-            avg_map = avg_map_new
 
     image = decode(codec, z)
     report = RunReport(
         seed=int(seed),
-        cost_units=float(sum(r.cost_units for r in records)),
+        cost_units=compute_cost(plan),
         stages=tuple(records),
     )
     return image, report

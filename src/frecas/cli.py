@@ -172,6 +172,9 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
     sched = build_schedule(cfg)
     if sched.kind is not ScheduleKind.VARIANCE_PRESERVING:
         raise ValueError("psd analysis requires a variance-preserving schedule")
+    bad = [t for t in timesteps if not 0 <= t <= sched.T]
+    if bad:
+        raise ConfigError(f"--timesteps must lie in [0, {sched.T}], got {bad[0]:g}")
     plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, plan, codec)
@@ -205,19 +208,19 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
 def _plan_for_n(cfg: RunConfig, n: int, sched) -> StagePlan:
     """Cascade with n additional stages interpolating the preset's ladder."""
     if cfg.stages is not None:
-        raise ValueError("the N ablation needs a preset, not an explicit stage list")
+        raise ConfigError("the N ablation needs a preset, not an explicit stage list")
     preset = _preset_with_overrides(cfg)
     if n == 0:
         return direct_plan(preset, cfg.base_side, sched)
+    budget = sum(preset.steps[1:])
+    if budget < n:
+        raise ConfigError(f"preset step budget {budget} too small for N={n}")
     target_mult = preset.scale_per_stage[-1]
     sides = [
         int(round(cfg.base_side * target_mult ** (i / n))) for i in range(n + 1)
     ]
     if any(b <= a for a, b in zip(sides, sides[1:])):
-        raise ValueError(f"N={n} collapses the resolution ladder {sides}")
-    budget = sum(preset.steps[1:])
-    if budget < n:
-        raise ValueError(f"preset step budget {budget} too small for N={n}")
+        raise ConfigError(f"N={n} collapses the resolution ladder {sides}")
     extra = [budget // n] * n
     for i in range(budget % n):
         extra[-1 - i] += 1
@@ -372,6 +375,17 @@ def _build_parser():
     return parser
 
 
+def _float_list(flag: str, text: str) -> list:
+    """The numbers of a comma-list flag; a bad or missing one is a config error."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as e:
+        raise ConfigError(f"{flag}: {e}") from e
+    if not values:
+        raise ConfigError(f"{flag} must list at least one value")
+    return values
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
@@ -391,13 +405,9 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(cfg)
         if args.command == "psd":
-            timesteps = [float(t) for t in args.timesteps.split(",") if t.strip()]
-            return cmd_psd(cfg, timesteps)
+            return cmd_psd(cfg, _float_list("--timesteps", args.timesteps))
         if args.command == "ablate":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            if not values:
-                raise ConfigError("--values must list at least one value")
-            return cmd_ablate(cfg, args.param, values)
+            return cmd_ablate(cfg, args.param, _float_list("--values", args.values))
         if args.command == "bench":
             return cmd_bench(cfg)
         if args.command == "presets":

@@ -2,14 +2,15 @@
 frequency-aware variant, clean-signal prediction, and the deterministic
 DDIM / flow-Euler update rules.
 
-Frequency-aware guidance splits both scores at the previous stage's Nyquist
-(via the band_split residual construction) and applies separate guidance
-strengths to the two bands:
+Frequency-aware guidance applies strength w_l below the cut resolution's
+Nyquist and w_h above it. Guidance is linear in the two scores, so it takes
+one band split (the band_split residual construction) of d = eps_c - eps_unc:
 
-    combined = (1 - w_l) low_unc + w_l low_c + (1 - w_h) high_unc + w_h high_c
+    combined = cfg(eps_unc, eps_c, w_l) + (w_h - w_l) high(d)
 
-With w_l == w_h it reduces to plain guidance up to one floating addition per
-element, since low + high reconstructs each score exactly.
+A cut at the grid's own side makes high(d) exactly 0 and w_l == w_h makes
+its weight 0; both give exactly plain guidance. The first stage of a cascade
+cuts at its own side.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from .schedule import NoiseSchedule, ScheduleKind, alpha_at
 
 @dataclass(frozen=True)
 class GuidanceWeights:
-    """Band guidance strengths; base is the cut resolution (previous stage)."""
+    """Band guidance strengths; base is the cut resolution: the previous
+    stage's side, or a first stage's own side."""
 
     w_l: float
     w_h: float
@@ -46,14 +48,11 @@ def cfg_combine(eps_unc: LatentGrid, eps_c: LatentGrid, w: float) -> LatentGrid:
 def facfg_combine(
     eps_unc: LatentGrid, eps_c: LatentGrid, gw: GuidanceWeights
 ) -> LatentGrid:
-    """Frequency-aware guidance: per-band CFG, then sum the bands."""
-    if eps_unc.shape != eps_c.shape:
-        raise ValueError(f"shape mismatch: {eps_unc.shape} vs {eps_c.shape}")
-    unc = band_split(eps_unc, gw.base)
-    con = band_split(eps_c, gw.base)
-    low = cfg_combine(unc.low, con.low, gw.w_l)
-    high = cfg_combine(unc.high, con.high, gw.w_h)
-    return LatentGrid(low.data + high.data)
+    """Frequency-aware guidance: CFG at w_l plus (w_h - w_l) times the high
+    band of eps_c - eps_unc."""
+    plain = cfg_combine(eps_unc, eps_c, gw.w_l)
+    high = band_split(LatentGrid(eps_c.data - eps_unc.data), gw.base).high
+    return LatentGrid(plain.data + (gw.w_h - gw.w_l) * high.data)
 
 
 def predict_z0(

@@ -328,14 +328,6 @@ class TestCaMaps:
         assert default_patch_size(20) == 2  # largest divisor <= 20//8
         assert default_patch_size(7) == 1
 
-    def test_explicit_patch_size_overrides_default(self, rng):
-        bank = small_bank(rng, n_items=4, channels=1, side=16, n_classes=2)
-        z = rand_grid(rng, channels=1, side=16)
-        _, ca = predict(bank, z, 500, None, SCHED, patch_size=4)
-        assert (ca.rows_h, ca.rows_w) == (4, 4)
-        with pytest.raises(ValueError):
-            predict(bank, z, 500, None, SCHED, patch_size=5)
-
     def test_one_hot_mixture_matches_patchwise_class_posterior(self, rng):
         bank = small_bank(rng, n_items=6, channels=1, side=8, n_classes=2)
         z = rand_grid(rng, channels=1, side=8)
@@ -344,7 +336,7 @@ class TestCaMaps:
         onehot = np.zeros((64, 2))
         onehot[:, 1] = 1.0
         ca = CAMap(onehot, 8, 8, (0, 1))
-        eps, _ = predict(bank, z, t, 1, SCHED, patch_size=1, ca_mixture=ca)
+        eps, _ = predict(bank, z, t, 1, SCHED, ca_mixture=ca)
         # oracle: per-pixel posterior over class-1 items with pixel distances
         members = np.flatnonzero(bank.class_ids == 1)
         logw = np.log(bank.weights[members])[:, None, None] - (

@@ -210,6 +210,18 @@ class TestRunStage:
                                  1, plan, 1, reused_maps=skewed)
         assert with_maps.shape == z.shape
 
+    def test_reused_map_is_regridded_to_the_stage_grid(self, rng):
+        # side 16 has patch size 2, so the stage's grid is 8 x 8
+        bank = toy_bank(rng, side=16, n_items=6, n_classes=2)
+        plan = toy_plan()
+        z = LatentGrid(rng.standard_normal((2, 16, 16)))
+        coarse = _random_map(rng, 4, 4, (0, 1))
+        a, avg_a = run_stage(plan.stages[1], z, 500.0, bank, 1, plan, 1, reused_maps=coarse)
+        b, avg_b = run_stage(plan.stages[1], z, 500.0, bank, 1, plan, 1,
+                             reused_maps=resample_ca_map(coarse, 8, 8))
+        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(avg_a.values, avg_b.values)
+        assert (avg_a.rows_h, avg_a.rows_w) == (8, 8)
 
     @pytest.mark.parametrize("with_map", [False, True])
     def test_one_distance_pass_per_step(self, rng, monkeypatch, with_map):

@@ -169,6 +169,38 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("frecas: config error: ")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["ablate", "--param", "w_c", "--values", "0.5,x"],
+         "--values: could not convert string to float: 'x'"),
+        (["ablate", "--param", "w_c", "--values", ","], "--values must list at least one value"),
+        (["psd", "--timesteps", "900,x"], "--timesteps: could not convert string to float: 'x'"),
+        (["psd", "--timesteps", ""], "--timesteps must list at least one value"),
+        (["psd", "--timesteps", "300,2000"], "--timesteps must lie in [0, 1000], got 2000"),
+        (["psd", "--timesteps", "nan"], "--timesteps must lie in [0, 1000], got nan"),
+    ])
+    def test_bad_number_list_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main([*argv, *FAST, "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"frecas: config error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--values", "10"], "N=10 collapses the resolution ladder"),
+        (["--values", "1", "--stages", "8:2:100,16:1:0"], "the N ablation needs a preset"),
+        (["--values", "11"], "preset step budget 10 too small for N=11"),
+        # the budget is checked before the ladder sides are listed, so N=1e6
+        # reports the budget, not a collapse (and N=1e20 lists no 10^20 sides)
+        (["--values", "1e6"], "preset step budget 10 too small for N=1000000"),
+    ])
+    def test_ablate_n_plan_problem_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  argv, message):
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main(["ablate", "--param", "N", *argv, *FAST, "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("frecas: config error: ") and message in err
+
     @pytest.mark.parametrize("argv", [
         ["--stages", "32:40:nan,64:10:0"], ["--gamma", "nan"], ["--gamma", "inf"],
     ])

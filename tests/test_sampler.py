@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from frecas.cascade import PRESETS, plan_from_preset
+from frecas.freq import band_split
 from frecas.grid import LatentGrid, Resolution
 from frecas.sampler import (
     GuidanceWeights,
@@ -38,15 +40,44 @@ class TestCfg:
             cfg_combine(rand_grid(rng, side=4), rand_grid(rng, side=8), 1.0)
 
 
+def two_split_facfg(eps_unc, eps_c, gw):
+    """Reference form: per-band CFG on both scores' band splits, summed."""
+    unc = band_split(eps_unc, gw.base)
+    con = band_split(eps_c, gw.base)
+    low = cfg_combine(unc.low, con.low, gw.w_l)
+    high = cfg_combine(unc.high, con.high, gw.w_h)
+    return LatentGrid(low.data + high.data)
+
+
 class TestFaCfg:
     def test_equal_weights_degenerate_to_cfg(self, rng):
+        # (w_h - w_l) = 0 scales the high band away exactly
         gw = GuidanceWeights(7.5, 7.5, Resolution(8))
         for _ in range(100):
             unc, con = rand_grid(rng, side=16), rand_grid(rng, side=16)
-            fa = facfg_combine(unc, con, gw)
-            plain = cfg_combine(unc, con, 7.5)
-            bound = 1e-5 * (1.0 + max(np.abs(unc.data).max(), np.abs(con.data).max()))
-            assert np.abs(fa.data - plain.data).max() <= bound
+            np.testing.assert_array_equal(facfg_combine(unc, con, gw).data,
+                                          cfg_combine(unc, con, 7.5).data)
+
+    @pytest.mark.parametrize("w_l,w_h", [(7.5, 35.0), (7.5, 0.0), (0.0, 15.0)])
+    def test_own_side_cut_is_plain_cfg(self, rng, w_l, w_h):
+        # a cut at the grid's own side has a high band of exactly 0
+        gw = GuidanceWeights(w_l, w_h, Resolution(16))
+        for _ in range(20):
+            unc, con = rand_grid(rng, side=16), rand_grid(rng, side=16)
+            np.testing.assert_array_equal(facfg_combine(unc, con, gw).data,
+                                          cfg_combine(unc, con, w_l).data)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_one_split_matches_two_split_at_shipped_stages(self, rng, name):
+        preset = PRESETS[name]
+        sched = SCHED if preset.schedule_kind is SCHED.kind else FLOW
+        for spec in plan_from_preset(preset, 32, sched).stages:
+            side = spec.resolution.side
+            unc, con = rand_grid(rng, side=side), rand_grid(rng, side=side)
+            one = facfg_combine(unc, con, spec.guidance).data
+            two = two_split_facfg(unc, con, spec.guidance).data
+            scale = max(spec.guidance.w_l, spec.guidance.w_h) * np.abs(con.data).max()
+            assert np.abs(one - two).max() <= 1e-14 * scale
 
     def test_constant_scores_use_low_weight_only(self):
         unc = LatentGrid(np.full((2, 16, 16), 1.0))
@@ -60,8 +91,6 @@ class TestFaCfg:
         con = rand_grid(rng, side=16)
         unc = LatentGrid(np.zeros(con.shape))
         gw = GuidanceWeights(2.0, 5.0, Resolution(8))
-        from frecas.freq import band_split
-
         bands = band_split(con, gw.base)
         expected = 2.0 * bands.low.data + 5.0 * bands.high.data
         np.testing.assert_allclose(facfg_combine(unc, con, gw).data, expected,
