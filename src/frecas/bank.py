@@ -9,9 +9,9 @@ the Bayes-optimal clean-signal estimate is
     z0   =  sum_k p_k x_k
     eps  =  (z_t - sqrt(a) z0) / sqrt(1 - a)
 
-over the admissible items (whole bank unconditionally, one class
-conditionally). The flow-matching variant uses the interpolation kernel
-exp(-||z_t - (1-t) x_k||^2 / (2 t^2)) and returns the velocity
+over all K items; a condition zeroes the weights outside its class instead
+of slicing the bank. The flow-matching variant uses the interpolation
+kernel exp(-||z_t - (1-t) x_k||^2 / (2 t^2)) and returns the velocity
 (z_t - z0) / t. All posterior weights go through log-sum-exp.
 
 Attention maps: the latent is tiled into p x p patches and each patch gets
@@ -28,8 +28,8 @@ it. The pass uses the norm expansion
 ||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2; the per-patch bank norms are
 computed once per bank and patch size and memoized on the bank
 (:meth:`LatentBank.patch_norms`). The whole-latent distances are the row
-sums of the patch distances, and the conditional posterior indexes them with
-its class's rows instead of measuring them again.
+sums of the patch distances; the unconditional and conditional predictions
+weight all K of them, with the condition masking the other classes.
 """
 
 import os
@@ -224,15 +224,13 @@ class Posterior:
             mix = ca_mixture.values.T[cls_index, :]  # (K, P)
             z0 = _kernels.patch_mix(bank.data, item_resp * mix, p, p)
         else:
-            if condition is None:
-                adm = np.arange(bank.size)
-            else:
-                adm = np.flatnonzero(bank.class_ids == int(condition))
-            lw = np.log(bank.weights)[adm] - self.d_full[adm] / (2.0 * self.var)
+            lw = np.log(bank.weights) - self.d_full / (2.0 * self.var)
+            if condition is not None:
+                lw[bank.class_ids != int(condition)] = -np.inf
             lw -= lw.max()
             post = np.exp(lw)
             post /= post.sum()
-            z0 = np.tensordot(post, bank.data[adm], axes=1)
+            z0 = np.tensordot(post, bank.data, axes=1)
 
         if self.sched.kind is ScheduleKind.VARIANCE_PRESERVING:
             out = (self.z_t.data - self.scale * z0) / np.sqrt(self.var)

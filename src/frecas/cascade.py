@@ -80,6 +80,14 @@ class StagePlan:
                              f"{', '.join(f'{s.last_timestep:g}' for s in stages[:-1])}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
+        if self.schedule.kind is ScheduleKind.VARIANCE_PRESERVING:
+            for a, b in zip(stages, stages[1:]):
+                try:  # the transition's SNR-matched entry must exist
+                    shift_timestep_vp(a.last_timestep, a.resolution.side / b.resolution.side,
+                                      self.gamma, self.schedule)
+                except ValueError as e:
+                    raise ValueError(f"no entry timestep for side {b.resolution.side} "
+                                     f"from L = {a.last_timestep:g}: {e}") from None
         object.__setattr__(self, "stages", stages)
         if self.train_side is None:
             object.__setattr__(self, "train_side", stages[0].resolution.side)
@@ -277,7 +285,7 @@ def run_cascade(
     vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
     banks = [bank_resample(bank, s.resolution) for s in plan.stages]
 
-    first = float(sched.T) if vp else 1.0
+    first = sched.t_max
     shape = (bank.channels, plan.stages[0].resolution.side, plan.stages[0].resolution.side)
     z = seeded_gaussian(shape, subseed(seed, _SUBSEED_INIT))
 

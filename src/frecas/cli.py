@@ -225,10 +225,13 @@ def _plan_for_n(cfg: RunConfig, n: int, sched) -> StagePlan:
     for i in range(budget % n):
         extra[-1 - i] += 1
     L = preset_timestep(preset.last_timesteps[0], sched)
-    return ladder(
-        sides, [preset.steps[0], *extra], [L] * n,
-        w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
-    )
+    try:
+        return ladder(
+            sides, [preset.steps[0], *extra], [L] * n,
+            w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _ablation_plan(cfg: RunConfig, param: str, value: float, sched) -> StagePlan:

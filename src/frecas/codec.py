@@ -45,7 +45,7 @@ HAAR1 = LatentCodec(CodecKind.HAAR1)
 
 def encode(codec: LatentCodec, image: LatentGrid) -> LatentGrid:
     if codec.kind is CodecKind.IDENTITY:
-        return LatentGrid(image.data)
+        return image
     x = image.data
     if image.height % 2 or image.width % 2:
         raise ValueError(f"Haar encode needs even dimensions, got {image.shape}")
@@ -67,7 +67,7 @@ def encode(codec: LatentCodec, image: LatentGrid) -> LatentGrid:
 
 def decode(codec: LatentCodec, latent: LatentGrid) -> LatentGrid:
     if codec.kind is CodecKind.IDENTITY:
-        return LatentGrid(latent.data)
+        return latent
     z = latent.data
     if latent.channels % 4:
         raise ValueError(f"Haar decode needs channels divisible by 4, got {latent.channels}")

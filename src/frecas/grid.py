@@ -3,8 +3,9 @@ builds on: deterministic Gaussian noise, corner-aligned bilinear resampling,
 and the raw binary dump format used by the CLI.
 
 Grids are immutable values: construction copies the input into a read-only
-float64 array, and every operation returns a new grid. That makes the
-determinism and thread-safety guarantees trivial.
+float64 array, and every operation returns a new grid, except that an
+identity operation (a resample to the grid's own size) returns its input.
+That makes the determinism and thread-safety guarantees trivial.
 """
 
 import os
@@ -97,7 +98,7 @@ def resample_bilinear(g: LatentGrid, target: Resolution) -> LatentGrid:
     """
     side = target.side
     if (g.height, g.width) == (side, side):
-        return LatentGrid(g.data)
+        return g
     return LatentGrid(_kernels.bilinear_resample(g.data, side, side))
 
 
@@ -106,7 +107,7 @@ def resample_bilinear_rect(g: LatentGrid, out_h: int, out_w: int) -> LatentGrid:
     if out_h < 1 or out_w < 1:
         raise ValueError("output dimensions must be positive")
     if (g.height, g.width) == (out_h, out_w):
-        return LatentGrid(g.data)
+        return g
     return LatentGrid(_kernels.bilinear_resample(g.data, int(out_h), int(out_w)))
 
 

@@ -148,10 +148,12 @@ def diffuse(z0: LatentGrid, t: float, noise: LatentGrid, sched: NoiseSchedule) -
 def shift_timestep_vp(L: float, ratio: float, gamma: float, sched: NoiseSchedule) -> float:
     """Timestep F with SNR(F) = SNR(L) * ratio**gamma, via the closed form
 
-        a_F = ratio**gamma * a_L / (1 + (ratio**gamma - 1) * a_L)
+        a_F = r a_L / ((1 - a_L) + r a_L),   r = ratio**gamma
 
     then inverted through the schedule. ratio is the side ratio of the
     previous stage over the next (<= 1 when growing resolution), so F >= L.
+    Written with 1 - a_L, the denominator cannot round to 0 when a_L rounds
+    to 1; an r that underflows to 0 gives a_F = 0, below the schedule.
     """
     _require_vp(sched)
     if not 0.0 < ratio <= 1.0:
@@ -162,7 +164,7 @@ def shift_timestep_vp(L: float, ratio: float, gamma: float, sched: NoiseSchedule
         raise ValueError(f"L must lie strictly inside (0, {sched.T})")
     r = ratio ** gamma
     a_l = alpha_at(sched, L)
-    a_f = r * a_l / (1.0 + (r - 1.0) * a_l)
+    a_f = r * a_l / ((1.0 - a_l) + r * a_l) if r > 0.0 else 0.0
     return alpha_inverse(sched, a_f)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,22 @@ def direct_field(bank, z, t, condition, sched):
     return (z.data - z0) / t
 
 
+def indexed_field(post, condition):
+    """A plain prediction in its index form: the admissible items are copied
+    out of the bank and weighted alone."""
+    bank = post.bank
+    adm = (np.arange(bank.size) if condition is None
+           else np.flatnonzero(bank.class_ids == condition))
+    lw = np.log(bank.weights)[adm] - post.d_full[adm] / (2.0 * post.var)
+    lw -= lw.max()
+    p = np.exp(lw)
+    p /= p.sum()
+    z0 = np.tensordot(p, bank.data[adm], axes=1)
+    if post.sched.kind is ScheduleKind.VARIANCE_PRESERVING:
+        return (post.z_t.data - post.scale * z0) / np.sqrt(post.var)
+    return (post.z_t.data - z0) / post.t
+
+
 class TestPosterior:
     @pytest.mark.parametrize("sched", [SCHED, FLOW], ids=["vp", "flow"])
     def test_field_matches_direct_form_at_smallest_preset_t(self, rng, sched):
@@ -294,6 +311,43 @@ class TestPosterior:
                 err = np.max(np.abs(post.field(condition).data
                                     - direct_field(bank, z, t, condition, sched)))
                 assert err <= budget * field_scale
+
+    @pytest.mark.parametrize("channels", [3, 12])
+    @pytest.mark.parametrize("sched,t", [(SCHED, 1.0), (FLOW, 1e-3)], ids=["vp", "flow"])
+    def test_masked_weights_match_the_indexed_form(self, rng, sched, t, channels):
+        # at the smallest timestep and flow time, where the kernel is sharpest
+        stack = rng.standard_normal((12, channels, 64, 64))
+        bank = LatentBank(stack, np.arange(12) % 4, np.full(12, 1.0 / 12))
+        post0 = posterior(bank, bank.item(0), t, sched)
+        scale, var = post0.scale, post0.var
+        noise = LatentGrid(rng.standard_normal((channels, 64, 64)))
+        # items 1 and 5 share class 1; this point gives them log-weights
+        # one apart, so that class's posterior is spread over two items
+        delta = stack[5] - stack[1]
+        tau = var / (scale**2 * np.sum(delta**2))
+        spread = LatentGrid(scale * (0.5 * (stack[1] + stack[5]) + tau * delta))
+        for z in (diffuse(bank.item(1), t, noise, sched), noise, spread):
+            post = posterior(bank, z, t, sched)
+            np.testing.assert_array_equal(post.field(None).data, indexed_field(post, None))
+            for condition in range(4):
+                ref = indexed_field(post, condition)
+                err = np.linalg.norm(post.field(condition).data - ref)
+                assert err <= 1e-12 * np.linalg.norm(ref)
+
+    def test_plain_fields_read_the_bank_in_place(self, rng):
+        # class 0 holds 20 of the 24 items, so copying its items (or the
+        # whole bank) would allocate more than half of the bank
+        stack = rng.standard_normal((24, 3, 32, 32))
+        bank = LatentBank(stack, np.array([0] * 20 + [1] * 4), np.full(24, 1.0 / 24))
+        post = posterior(bank, rand_grid(rng, side=32), 500.0, SCHED)
+        for condition in (None, 0):
+            tracemalloc.start()
+            try:
+                post.field(condition)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bank.data.nbytes / 2
 
     def test_predict_is_field_and_map_of_one_posterior(self, rng):
         bank = small_bank(rng)

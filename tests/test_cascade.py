@@ -21,7 +21,14 @@ from frecas.cascade import (
 from frecas.codec import HAAR1, IDENTITY, decode, encode
 from frecas.grid import LatentGrid, Resolution, resample_bilinear, seeded_gaussian, subseed
 from frecas.sampler import GuidanceWeights, cfg_combine, ddim_step, predict_z0
-from frecas.schedule import alpha_at, diffuse, flow_schedule, snr, vp_default
+from frecas.schedule import (
+    alpha_at,
+    diffuse,
+    flow_schedule,
+    shift_timestep_vp,
+    snr,
+    vp_default,
+)
 
 SCHED = vp_default()
 
@@ -328,6 +335,12 @@ class TestRunCascade:
         for rec in report.stages:
             assert rec.first_timestep > rec.last_timestep
 
+    @pytest.mark.parametrize("sched,L", [(SCHED, 200.0), (flow_schedule(), 0.05)],
+                             ids=["vp", "flow"])
+    def test_first_stage_enters_at_t_max(self, rng, sched, L):
+        _, report = run_cascade(toy_plan(L=L, sched=sched), IDENTITY, toy_bank(rng), 1, seed=7)
+        assert report.stages[0].first_timestep == sched.t_max
+
     def test_report_entry_timesteps_satisfy_snr_matching(self, rng):
         bank = toy_bank(rng)
         plan = toy_plan()
@@ -439,6 +452,14 @@ class TestPlansAndCost:
         gw = GuidanceWeights(7.5, 35.0, Resolution(8))
         with pytest.raises(ValueError, match="last timestep must be finite"):
             StageSpec(Resolution(8), 4, L, gw)
+
+    @pytest.mark.parametrize("side0,L,gamma", [(8, 200.0, 20.0), (4, 900.0, 2.0)])
+    def test_plan_rejects_unreachable_vp_entry(self, side0, L, gamma):
+        # the SNR-matched entry alpha falls below the schedule's last alpha
+        with pytest.raises(ValueError, match="outside the schedule range"):
+            shift_timestep_vp(L, side0 / 16, gamma, SCHED)
+        with pytest.raises(ValueError, match="no entry timestep for side 16 from L"):
+            toy_plan(side0=side0, L=L, gamma=gamma)
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.5])
     def test_plan_rejects_non_finite_or_negative_gamma(self, gamma):

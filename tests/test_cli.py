@@ -140,6 +140,24 @@ class TestExitCodes:
         assert err.startswith("frecas: config error: ") and "t_max" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--gamma", "20"],
+        ["sample", "--stages", "8:4:900,32:2:0"],
+        ["ablate", "--param", "N", "--values", "1", "--gamma", "20"],
+        ["presets", "--T", "250"],
+    ])
+    def test_unreachable_vp_entry_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        # the SNR-matched entry of a transition lies outside the schedule:
+        # rejected with the plan, before a bank is built or a stage sampled
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main([*argv, "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("frecas: config error: ") and err.count("\n") == 1
+        assert "no entry timestep" in err and "outside the schedule range" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", [
         ["sample"], ["ablate", "--param", "w_c", "--values", "0.5"], ["bench"],
     ])

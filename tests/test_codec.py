@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frecas.codec import HAAR1, IDENTITY, decode, encode
 from frecas.grid import LatentGrid
@@ -10,8 +12,8 @@ from conftest import rand_grid
 class TestIdentity:
     def test_both_maps_are_identity(self, rng):
         g = rand_grid(rng)
-        assert np.array_equal(encode(IDENTITY, g).data, g.data)
-        assert np.array_equal(decode(IDENTITY, g).data, g.data)
+        assert encode(IDENTITY, g) is g
+        assert decode(IDENTITY, g) is g
 
     def test_factors(self):
         assert IDENTITY.spatial_factor == 1
@@ -40,6 +42,23 @@ class TestHaar:
         z = LatentGrid(rng.standard_normal((8, 4, 4)))
         back = encode(HAAR1, decode(HAAR1, z))
         np.testing.assert_allclose(back.data, z.data, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.integers(1, 4), half_h=st.integers(1, 12), half_w=st.integers(1, 12),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrips_and_norms(self, channels, half_h, half_w, scale, seed):
+        rng = np.random.default_rng(seed)
+        img = LatentGrid(scale * rng.standard_normal((channels, 2 * half_h, 2 * half_w)))
+        z = encode(HAAR1, img)
+        assert z.shape == (4 * channels, half_h, half_w)
+        # each direction rounds three additions of four halved terms, so a
+        # round trip is off by at most 12 eps of the largest input value
+        eps = np.finfo(float).eps
+        assert np.abs(decode(HAAR1, z).data - img.data).max() <= 12 * eps * np.abs(img.data).max()
+        lat = LatentGrid(scale * rng.standard_normal((4 * channels, half_h, half_w)))
+        back = encode(HAAR1, decode(HAAR1, lat))
+        assert np.abs(back.data - lat.data).max() <= 12 * eps * np.abs(lat.data).max()
+        np.testing.assert_allclose(np.sum(z.data**2), np.sum(img.data**2), rtol=1e-12)
 
     def test_integer_inputs_reconstruct_exactly(self, rng):
         img = LatentGrid(rng.integers(-8, 8, (1, 6, 6)).astype(float))

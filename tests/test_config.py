@@ -20,7 +20,7 @@ from frecas.config import (
     merge_config,
     parse_config_file,
 )
-from frecas.schedule import ScheduleKind
+from frecas.schedule import ScheduleKind, alpha_at
 
 
 class TestConfigFile:
@@ -271,6 +271,15 @@ def plans_or_error(cfg: RunConfig):
         return str(e)
 
 
+def vp_entry_reachable(sched, L, ratio, gamma) -> bool:
+    """Whether the SNR-matched entry alpha of a VP transition lies in the
+    schedule's range [alpha[-1], 1], rounded as `shift_timestep_vp` rounds it
+    (its accuracy is a property of tests/test_schedule.py)."""
+    r = ratio ** gamma
+    a_l = alpha_at(sched, L)
+    return sched.alpha[-1] <= r * a_l / ((1.0 - a_l) + r * a_l) <= 1.0
+
+
 def spell(sides, steps, lasts) -> str:
     return ",".join(f"{side}:{n}:{L!r}" for side, n, L in zip(sides, steps, lasts))
 
@@ -339,6 +348,11 @@ class TestStageListProperties:
         expected = [L / T if flow and L > 1 else L for L in lasts]
         if any(L >= sched.t_max for L in expected[:-1]):
             with pytest.raises(ConfigError, match="t_max"):
+                build_plan(cfg, sched)
+            return
+        if not flow and any(not vp_entry_reachable(sched, L, a / b, 2.0)
+                            for L, a, b in zip(expected, sides, sides[1:])):
+            with pytest.raises(ConfigError, match="no entry timestep"):
                 build_plan(cfg, sched)
             return
         plan = build_plan(cfg, sched)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frecas.freq import (
     PsdCurve,
@@ -39,6 +41,20 @@ class TestBandSplit:
             bs = band_split(g, Resolution(8))
             err = np.abs(bs.low.data + bs.high.data - g.data)
             assert err.max() <= 1e-6 * (1.0 + np.abs(g.data).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.integers(1, 4), side=st.integers(2, 24), base_frac=st.floats(0.0, 1.0),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_bands_rebuild_the_grid(self, channels, side, base_frac, scale, seed):
+        g = LatentGrid(scale * np.random.default_rng(seed).standard_normal((channels, side, side)))
+        base = 2 + round(base_frac * (side - 2))
+        bs = band_split(g, Resolution(base))
+        # high = g - low is one rounding, low + high one more
+        err = np.abs(bs.low.data + bs.high.data - g.data)
+        assert np.all(err <= 2 * np.finfo(float).eps * (np.abs(g.data) + np.abs(bs.low.data)))
+        if base == side:  # a cut at the grid's own side leaves no high band
+            assert bs.low is g
+            assert not bs.high.data.any()
 
     def test_nyquist_checkerboard_low_energy(self):
         # Oracle-derived: corner-aligned down/up of the +-1 checkerboard

@@ -74,9 +74,12 @@ class TestResampleBilinear:
             assert np.array_equal(out.data, np.full((2, side, side), 3.0))
 
     def test_identity_at_same_resolution(self, rng):
+        # grids are immutable, so an identity resample returns its input
         g = rand_grid(rng, side=8)
-        out = resample_bilinear(g, Resolution(8))
-        assert np.array_equal(out.data, g.data)
+        assert resample_bilinear(g, Resolution(8)) is g
+        assert resample_bilinear_rect(g, 8, 8) is g
+        rect = LatentGrid(rng.standard_normal((2, 4, 8)))
+        assert resample_bilinear_rect(rect, 4, 8) is rect
 
     def test_hand_evaluated_2x2_to_4x4(self):
         g = LatentGrid(np.array([[[0.0, 1.0], [0.0, 1.0]]]))

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frecas.grid import LatentGrid
 from frecas.schedule import (
@@ -178,6 +182,35 @@ class TestShiftVp:
         with pytest.raises(ValueError):
             shift_timestep_vp(990.0, 0.25, 3.0, SCHED)
 
+    @settings(max_examples=150, deadline=None)
+    @given(T=st.integers(1, 3000), L_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           ratio=st.floats(0.0, 1.0, exclude_min=True), gamma=st.floats(0.0, 10.0))
+    def test_entry_matches_snr_or_is_rejected(self, T, L_frac, ratio, gamma):
+        sched = vp_default(T)
+        L = L_frac * T
+        assume(0.0 < L < T)
+        r = ratio**gamma
+        a_l = alpha_at(sched, L)
+        assume(r > 0.0 or a_l < 1.0)  # 0 * inf: see the underflow test below
+        snr_f = r * a_l / (1.0 - a_l) if a_l < 1.0 else math.inf  # SNR(L) * ratio**gamma
+        a_f = snr_f / (1.0 + snr_f) if snr_f < math.inf else 1.0
+        floor = sched.alpha[-1]
+        assume(abs(a_f - floor) > 1e-12 * floor)  # clear of the range's edge
+        if a_f < floor:
+            with pytest.raises(ValueError, match="outside the schedule range"):
+                shift_timestep_vp(L, ratio, gamma, sched)
+            return
+        F = shift_timestep_vp(L, ratio, gamma, sched)
+        assert L - 1e-9 <= F <= T  # more noise, never less
+        assert abs(alpha_at(sched, F) - a_f) <= 1e-9
+
+    def test_underflowing_ratio_power_is_rejected(self):
+        # alpha(1e-13) rounds to 1 and (1/128)**200 to 0: the entry is taken
+        # as alpha 0, below the schedule, not as a division by zero
+        assert alpha_at(SCHED, 1e-13) == 1.0
+        with pytest.raises(ValueError, match="outside the schedule range"):
+            shift_timestep_vp(1e-13, 1 / 128, 200.0, SCHED)
+
 
 class TestShiftFlow:
     def test_scale_one_identity(self):
@@ -195,6 +228,12 @@ class TestShiftFlow:
             for k in (2.0, 4.0, 9.0):
                 back = shift_timestep_flow(shift_timestep_flow(float(L), k), 1.0 / k)
                 assert back == pytest.approx(float(L), abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(L=st.floats(0.0, 1.0), scale=st.floats(1e-3, 1e3))
+    def test_inverse_scale_undoes_the_shift(self, L, scale):
+        F = shift_timestep_flow(L, scale)
+        assert shift_timestep_flow(min(F, 1.0), 1.0 / scale) == pytest.approx(L, abs=1e-12)
 
     def test_monotone_in_L(self, rng):
         Ls = np.sort(rng.uniform(0.0, 1.0, 20))
