@@ -6,6 +6,14 @@ resampling behind band splits and transitions. Every caller reaches them
 through this module, so a faster formulation of a kernel replaces it here
 without touching the callers.
 
+Banks are patch-blocked: a (C, H, W) grid tiled into p x p patches is held
+as a (P, C*p*p) array whose row i is patch i (row-major over the patch
+grid) flattened in (c, y, x) order, and a bank of K items as (K, P, C*p*p)
+(:func:`to_blocks`, :func:`from_blocks`). In that layout each patch of the
+bank is a (K, C*p*p) matrix with row stride P*C*p*p, which BLAS reads in
+place, so the per-patch cross terms and the patchwise mixture are batched
+matrix products rather than strided reductions.
+
 The per-patch distances use the norm expansion of exact L2 search,
 ||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2, with the bank norms
 ||x_kp||^2 supplied by the caller (see :func:`patch_sq_norms`). The
@@ -61,45 +69,57 @@ def sq_dists(bank_flat: np.ndarray, z_flat: np.ndarray, scale: float) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# patch-restricted squared distances: latent tiled into (gh x gw) patches of
-# size (ph x pw); result is (K, gh * gw)
-#
-# Norm-expanded, with the cross term as one einsum over reshaped views, so no
-# K x C x H x W difference tensor is built. Cancellation where z_p ~ s x_kp
-# can leave a tiny negative value, hence the clamp at 0.
+# patch blocking: (C, H, W) <-> (P, C*p*p)
 # ---------------------------------------------------------------------------
 
-def _patches(x, ph, pw):
-    """View (..., C, H, W) as (..., C, gh, ph, gw, pw)."""
-    *lead, c, h, w = x.shape
-    return x.reshape(*lead, c, h // ph, ph, w // pw, pw)
+def _patch_view(x, p):
+    """View (C, H, W) as (H/p, W/p, C, p, p), the patch-blocked order."""
+    c, h, w = x.shape
+    return x.reshape(c, h // p, p, w // p, p).transpose(1, 3, 0, 2, 4)
 
 
-def patch_sq_norms(x, ph, pw):
-    """Per-patch squared norms of (..., C, H, W): shape (..., gh * gw)."""
-    xp = _patches(x, ph, pw)
-    return np.einsum("...ciajb,...ciajb->...ij", xp, xp).reshape(*x.shape[:-3], -1)
+def to_blocks(x, p, out=None):
+    """(C, H, W) -> (P, C*p*p), written into ``out`` when given."""
+    c, h, w = x.shape
+    if out is None:
+        out = np.empty(((h // p) * (w // p), c * p * p))
+    out.reshape(h // p, w // p, c, p, p)[...] = _patch_view(x, p)
+    return out
 
 
-def patch_sq_dists(bank, z, scale, ph, pw, bank_norms=None):
-    k = bank.shape[0]
-    if bank_norms is None:
-        bank_norms = patch_sq_norms(bank, ph, pw)
-    cross = np.einsum("kciajb,ciajb->kij", _patches(bank, ph, pw), _patches(z, ph, pw))
-    d = cross.reshape(k, -1)
-    d *= -2.0 * scale
-    d += patch_sq_norms(z, ph, pw)
+def from_blocks(blocks, shape, p):
+    """(P, C*p*p) -> the (C, H, W) grid of ``shape`` it blocks."""
+    out = np.empty(shape)
+    c, h, w = shape
+    _patch_view(out, p)[...] = blocks.reshape(h // p, w // p, c, p, p)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# patch-restricted squared distances against a blocked bank: bank (K, P, D),
+# latent (P, D); result is (K, P)
+#
+# Norm-expanded, with the cross term one batched matrix-vector product over
+# the patches, so no K x P x D difference tensor is built. Cancellation where
+# z_p ~ s x_kp can leave a tiny negative value, hence the clamp at 0.
+# ---------------------------------------------------------------------------
+
+def patch_sq_norms(blocks):
+    """Per-patch squared norms of (..., P, D) blocks: shape (..., P)."""
+    return np.einsum("...d,...d->...", blocks, blocks)
+
+
+def patch_sq_dists(blocks, z_blocks, scale, bank_norms):
+    cross = np.matmul(blocks.transpose(1, 0, 2), z_blocks[:, :, None])[:, :, 0].T
+    d = (-2.0 * scale) * cross
+    d += patch_sq_norms(z_blocks)
     d += (scale * scale) * bank_norms
     return np.maximum(d, 0.0, out=d)
 
 
 # ---------------------------------------------------------------------------
-# patchwise mixture: out[c,y,x] = sum_k weights[k, patch(y,x)] * bank[k,c,y,x]
+# patchwise mixture: out[i] = sum_k weights[k, i] * blocks[k, i], (P, D)
 # ---------------------------------------------------------------------------
 
-def patch_mix(bank, weights, ph, pw):
-    k, c, h, w = bank.shape
-    gh, gw = h // ph, w // pw
-    wgrid = weights.reshape(k, gh, gw)
-    wpix = np.repeat(np.repeat(wgrid, ph, axis=1), pw, axis=2)
-    return np.einsum("khw,kchw->chw", wpix, bank)
+def patch_mix(blocks, weights):
+    return np.matmul(weights.T[:, None, :], blocks.transpose(1, 0, 2))[:, 0, :]

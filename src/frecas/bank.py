@@ -24,16 +24,20 @@ prediction into a patchwise mixture of class-conditional posterior means.
 One posterior per (latent, t) serves all four uses: :func:`posterior` makes
 one patch-distance pass over the whole bank, and the unconditional,
 conditional and mixture predictions and the attention map are all read off
-it. The pass uses the norm expansion
-||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2; the per-patch bank norms are
-computed once per bank and patch size and memoized on the bank
-(:meth:`LatentBank.patch_norms`). The whole-latent distances are the row
-sums of the patch distances; the unconditional and conditional predictions
-weight all K of them, with the condition masking the other classes.
+it. A bank holds its items patch-blocked, (K, P, C*p*p) for the default
+patch size p of its side, so each of these is a BLAS product over the bank
+in place: the pass's cross terms are one batched matrix-vector product, in
+the norm expansion ||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2 with the
+per-patch bank norms computed once per bank (:attr:`LatentBank.patch_norms`);
+the unconditional and conditional predictions are one (2, K) @ (K, P*C*p*p)
+product, weighting all K items with the condition masking the other
+classes; the mixture is one (P, 1, K) @ (P, K, C*p*p) product. The
+whole-latent distances are the row sums of the patch distances.
 """
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,68 +78,82 @@ class CAMap:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
 class LatentBank:
-    """Finite latent distribution: stacked items, class ids, prior weights."""
+    """Finite latent distribution: K items, their class ids and prior weights.
 
-    data: np.ndarray = field(repr=False)  # (K, C, H, W)
-    class_ids: np.ndarray
-    weights: np.ndarray
-    # patch size -> (K, P) per-patch squared norms; filled on first use
-    _patch_norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    The items are square (C, side, side) grids held patch-blocked, in the
+    layout every bank product reads: ``blocks`` is (K, P, C*p*p) with
+    p = default_patch_size(side), and ``blocks[k, i]`` is the i-th p x p
+    patch of item k (see :mod:`frecas._kernels`). :meth:`item` unblocks one
+    item; no (K, C, side, side) stack is kept.
+    """
 
-    def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
-        ids = np.ascontiguousarray(self.class_ids, dtype=np.int64)
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if data.ndim != 4 or data.shape[0] < 1:
-            raise ValueError("bank needs a (K, C, H, W) stack with K >= 1")
-        if ids.shape != (data.shape[0],) or w.shape != (data.shape[0],):
-            raise ValueError("class_ids and weights must have one entry per item")
+    def __init__(self, items, class_ids, weights):
+        """``items`` yields the K items in order, as a (K, C, side, side)
+        stack or any iterable of grids. Each item is blocked as it arrives,
+        so a bank built from a generator never holds a second copy."""
+        ids = np.ascontiguousarray(class_ids, dtype=np.int64)
+        w = np.ascontiguousarray(weights, dtype=np.float64)
+        if ids.ndim != 1 or ids.size < 1 or w.shape != ids.shape:
+            raise ValueError("class_ids and weights must have one entry per item, K >= 1")
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be positive and sum to 1")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("bank items must be finite")
-        for a in (data, ids, w):
+        blocks, count = None, 0
+        for item in items:
+            item = np.asarray(item, dtype=np.float64)
+            if blocks is None:
+                if item.ndim != 3 or item.shape[1] != item.shape[2]:
+                    raise ValueError(f"bank items must be square (C, H, W) grids, got {item.shape}")
+                shape, p = item.shape, default_patch_size(item.shape[1])
+                blocks = np.empty((ids.size, (shape[1] // p) ** 2, shape[0] * p * p))
+            if item.shape != shape:
+                raise ValueError(f"bank item {count} has shape {item.shape}, not {shape}")
+            if count == ids.size:
+                raise ValueError("class_ids and weights must have one entry per item")
+            if not np.all(np.isfinite(item)):
+                raise ValueError("bank items must be finite")
+            _kernels.to_blocks(item, p, out=blocks[count])
+            count += 1
+        if count != ids.size:
+            raise ValueError("class_ids and weights must have one entry per item")
+        for a in (blocks, ids, w):
             a.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "class_ids", ids)
-        object.__setattr__(self, "weights", w)
+        self.blocks, self.class_ids, self.weights = blocks, ids, w
+        self.item_shape, self.patch_size = shape, p
 
     @classmethod
     def from_items(cls, items):
         """Build from an iterable of (LatentGrid, class_id, weight) triples."""
         grids, ids, w = zip(*items)
-        stack = np.stack([g.data for g in grids])
         w = np.asarray(w, dtype=np.float64)
-        return cls(stack, np.asarray(ids), w / w.sum())
+        return cls((g.data for g in grids), np.asarray(ids), w / w.sum())
 
     @property
     def size(self) -> int:
-        return self.data.shape[0]
+        return self.blocks.shape[0]
 
     @property
     def channels(self) -> int:
-        return self.data.shape[1]
+        return self.item_shape[0]
+
+    @property
+    def side(self) -> int:
+        return self.item_shape[1]
 
     def resolution(self) -> Resolution:
-        if self.data.shape[2] != self.data.shape[3]:
-            raise ValueError("bank items are not square")
-        return Resolution(self.data.shape[2])
+        return Resolution(self.side)
 
     def item(self, k: int) -> LatentGrid:
-        return LatentGrid(self.data[k])
+        return LatentGrid(_kernels.from_blocks(self.blocks[k], self.item_shape, self.patch_size))
 
     def classes(self) -> tuple:
         return tuple(int(c) for c in np.unique(self.class_ids))
 
-    def patch_norms(self, p: int) -> np.ndarray:
-        """||x_kp||^2 over the p x p patches of every item, (K, P), read-only."""
-        norms = self._patch_norms.get(p)
-        if norms is None:
-            norms = _kernels.patch_sq_norms(self.data, p, p)
-            norms.setflags(write=False)
-            self._patch_norms[p] = norms
+    @cached_property
+    def patch_norms(self) -> np.ndarray:
+        """||x_kp||^2 over the patches of every item, (K, P), read-only."""
+        norms = _kernels.patch_sq_norms(self.blocks)
+        norms.setflags(write=False)
         return norms
 
 
@@ -143,10 +161,8 @@ def bank_resample(bank: LatentBank, target: Resolution) -> LatentBank:
     """Every item bilinearly resampled; ids and weights preserved."""
     if bank.resolution() == target:
         return bank
-    stack = np.stack(
-        [resample_bilinear(bank.item(k), target).data for k in range(bank.size)]
-    )
-    return LatentBank(stack, bank.class_ids, bank.weights)
+    items = (resample_bilinear(bank.item(k), target).data for k in range(bank.size))
+    return LatentBank(items, bank.class_ids, bank.weights)
 
 
 def default_patch_size(side: int) -> int:
@@ -198,7 +214,6 @@ class Posterior:
     sched: NoiseSchedule
     scale: float
     var: float
-    patch_size: int
     log_patch: np.ndarray  # (K, P) per-item patch log-weights
     evidence: np.ndarray  # (n_classes, P) per-class patch log-evidence
     d_full: np.ndarray  # (K,) whole-latent squared distances, row sums of the patch ones
@@ -212,26 +227,52 @@ class Posterior:
         the supplied row-stochastic weights, which is how fused attention
         maps from an earlier stage steer the layout.
         """
-        bank, classes, p = self.bank, self.ca.classes, self.patch_size
-        if condition is not None and int(condition) not in classes:
-            raise ValueError(f"unknown class id {condition}")
-        if ca_mixture is not None:
-            if ca_mixture.values.shape != self.ca.values.shape:
-                raise ValueError("mixture map does not match the patch grid and classes")
-            # within-class patch posteriors, then mixture weights per item
-            cls_index = np.searchsorted(np.asarray(classes), bank.class_ids)
-            item_resp = np.exp(self.log_patch - self.evidence[cls_index, :])  # (K, P)
-            mix = ca_mixture.values.T[cls_index, :]  # (K, P)
-            z0 = _kernels.patch_mix(bank.data, item_resp * mix, p, p)
-        else:
-            lw = np.log(bank.weights) - self.d_full / (2.0 * self.var)
-            if condition is not None:
-                lw[bank.class_ids != int(condition)] = -np.inf
-            lw -= lw.max()
-            post = np.exp(lw)
-            post /= post.sum()
-            z0 = np.tensordot(post, bank.data, axes=1)
+        self._check(condition, ca_mixture)
+        z0 = self._plain_z0([condition])[0] if ca_mixture is None else self._mixture_z0(ca_mixture)
+        return self._field(z0)
 
+    def fields(self, condition: int | None, ca_mixture: CAMap | None = None):
+        """(unconditional field, ``field(condition, ca_mixture)``), the pair
+        guidance combines. Without a mixture both plain predictions are one
+        product over the bank."""
+        self._check(condition, ca_mixture)
+        if ca_mixture is None:
+            return tuple(self._field(z0) for z0 in self._plain_z0([None, condition]))
+        return self._field(self._plain_z0([None])[0]), self._field(self._mixture_z0(ca_mixture))
+
+    def _check(self, condition, ca_mixture):
+        if condition is not None and int(condition) not in self.ca.classes:
+            raise ValueError(f"unknown class id {condition}")
+        if ca_mixture is not None and ca_mixture.values.shape != self.ca.values.shape:
+            raise ValueError("mixture map does not match the patch grid and classes")
+
+    def _plain_z0(self, conditions) -> np.ndarray:
+        """Posterior means weighting all K items, a condition masking the
+        other classes; (len(conditions), P, D) blocks from one product."""
+        bank = self.bank
+        lw = np.log(bank.weights) - self.d_full / (2.0 * self.var)
+        post = np.empty((len(conditions), bank.size))
+        for row, condition in zip(post, conditions):
+            row[:] = lw
+            if condition is not None:
+                row[bank.class_ids != int(condition)] = -np.inf
+            row -= row.max()
+            np.exp(row, out=row)
+            row /= row.sum()
+        z0 = post @ bank.blocks.reshape(bank.size, -1)
+        return z0.reshape(len(conditions), *bank.blocks.shape[1:])
+
+    def _mixture_z0(self, ca_mixture: CAMap) -> np.ndarray:
+        """Within-class patch posteriors times the mixture weight of each
+        item's class, mixed per patch: (P, D) blocks."""
+        bank = self.bank
+        cls_index = np.searchsorted(np.asarray(self.ca.classes), bank.class_ids)
+        item_resp = np.exp(self.log_patch - self.evidence[cls_index, :])  # (K, P)
+        mix = ca_mixture.values.T[cls_index, :]  # (K, P)
+        return _kernels.patch_mix(bank.blocks, item_resp * mix)
+
+    def _field(self, z0_blocks) -> LatentGrid:
+        z0 = _kernels.from_blocks(z0_blocks, self.bank.item_shape, self.bank.patch_size)
         if self.sched.kind is ScheduleKind.VARIANCE_PRESERVING:
             out = (self.z_t.data - self.scale * z0) / np.sqrt(self.var)
         else:
@@ -247,29 +288,29 @@ def posterior(
 ) -> Posterior:
     """The bank posterior at latent z_t and time t.
 
-    Makes one patch-distance pass over the bank with the default patch size
-    of the latent's side. Its ``ca`` holds the patchwise class
-    responsibilities of the whole bank at this latent, independent of any
-    conditioning.
+    Makes one patch-distance pass over the bank with the bank's patch size,
+    the default one of the latent's side. Its ``ca`` holds the patchwise
+    class responsibilities of the whole bank at this latent, independent of
+    any conditioning.
     """
-    if bank.data.shape[1:] != z_t.shape:
-        raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.data.shape[1:]}")
+    if bank.item_shape != z_t.shape:
+        raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
     scale, var = _kernel_params(sched, t)
-    p = default_patch_size(z_t.height)
-    gh, gw = z_t.height // p, z_t.width // p
+    p = bank.patch_size
     classes = bank.classes()
 
     log_prior = np.log(bank.weights)
-    d_patch = _kernels.patch_sq_dists(bank.data, z_t.data, scale, p, p,
-                                      bank_norms=bank.patch_norms(p))
+    d_patch = _kernels.patch_sq_dists(bank.blocks, _kernels.to_blocks(z_t.data, p), scale,
+                                      bank.patch_norms)
     log_patch = log_prior[:, None] - d_patch / (2.0 * var)  # (K, P)
     d_full = d_patch.sum(axis=1)
 
     evidence = _class_log_evidence(log_patch, bank.class_ids, classes)
     m = evidence.max(axis=0)
     resp = np.exp(evidence - m)
-    ca = CAMap((resp / resp.sum(axis=0)).T, gh, gw, classes)
-    return Posterior(bank, z_t, t, sched, scale, var, p, log_patch, evidence, d_full, ca)
+    g = z_t.height // p
+    ca = CAMap((resp / resp.sum(axis=0)).T, g, g, classes)
+    return Posterior(bank, z_t, t, sched, scale, var, log_patch, evidence, d_full, ca)
 
 
 def predict(
@@ -338,21 +379,19 @@ def make_value_noise_bank(
     """Multi-octave value-noise textures plus geometric shapes, grouped into
     classes that differ by shape vocabulary."""
     rng = np.random.default_rng(int(seed))
-    stack = np.empty((n_items, channels, side, side))
-    ids = np.empty(n_items, dtype=np.int64)
-    for k in range(n_items):
-        cls = k % n_classes
-        item = np.stack([_value_noise(rng, side) for _ in range(channels)])
-        item -= item.mean()
-        item /= item.std()
-        for _ in range(2):
-            mask = _shape_mask(rng, side, cls % 4)
-            item += _SHAPE_AMPLITUDE * float(rng.normal()) * mask[None]
-        item = item / item.std()
-        stack[k] = item
-        ids[k] = cls
-    weights = np.full(n_items, 1.0 / n_items)
-    return LatentBank(stack, ids, weights)
+
+    def items():
+        for k in range(n_items):
+            item = np.stack([_value_noise(rng, side) for _ in range(channels)])
+            item -= item.mean()
+            item /= item.std()
+            for _ in range(2):
+                mask = _shape_mask(rng, side, k % n_classes % 4)
+                item += _SHAPE_AMPLITUDE * float(rng.normal()) * mask[None]
+            yield item / item.std()
+
+    ids = np.arange(n_items, dtype=np.int64) % n_classes
+    return LatentBank(items(), ids, np.full(n_items, 1.0 / n_items))
 
 
 def make_white_bank(
@@ -364,10 +403,9 @@ def make_white_bank(
 ) -> LatentBank:
     """Pure white-noise control bank (no coarse-to-fine structure)."""
     rng = np.random.default_rng(int(seed))
-    stack = rng.standard_normal((n_items, channels, side, side))
+    items = (rng.standard_normal((channels, side, side)) for _ in range(n_items))
     ids = np.arange(n_items, dtype=np.int64) % n_classes
-    weights = np.full(n_items, 1.0 / n_items)
-    return LatentBank(stack, ids, weights)
+    return LatentBank(items, ids, np.full(n_items, 1.0 / n_items))
 
 
 def make_bank(kind: str, side: int, channels=3, n_items=100, n_classes=4, seed=0) -> LatentBank:

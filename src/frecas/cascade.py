@@ -210,17 +210,14 @@ def run_stage(
     for idx in range(spec.steps):
         t, t_next = float(grid[idx]), float(grid[idx + 1])
         post = posterior(bank, z, t, sched)
-        eps_unc = post.field(None)
+        fused = None
         if reused_maps is not None:
             reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
             fused = fuse_ca_maps(post.ca, reused_maps, spec.ca_fusion)
             if verify:
                 _verify_row_stochastic(fused, f"stage {stage_index} step {idx}")
-            eps_c = post.field(condition, ca_mixture=fused)
-            step_maps.append(fused)
-        else:
-            eps_c = post.field(condition)
-            step_maps.append(post.ca)
+        eps_unc, eps_c = post.fields(condition, ca_mixture=fused)
+        step_maps.append(post.ca if fused is None else fused)
         eps_hat = facfg_combine(eps_unc, eps_c, spec.guidance)
         if vp:
             z = ddim_step(z, eps_hat, t, t_next, sched)
@@ -283,8 +280,6 @@ def run_cascade(
     """
     sched = plan.schedule
     vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
-    banks = [bank_resample(bank, s.resolution) for s in plan.stages]
-
     first = sched.t_max
     shape = (bank.channels, plan.stages[0].resolution.side, plan.stages[0].resolution.side)
     z = seeded_gaussian(shape, subseed(seed, _SUBSEED_INIT))
@@ -292,11 +287,14 @@ def run_cascade(
     records = []
     avg_map = None
     for i, (spec, cost) in enumerate(zip(plan.stages, stage_costs(plan))):
+        # one stage bank alive at a time: it serves the stage and the
+        # transition out of it, and is dropped before the next is built
+        stage_bank = bank_resample(bank, spec.resolution)
         z, avg_map = run_stage(
             spec,
             z,
             first,
-            banks[i],
+            stage_bank,
             condition,
             plan,
             i,
@@ -311,7 +309,7 @@ def run_cascade(
         if i + 1 < len(plan.stages):
             nxt = plan.stages[i + 1]
             z, first = transition(
-                z, spec, nxt, plan, codec, banks[i], condition,
+                z, spec, nxt, plan, codec, stage_bank, condition,
                 subseed(seed, _SUBSEED_TRANSITION, i),
             )
             if verify and vp:
@@ -319,6 +317,7 @@ def run_cascade(
                 target = snr(sched, spec.last_timestep) * ratio**plan.gamma
                 if abs(snr(sched, first) - target) > 1e-6 * target:
                     raise AssertionError(f"transition {i}: SNR mismatch")
+        del stage_bank
 
     image = decode(codec, z)
     report = RunReport(

@@ -32,12 +32,14 @@ from .config import (
     _coerce,
     _preset_with_overrides,
     build_bank,
+    build_bank_at,
     build_codec,
     build_direct_plan,
     build_plan,
     build_schedule,
     merge_config,
     parse_config_file,
+    target_side,
 )
 from .freq import PsdCurve, band_energy_fractions, psd_decomposition, radial_psd, write_psd_csv
 from .grid import LatentGrid, seeded_gaussian, subseed, write_grid
@@ -175,26 +177,25 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
     bad = [t for t in timesteps if not 0 <= t <= sched.T]
     if bad:
         raise ConfigError(f"--timesteps must lie in [0, {sched.T}], got {bad[0]:g}")
-    plan = build_plan(cfg, sched)
-    codec = build_codec(cfg)
-    bank = build_bank(cfg, plan, codec)
+    bank = build_bank_at(cfg, target_side(cfg), build_codec(cfg))
     os.makedirs(cfg.out, exist_ok=True)
 
-    noises = [
-        seeded_gaussian(bank.data.shape[1:], subseed(cfg.seed, _SUBSEED_PSD_NOISE, k))
-        for k in range(bank.size)
-    ]
-    summary = ["t,low_band_signal_fraction,high_band_signal_fraction"]
-    for t in timesteps:
-        acc = None
-        for k in range(bank.size):
-            triplet = psd_decomposition(bank.item(k), noises[k], t, sched)
-            if acc is None:
-                acc = [c.power.copy() for c in triplet]
+    # per timestep, the three curves summed over the bank in item order;
+    # each item is unblocked and its noise drawn once for all timesteps
+    sums = [None] * len(timesteps)
+    for k in range(bank.size):
+        item = bank.item(k)
+        noise = seeded_gaussian(item.shape, subseed(cfg.seed, _SUBSEED_PSD_NOISE, k))
+        for i, t in enumerate(timesteps):
+            triplet = psd_decomposition(item, noise, t, sched)
+            if sums[i] is None:
+                sums[i] = [c.power.copy() for c in triplet]
                 freqs, res = triplet[0].freqs, triplet[0].resolution
             else:
-                for a, c in zip(acc, triplet):
+                for a, c in zip(sums[i], triplet):
                     a += c.power
+    summary = ["t,low_band_signal_fraction,high_band_signal_fraction"]
+    for t, acc in zip(timesteps, sums):
         curves = [PsdCurve(freqs, a / bank.size, res) for a in acc]
         write_psd_csv(os.path.join(cfg.out, f"psd_t{t:g}.csv"), *curves)
         low, high = band_energy_fractions(curves[2])
@@ -316,7 +317,9 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def cmd_presets(cfg: RunConfig) -> int:
-    rows = []
+    """The table of presets valid at cfg's T and base side. Each invalid
+    preset gets its own config-error line and makes the exit code 1."""
+    rows, invalid = [], 0
     for name in sorted(PRESETS):
         p = PRESETS[name]
         sched = NoiseSchedule(p.schedule_kind, cfg.T)
@@ -324,7 +327,9 @@ def cmd_presets(cfg: RunConfig) -> int:
             plan = plan_from_preset(p, cfg.base_side, sched)
             direct = compute_cost(direct_plan(p, cfg.base_side, sched))
         except ValueError as e:
-            raise ConfigError(f"preset {name}: {e}") from e
+            print(f"frecas: config error: preset {name}: {e}", file=sys.stderr)
+            invalid += 1
+            continue
         sides = ",".join(str(s.resolution.side) for s in plan.stages)
         steps = ",".join(str(s) for s in p.steps)
         ls = ",".join(f"{v:g}" for v in p.last_timesteps)
@@ -332,10 +337,11 @@ def cmd_presets(cfg: RunConfig) -> int:
         rows.append(f"{name:10s} {sched.kind.value:8s} {sides:14s} {steps:12s} "
                     f"{ls:10s} {p.gamma:<5g} {p.w_l:<5g} {p.w_h:<5g} {p.w_c:<4g} "
                     f"{cost:<6g} {direct / cost:<7.3g}")
-    print(f"{'name':10s} {'schedule':8s} {'sides':14s} {'steps':12s} "
-          f"{'L':10s} {'gamma':5s} {'w_l':5s} {'w_h':5s} {'w_c':4s} {'cost':6s} {'speedup':7s}")
-    print("\n".join(rows))
-    return EXIT_OK
+    if rows:
+        print(f"{'name':10s} {'schedule':8s} {'sides':14s} {'steps':12s} {'L':10s} "
+              f"{'gamma':5s} {'w_l':5s} {'w_h':5s} {'w_c':4s} {'cost':6s} {'speedup':7s}")
+        print("\n".join(rows))
+    return EXIT_USAGE if invalid else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

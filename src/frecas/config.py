@@ -38,11 +38,10 @@ Recognized keys:
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args
 
-import numpy as np
-
 from .bank import LatentBank, load_bank, make_bank
 from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset
 from .codec import HAAR1, IDENTITY, LatentCodec, encode
+from .grid import Resolution
 from .schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
 
 
@@ -164,7 +163,7 @@ def _preset_with_overrides(cfg: RunConfig) -> Preset:
     return replace(preset, **updates) if updates else preset
 
 
-def _parse_stage_triples(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
+def _stage_triples(cfg: RunConfig) -> list:
     triples = []
     for part in cfg.stages.split(","):
         bits = part.strip().split(":")
@@ -174,7 +173,11 @@ def _parse_stage_triples(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
             triples.append((int(bits[0]), int(bits[1]), float(bits[2])))
         except ValueError as e:
             raise ConfigError(f"stage {part!r}: {e}") from e
-    sides, steps, lasts = zip(*triples)
+    return triples
+
+
+def _parse_stage_triples(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
+    sides, steps, lasts = zip(*_stage_triples(cfg))
     if lasts[-1] != 0:
         raise ConfigError("final stage must run to timestep 0")
     w_l = cfg.w_l if cfg.w_l is not None else 7.5
@@ -221,26 +224,43 @@ def build_codec(cfg: RunConfig) -> LatentCodec:
     raise ConfigError(f"unknown codec {cfg.codec!r}")
 
 
-def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBank:
-    """Latent bank at the plan's highest stage resolution.
+def target_side(cfg: RunConfig) -> int:
+    """The latent side of the plan's final stage, read from the preset or
+    the stage list without building (or checking) the whole plan."""
+    if cfg.stages is not None:
+        side = _stage_triples(cfg)[-1][0]
+    else:
+        side = cfg.base_side * _preset(cfg).scale_per_stage[-1]
+    try:
+        return Resolution(side).side
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
-    Procedural banks are generated as image-space textures at the target
+
+def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBank:
+    """Latent bank at the plan's highest stage resolution."""
+    return build_bank_at(cfg, plan.stages[-1].resolution.side, codec)
+
+
+def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> LatentBank:
+    """Latent bank at one latent side.
+
+    Procedural banks are generated as image-space textures at the matching
     pixel resolution and pushed through the codec's encoder, so they are
     valid latents for any codec.
     """
     if cfg.bank_path:
         bank = load_bank(cfg.bank_path)
-        if bank.resolution().side != plan.stages[-1].resolution.side:
+        if bank.side != latent_side:
             raise ConfigError(
-                f"bank resolution {bank.resolution().side} does not match the "
-                f"plan's target side {plan.stages[-1].resolution.side}"
+                f"bank resolution {bank.side} does not match the "
+                f"plan's target side {latent_side}"
             )
         return bank
     for key, count in (("bank.items", cfg.bank_items), ("bank.classes", cfg.bank_classes),
                        ("bank.channels", cfg.bank_channels)):
         if count < 1:
             raise ConfigError(f"{key} must be at least 1, got {count}")
-    latent_side = plan.stages[-1].resolution.side
     pixel_side = latent_side * codec.spatial_factor
     try:
         images = make_bank(
@@ -255,7 +275,5 @@ def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBan
         raise ConfigError(str(e)) from e
     if codec is IDENTITY:
         return images
-    stack = np.stack(
-        [encode(codec, images.item(k)).data for k in range(images.size)]
-    )
-    return LatentBank(stack, images.class_ids, images.weights)
+    latents = (encode(codec, images.item(k)).data for k in range(images.size))
+    return LatentBank(latents, images.class_ids, images.weights)

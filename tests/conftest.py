@@ -4,6 +4,11 @@ import pytest
 from frecas.grid import LatentGrid
 
 
+def bank_stack(bank) -> np.ndarray:
+    """The bank's items unblocked into one (K, C, H, W) stack."""
+    return np.stack([bank.item(k).data for k in range(bank.size)])
+
+
 def rand_grid(rng, channels=3, side=16, scale=1.0) -> LatentGrid:
     return LatentGrid(scale * rng.standard_normal((channels, side, side)))
 

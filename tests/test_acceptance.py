@@ -136,7 +136,7 @@ def _brute_force_eps(bank, z, t, condition):
     for k in range(bank.size):
         if condition is not None and bank.class_ids[k] != condition:
             continue
-        xf = bank.data[k].ravel()
+        xf = bank.item(k).data.ravel()
         d = 0.0
         for j in range(zf.size):
             diff = zf[j] - scale * xf[j]
@@ -148,7 +148,7 @@ def _brute_force_eps(bank, z, t, condition):
     s = sum(p)
     z0 = np.zeros_like(z.data)
     for weight, k in zip(p, members):
-        z0 += (weight / s) * bank.data[k]
+        z0 += (weight / s) * bank.item(k).data
     return (z.data - scale * z0) / math.sqrt(var)
 
 

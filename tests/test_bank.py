@@ -32,7 +32,7 @@ from frecas.schedule import (
     vp_default,
 )
 
-from conftest import rand_grid
+from conftest import bank_stack, rand_grid
 
 SCHED = vp_default()
 FLOW = flow_schedule()
@@ -56,7 +56,7 @@ def brute_force_eps(bank: LatentBank, z: LatentGrid, t: float, condition, sched)
             continue
         d = 0.0
         zf = z.data.ravel()
-        xf = bank.data[k].ravel()
+        xf = bank.item(k).data.ravel()
         for j in range(zf.size):
             diff = zf[j] - scale * xf[j]
             d += diff * diff
@@ -67,7 +67,7 @@ def brute_force_eps(bank: LatentBank, z: LatentGrid, t: float, condition, sched)
     s = sum(p)
     z0 = np.zeros_like(z.data)
     for weight, k in zip(p, members):
-        z0 += (weight / s) * bank.data[k]
+        z0 += (weight / s) * bank.item(k).data
     return (z.data - scale * z0) / math.sqrt(var)
 
 
@@ -88,14 +88,34 @@ class TestBankType:
         bank = small_bank(rng, n_items=5, n_classes=2)
         assert bank.classes() == (0, 1)
 
-    def test_patch_norms_memoized_per_patch_size(self, rng):
-        bank = small_bank(rng, n_items=3, channels=2, side=8)
-        for p in (2, 4, 2):
-            norms = bank.patch_norms(p)
-            direct = (bank.data.reshape(3, 2, 8 // p, p, 8 // p, p) ** 2).sum(axis=(1, 3, 5))
-            np.testing.assert_allclose(norms, direct.reshape(3, -1), rtol=1e-12)
-            assert bank.patch_norms(p) is norms and not norms.flags.writeable
-        assert bank_resample(bank, Resolution(4)).patch_norms(2).shape == (3, 4)
+    def test_patch_norms_are_computed_once_at_the_banks_patch_size(self, rng):
+        bank = small_bank(rng, n_items=3, channels=2, side=16)
+        assert bank.patch_size == default_patch_size(16) == 2
+        norms = bank.patch_norms
+        direct = (bank_stack(bank).reshape(3, 2, 8, 2, 8, 2) ** 2).sum(axis=(1, 3, 5))
+        np.testing.assert_allclose(norms, direct.reshape(3, -1), rtol=1e-12)
+        assert bank.patch_norms is norms and not norms.flags.writeable
+        assert bank_resample(bank, Resolution(4)).patch_norms.shape == (3, 16)
+
+    def test_items_must_be_finite_square_and_one_per_id(self, rng):
+        ids, w = np.array([0, 1]), np.array([0.5, 0.5])
+        stack = rng.standard_normal((2, 1, 4, 4))
+        stack[1, 0, 2, 3] = np.nan
+        for items, match in ((stack, "finite"), (stack[:1], "one entry per item"),
+                             (rng.standard_normal((3, 1, 4, 4)), "one entry per item"),
+                             (rng.standard_normal((2, 1, 4, 6)), "square"),
+                             ([np.zeros((1, 4, 4)), np.zeros((1, 8, 8))], "shape")):
+            with pytest.raises(ValueError, match=match):
+                LatentBank(items, ids, w)
+
+    def test_generator_and_stack_build_the_same_bank(self, rng):
+        stack = rng.standard_normal((5, 3, 16, 16))
+        ids, w = np.arange(5) % 2, np.full(5, 0.2)
+        a = LatentBank(stack, ids, w)
+        b = LatentBank((x for x in stack), ids, w)
+        np.testing.assert_array_equal(a.blocks, b.blocks)
+        np.testing.assert_array_equal(bank_stack(a), stack)
+        assert not a.blocks.flags.writeable
 
 
 class TestBankResample:
@@ -107,13 +127,13 @@ class TestBankResample:
         stack = np.full((2, 1, 8, 8), 4.0)
         bank = LatentBank(stack, np.array([0, 1]), np.array([0.5, 0.5]))
         out = bank_resample(bank, Resolution(4))
-        np.testing.assert_array_equal(out.data, np.full((2, 1, 4, 4), 4.0))
+        np.testing.assert_array_equal(bank_stack(out), np.full((2, 1, 4, 4), 4.0))
 
     def test_down_up_is_not_identity(self, rng):
         bank = small_bank(rng)
         down = bank_resample(bank, Resolution(4))
         back = bank_resample(down, Resolution(8))
-        assert not np.allclose(back.data, bank.data)
+        assert not np.allclose(bank_stack(back), bank_stack(bank))
 
 
 class TestPredict:
@@ -135,7 +155,7 @@ class TestPredict:
         z = rand_grid(rng, channels=1, side=4, scale=0.1)
         eps, _ = predict(bank, z, 4, None, sched)
         a = 1e-6
-        prior_mean = np.tensordot(bank.weights, bank.data, axes=1)
+        prior_mean = np.tensordot(bank.weights, bank_stack(bank), axes=1)
         z0_implied = (z.data - np.sqrt(1 - a) * eps.data) / np.sqrt(a)
         np.testing.assert_allclose(z0_implied, prior_mean, rtol=1e-2)
 
@@ -144,11 +164,11 @@ class TestPredict:
         k = 2
         t = 20  # alpha close to 1
         a = alpha_at(SCHED, t)
-        z = LatentGrid(np.sqrt(a) * bank.data[k] + 1e-4 * rng.standard_normal((1, 4, 4)))
+        z = LatentGrid(np.sqrt(a) * bank.item(k).data + 1e-4 * rng.standard_normal((1, 4, 4)))
         eps, _ = predict(bank, z, t, None, SCHED)
         z0 = (z.data - np.sqrt(1 - a) * eps.data) / np.sqrt(a)
         # posterior mass on item k >= 0.999 means z0 is within 0.1% of it
-        np.testing.assert_allclose(z0, bank.data[k], atol=2e-3)
+        np.testing.assert_allclose(z0, bank.item(k).data, atol=2e-3)
 
     def test_matches_brute_force_unconditional_and_conditional(self, rng):
         bank = small_bank(rng, n_items=6, channels=2, side=8, n_classes=3)
@@ -185,12 +205,13 @@ class TestPredict:
         z = rand_grid(rng, channels=1, side=4)
         t = 0.5
         v, _ = predict(bank, z, t, None, FLOW)
+        stack = bank_stack(bank)
         logw = np.log(bank.weights) - (
-            ((z.data[None] - (1 - t) * bank.data) ** 2).sum(axis=(1, 2, 3))
+            ((z.data[None] - (1 - t) * stack) ** 2).sum(axis=(1, 2, 3))
         ) / (2 * t * t)
         p = np.exp(logw - logw.max())
         p /= p.sum()
-        z0 = np.tensordot(p, bank.data, axes=1)
+        z0 = np.tensordot(p, stack, axes=1)
         np.testing.assert_allclose(v.data, (z.data - z0) / t, rtol=1e-9)
 
     def test_ddim_with_denoiser_converges_to_nearest_item(self, rng):
@@ -241,11 +262,11 @@ def direct_field(bank, z, t, condition, sched):
     members = [k for k in range(bank.size)
                if condition is None or bank.class_ids[k] == condition]
     logw = np.array([math.log(bank.weights[k])
-                     - np.sum((z.data - scale * bank.data[k]) ** 2) / (2.0 * var)
+                     - np.sum((z.data - scale * bank.item(k).data) ** 2) / (2.0 * var)
                      for k in members])
     p = np.exp(logw - logw.max())
     p /= p.sum()
-    z0 = sum(pk * bank.data[k] for pk, k in zip(p, members))
+    z0 = sum(pk * bank.item(k).data for pk, k in zip(p, members))
     if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
         return (z.data - scale * z0) / math.sqrt(var)
     return (z.data - z0) / t
@@ -261,7 +282,7 @@ def indexed_field(post, condition):
     lw -= lw.max()
     p = np.exp(lw)
     p /= p.sum()
-    z0 = np.tensordot(p, bank.data[adm], axes=1)
+    z0 = np.tensordot(p, bank_stack(bank)[adm], axes=1)
     if post.sched.kind is ScheduleKind.VARIANCE_PRESERVING:
         return (post.z_t.data - post.scale * z0) / np.sqrt(post.var)
     return (post.z_t.data - z0) / post.t
@@ -274,7 +295,7 @@ class TestPosterior:
         bank = small_bank(rng, n_items=8, channels=3, side=16, n_classes=4)
         # a noisy copy of item 1 (class 1) and a point between items 2 and 3
         noise = LatentGrid(rng.standard_normal((3, 16, 16)))
-        between = LatentGrid(0.5 * (bank.data[2] + bank.data[3]))
+        between = LatentGrid(0.5 * (bank.item(2).data + bank.item(3).data))
         for z in (diffuse(bank.item(1), t, noise, sched), diffuse(between, t, noise, sched)):
             post = posterior(bank, z, t, sched)
             for condition in (None, 0, 1, 2, 3):
@@ -347,7 +368,31 @@ class TestPosterior:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bank.data.nbytes / 2
+            assert peak < bank.blocks.nbytes / 2
+
+    def test_one_step_reads_the_blocked_bank_in_place(self, rng):
+        # a posterior, both plain fields and a mixture field at the shipped
+        # side: a copy of a strided batch of the bank would show here
+        items = (rng.standard_normal((3, 64, 64)) for _ in range(100))
+        bank = LatentBank(items, np.arange(100) % 4, np.full(100, 0.01))
+        tracemalloc.start()
+        try:
+            post = posterior(bank, rand_grid(rng, side=64), 500.0, SCHED)
+            post.fields(1)
+            post.field(1, post.ca)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bank.blocks.nbytes / 4
+
+    def test_fields_pair_matches_single_fields(self, rng):
+        bank = small_bank(rng, n_items=8, channels=3, side=16, n_classes=4)
+        post = posterior(bank, rand_grid(rng, side=16), 300.0, SCHED)
+        for condition, mixture in ((2, None), (1, post.ca)):
+            unc, cond = post.fields(condition, mixture)
+            for got, ref in ((unc, post.field(None)), (cond, post.field(condition, mixture))):
+                err = np.linalg.norm(got.data - ref.data)
+                assert err <= 1e-12 * np.linalg.norm(ref.data)
 
     def test_predict_is_field_and_map_of_one_posterior(self, rng):
         bank = small_bank(rng)
@@ -393,12 +438,13 @@ class TestCaMaps:
         eps, _ = predict(bank, z, t, 1, SCHED, ca_mixture=ca)
         # oracle: per-pixel posterior over class-1 items with pixel distances
         members = np.flatnonzero(bank.class_ids == 1)
+        items = bank_stack(bank)[members, 0]
         logw = np.log(bank.weights[members])[:, None, None] - (
-            (z.data[0][None] - np.sqrt(a) * bank.data[members, 0]) ** 2
+            (z.data[0][None] - np.sqrt(a) * items) ** 2
         ) / (2 * (1 - a))
         p = np.exp(logw - logw.max(axis=0))
         p /= p.sum(axis=0)
-        z0 = (p * bank.data[members, 0]).sum(axis=0)
+        z0 = (p * items).sum(axis=0)
         expected = (z.data[0] - np.sqrt(a) * z0) / np.sqrt(1 - a)
         np.testing.assert_allclose(eps.data[0], expected, rtol=1e-9)
 
@@ -426,14 +472,15 @@ class TestCaMaps:
 class TestProceduralBanks:
     def test_value_noise_bank_shape_and_classes(self):
         bank = make_value_noise_bank(32, channels=3, n_items=20, n_classes=4, seed=1)
-        assert bank.data.shape == (20, 3, 32, 32)
+        assert (bank.size, bank.item_shape) == (20, (3, 32, 32))
+        assert bank.blocks.shape == (20, 8 * 8, 3 * 4 * 4)  # patch size 4 at side 32
         assert bank.classes() == (0, 1, 2, 3)
         np.testing.assert_allclose(bank.weights.sum(), 1.0, atol=1e-12)
 
     def test_value_noise_bank_deterministic(self):
         a = make_value_noise_bank(16, n_items=4, seed=9)
         b = make_value_noise_bank(16, n_items=4, seed=9)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a.blocks, b.blocks)
 
     def test_value_noise_spectrum_decays(self):
         bank = make_value_noise_bank(64, n_items=20, seed=0)
@@ -460,7 +507,7 @@ class TestSerialization:
         assert back.size == bank.size
         np.testing.assert_array_equal(back.class_ids, bank.class_ids)
         np.testing.assert_allclose(back.weights, bank.weights, rtol=1e-12)
-        np.testing.assert_allclose(back.data, bank.data, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(back.blocks, bank.blocks, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("line", [
         "item_0000.frcg 0",

@@ -206,7 +206,9 @@ class TestRunStage:
         for t, t_next in zip(grid[:-1], grid[1:]):
             eps_c, _ = predict(bank, manual, t, 1, SCHED)
             manual = ddim_step(manual, eps_c, t, t_next, SCHED)
-        np.testing.assert_array_equal(out.data, manual.data)
+        # the stage takes both plain fields from one product over the bank,
+        # predict the conditional one alone, so they agree to rounding
+        assert np.linalg.norm(out.data - manual.data) <= 1e-12 * np.linalg.norm(manual.data)
 
     def test_reused_maps_change_trajectory(self, rng):
         bank = toy_bank(rng, side=8, n_items=6, n_classes=2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frecas.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from frecas.config import ConfigError, RunConfig, build_plan, build_schedule
 from frecas.grid import read_grid
 
 FAST = ["--base-side", "8", "--bank-items", "8", "--bank-channels", "3"]
@@ -144,7 +145,6 @@ class TestExitCodes:
         ["sample", "--gamma", "20"],
         ["sample", "--stages", "8:4:900,32:2:0"],
         ["ablate", "--param", "N", "--values", "1", "--gamma", "20"],
-        ["presets", "--T", "250"],
     ])
     def test_unreachable_vp_entry_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         # the SNR-matched entry of a transition lies outside the schedule:
@@ -259,6 +259,18 @@ class TestPsd:
         noise_col = [float(r.split(",")[3]) for r in rows]
         assert max(noise_col) == 0.0
 
+    def test_gamma_does_not_enter_the_psd(self, tmp_path):
+        # gamma 20 leaves the sdxl-x4 transition no entry timestep, but psd
+        # runs no cascade: it reads only the schedule and the bank
+        cfg = RunConfig(gamma=20.0)
+        with pytest.raises(ConfigError, match="no entry timestep"):
+            build_plan(cfg, build_schedule(cfg))
+        assert main(["psd", "--gamma", "20", "--timesteps", "900",
+                     "--out", str(tmp_path / "g")]) == EXIT_OK
+        assert main(["psd", "--timesteps", "900", "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert (tmp_path / "g" / "psd_t900.csv").read_bytes() == \
+            (tmp_path / "d" / "psd_t900.csv").read_bytes()
+
     def test_deterministic(self, tmp_path):
         args = ["psd", "--preset", "sdxl-x4", *FAST, "--seed", "3", "--timesteps", "300"]
         main([*args, "--out", str(tmp_path / "a")])
@@ -317,6 +329,19 @@ class TestBenchAndPresets:
                      "--bank-items", "8", "--seed", "1"])
         assert code == EXIT_OK
         assert "bench: cost_units = 290" in capsys.readouterr().out
+
+    def test_presets_lists_valid_rows_and_reports_invalid_ones(self, capsys):
+        # at T = 250 sd21-x16 has no entry timestep for its second transition
+        # and sdxl-x16 stops a stage above t_max; the other three are valid
+        assert main(["presets", "--T", "250"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert [row.split()[0] for row in out.splitlines()] == \
+            ["name", "sd21-x4", "sd3-x4", "sdxl-x4"]
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("frecas: config error: preset sd21-x16: no entry timestep")
+        assert lines[1].startswith("frecas: config error: preset sdxl-x16: ")
+        assert "t_max = 250" in lines[1]
 
     def test_presets_lists_all(self, capsys):
         assert main(["presets"]) == EXIT_OK

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from frecas.config import (
     build_schedule,
     merge_config,
     parse_config_file,
+    target_side,
 )
 from frecas.schedule import ScheduleKind, alpha_at
 
@@ -250,6 +252,29 @@ class TestBuildBank:
         plan = build_plan(cfg, sched)
         with pytest.raises(ConfigError, match="resolution"):
             build_bank(cfg, plan, IDENTITY)
+
+    def test_encoded_bank_build_holds_no_stacked_copy(self):
+        # the image bank and the latent bank are each built item by item, so
+        # the build holds about two banks' worth, not a stack on top of them
+        cfg = RunConfig(preset="sd3-x4", codec="haar1", bank_items=32)
+        plan = build_plan(cfg, build_schedule(cfg))
+        tracemalloc.start()
+        try:
+            bank = build_bank(cfg, plan, HAAR1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bank.channels == 12 and bank.side == 64
+        assert peak < 2.5 * bank.blocks.nbytes
+
+    @pytest.mark.parametrize("cfg,side", [
+        (RunConfig(), 64),
+        (RunConfig(preset="sdxl-x16", base_side=8), 32),
+        (RunConfig(stages="8:2:100,24:1:0", preset=None), 24),
+    ])
+    def test_target_side_is_the_plans_final_side(self, cfg, side):
+        assert target_side(cfg) == side
+        assert build_plan(cfg, build_schedule(cfg)).stages[-1].resolution.side == side
 
 
 def cfg_from_flags(*flags) -> RunConfig:

@@ -1,11 +1,14 @@
 """Each vectorized kernel must agree with its plain-loop twin, kept here as
-the reference formulation of the kernel's arithmetic."""
+the reference formulation of the kernel's arithmetic. The patch kernels
+read patch-blocked banks; their earlier einsum forms over (K, C, H, W)
+stacks are kept here too, as references for the blocked products."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frecas import _kernels as K
+from frecas.bank import LatentBank, default_patch_size
 
 
 def bilinear_loop(src, out_h, out_w):
@@ -63,6 +66,50 @@ def patch_mix_loop(bank, weights, ph, pw):
     return out
 
 
+def _patches(x, ph, pw):
+    """View (..., C, H, W) as (..., C, gh, ph, gw, pw)."""
+    *lead, c, h, w = x.shape
+    return x.reshape(*lead, c, h // ph, ph, w // pw, pw)
+
+
+def patch_sq_norms_einsum(x, ph, pw):
+    xp = _patches(x, ph, pw)
+    return np.einsum("...ciajb,...ciajb->...ij", xp, xp).reshape(*x.shape[:-3], -1)
+
+
+def patch_sq_dists_einsum(bank, z, scale, ph, pw):
+    """The norm-expanded distances with an einsum cross term over a stack."""
+    cross = np.einsum("kciajb,ciajb->kij", _patches(bank, ph, pw), _patches(z, ph, pw))
+    d = cross.reshape(bank.shape[0], -1)
+    d *= -2.0 * scale
+    d += patch_sq_norms_einsum(z, ph, pw)
+    d += (scale * scale) * patch_sq_norms_einsum(bank, ph, pw)
+    return np.maximum(d, 0.0, out=d)
+
+
+def patch_mix_einsum(bank, weights, ph, pw):
+    """The patchwise mixture with the weights repeated over each patch's pixels."""
+    k, c, h, w = bank.shape
+    wgrid = weights.reshape(k, h // ph, w // pw)
+    wpix = np.repeat(np.repeat(wgrid, ph, axis=1), pw, axis=2)
+    return np.einsum("khw,kchw->chw", wpix, bank)
+
+
+def blocked(stack, p):
+    return np.stack([K.to_blocks(x, p) for x in stack])
+
+
+def dists(bank, z, scale, p):
+    """patch_sq_dists on a (K, C, H, W) stack, through the blocked layout."""
+    blocks = blocked(bank, p)
+    return K.patch_sq_dists(blocks, K.to_blocks(z, p), scale, K.patch_sq_norms(blocks))
+
+
+def mix(bank, weights, p):
+    """patch_mix on a (K, C, H, W) stack, unblocked to (C, H, W)."""
+    return K.from_blocks(K.patch_mix(blocked(bank, p), weights), bank.shape[1:], p)
+
+
 def test_backend_reports_active_choice():
     assert K.backend() == "numpy"
 
@@ -85,15 +132,15 @@ def test_sq_dists_twins_agree(rng):
 def test_patch_sq_dists_twins_agree(rng):
     bank = rng.standard_normal((5, 3, 8, 12))
     z = rng.standard_normal((3, 8, 12))
-    a = K.patch_sq_dists(bank, z, 0.5, 2, 4)
-    assert a.shape == (5, 12)
-    np.testing.assert_allclose(a, patch_sq_dists_loop(bank, z, 0.5, 2, 4), rtol=1e-12)
+    a = dists(bank, z, 0.5, 4)
+    assert a.shape == (5, 6)
+    np.testing.assert_allclose(a, patch_sq_dists_loop(bank, z, 0.5, 4, 4), rtol=1e-12)
 
 
 def test_patch_sq_dists_matches_full_distance(rng):
     bank = rng.standard_normal((4, 2, 6, 6))
     z = rng.standard_normal((2, 6, 6))
-    per_patch = K.patch_sq_dists(bank, z, 0.9, 3, 3)
+    per_patch = dists(bank, z, 0.9, 3)
     full = K.sq_dists(bank.reshape(4, -1), z.ravel(), 0.9)
     np.testing.assert_allclose(per_patch.sum(axis=1), full, rtol=1e-12)
 
@@ -101,42 +148,80 @@ def test_patch_sq_dists_matches_full_distance(rng):
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(1, 5), c=st.integers(1, 4),
-    gh=st.integers(1, 3), gw=st.integers(1, 3), ph=st.integers(1, 4), pw=st.integers(1, 4),
+    gh=st.integers(1, 3), gw=st.integers(1, 3), p=st.integers(1, 4),
     scale=st.floats(0.01, 1.5), exact_row=st.integers(0, 4) | st.none(),
     jitter=st.sampled_from([0.0, 1e-6]), seed=st.integers(0, 2**32 - 1),
 )
-def test_norm_expanded_patch_dists_match_direct_form(k, c, gh, gw, ph, pw, scale,
+def test_norm_expanded_patch_dists_match_direct_form(k, c, gh, gw, p, scale,
                                                      exact_row, jitter, seed):
     # the expansion loses most where z_p ~ s x_kp, so some latents sit on a
     # scaled bank item, exactly or within 1e-6
     rng = np.random.default_rng(seed)
-    bank = rng.standard_normal((k, c, gh * ph, gw * pw))
-    z = rng.standard_normal((c, gh * ph, gw * pw))
+    bank = rng.standard_normal((k, c, gh * p, gw * p))
+    z = rng.standard_normal((c, gh * p, gw * p))
     if exact_row is not None:
         z = scale * bank[exact_row % k] + jitter * rng.standard_normal(z.shape)
-    d = K.patch_sq_dists(bank, z, scale, ph, pw)
+    d = dists(bank, z, scale, p)
     assert d.shape == (k, gh * gw)
     assert np.all(d >= 0)
     # rounding error of the expansion is relative to the norms it cancels
-    norms = K.patch_sq_norms(z, ph, pw)[None] + scale**2 * K.patch_sq_norms(bank, ph, pw)
-    np.testing.assert_array_less(np.abs(d - patch_sq_dists_loop(bank, z, scale, ph, pw)),
+    norms = patch_sq_norms_einsum(z, p, p)[None] + scale**2 * patch_sq_norms_einsum(bank, p, p)
+    np.testing.assert_array_less(np.abs(d - patch_sq_dists_loop(bank, z, scale, p, p)),
                                  1e-12 * norms + 1e-300)
     full = K.sq_dists(bank.reshape(k, -1), z.ravel(), scale)
     np.testing.assert_array_less(np.abs(d.sum(axis=1) - full),
                                  1e-12 * norms.sum(axis=1) + 1e-300)
-    np.testing.assert_array_equal(d, K.patch_sq_dists(bank, z, scale, ph, pw,
-                                                      K.patch_sq_norms(bank, ph, pw)))
 
 
 def test_patch_mix_twins_agree(rng):
     bank = rng.standard_normal((6, 3, 8, 8))
     w = rng.random((6, 16))
-    np.testing.assert_allclose(K.patch_mix(bank, w, 2, 2), patch_mix_loop(bank, w, 2, 2),
-                               rtol=1e-12)
+    np.testing.assert_allclose(mix(bank, w, 2), patch_mix_loop(bank, w, 2, 2), rtol=1e-12)
 
 
 def test_patch_mix_uniform_weights_is_weighted_sum(rng):
     bank = rng.standard_normal((4, 2, 4, 4))
     w = np.full((4, 4), 0.25)
-    out = K.patch_mix(bank, w, 2, 2)
-    np.testing.assert_allclose(out, bank.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(mix(bank, w, 2), bank.mean(axis=0), rtol=1e-12)
+
+
+# sides <= 15 get patch size 1; 45, 51 and 64 get 5, 3 and 8
+SIDES = st.integers(2, 15) | st.sampled_from([45, 51, 64])
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), c=st.integers(1, 12), side=SIDES, seed=st.integers(0, 2**32 - 1))
+def test_blocking_round_trips_bitwise(k, c, side, seed):
+    stack = np.random.default_rng(seed).standard_normal((k, c, side, side))
+    bank = LatentBank(stack, np.arange(k), np.full(k, 1.0 / k))
+    p = default_patch_size(side)
+    assert bank.blocks.shape == (k, (side // p) ** 2, c * p * p)
+    for i in range(k):
+        np.testing.assert_array_equal(bank.item(i).data, stack[i])
+    # row j of an item's blocks is its j-th patch, row-major over the grid
+    j = side // p + 1 if side // p > 1 else 0
+    y, x = divmod(j, side // p)
+    np.testing.assert_array_equal(bank.blocks[0, j],
+                                  stack[0, :, y * p:(y + 1) * p, x * p:(x + 1) * p].ravel())
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), c=st.integers(1, 12), side=SIDES,
+       scale=st.floats(0.01, 1.5), near=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_products_match_the_einsum_forms(k, c, side, scale, near, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k, c, side, side))
+    bank = LatentBank(stack, np.arange(k), np.full(k, 1.0 / k))
+    p = bank.patch_size
+    z = rng.standard_normal((c, side, side))
+    if near:  # where the expansion cancels most
+        z = scale * stack[0] + 1e-6 * z
+    d = K.patch_sq_dists(bank.blocks, K.to_blocks(z, p), scale, bank.patch_norms)
+    norms = patch_sq_norms_einsum(z, p, p)[None] + scale**2 * patch_sq_norms_einsum(stack, p, p)
+    np.testing.assert_array_less(np.abs(d - patch_sq_dists_einsum(stack, z, scale, p, p)),
+                                 1e-12 * norms + 1e-300)
+    w = rng.random(d.shape)
+    mixed = K.from_blocks(K.patch_mix(bank.blocks, w), z.shape, p)
+    ref = patch_mix_einsum(stack, w, p, p)
+    bound = patch_mix_einsum(np.abs(stack), w, p, p)  # sum of |terms| per pixel
+    np.testing.assert_array_less(np.abs(mixed - ref), 1e-12 * bound + 1e-300)
