@@ -35,28 +35,27 @@ def backend() -> str:
 #
 # Output sample i maps to source coordinate i * (H - 1) / (out_h - 1), so
 # corners land exactly on corners. The lerp form below keeps constant fields
-# bit-exact: for equal neighbours the deltas are exactly zero.
+# bit-exact: for equal neighbours the deltas are exactly zero. It lerps along
+# x on every source row, then along y between the two rows each output row
+# needs: the same float operations on the same values as lerping four
+# gathered corners per output sample, so the two forms are bitwise equal.
 # ---------------------------------------------------------------------------
 
+def _taps(n_in: int, n_out: int):
+    """(lower index, upper index, weight) of n_out samples on an n_in axis."""
+    step = (n_in - 1) / (n_out - 1) if n_out > 1 else 0.0
+    pos = np.arange(n_out) * step
+    lo = np.minimum(pos.astype(np.intp), max(n_in - 2, 0))
+    return lo, np.minimum(lo + 1, n_in - 1), pos - lo
+
+
 def bilinear_resample(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    c, h, w = src.shape
-    sy = (h - 1) / (out_h - 1) if out_h > 1 else 0.0
-    sx = (w - 1) / (out_w - 1) if out_w > 1 else 0.0
-    ys = np.arange(out_h) * sy
-    xs = np.arange(out_w) * sx
-    y0 = np.minimum(ys.astype(np.intp), max(h - 2, 0))
-    x0 = np.minimum(xs.astype(np.intp), max(w - 2, 0))
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    v00 = src[:, y0[:, None], x0[None, :]]
-    v01 = src[:, y0[:, None], x1[None, :]]
-    v10 = src[:, y1[:, None], x0[None, :]]
-    v11 = src[:, y1[:, None], x1[None, :]]
-    top = v00 + fx * (v01 - v00)
-    bot = v10 + fx * (v11 - v10)
-    return top + fy * (bot - top)
+    y0, y1, fy = _taps(src.shape[1], out_h)
+    x0, x1, fx = _taps(src.shape[2], out_w)
+    left = src[:, :, x0]
+    rows = left + fx * (src[:, :, x1] - left)
+    top = rows[:, y0]
+    return top + fy[:, None] * (rows[:, y1] - top)
 
 
 # ---------------------------------------------------------------------------

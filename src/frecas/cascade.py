@@ -192,7 +192,6 @@ def run_stage(
     plan: StagePlan,
     stage_index: int,
     reused_maps: CAMap | None = None,
-    verify: bool = False,
 ):
     """Run one stage from first_timestep down to its last timestep.
 
@@ -200,8 +199,9 @@ def run_stage(
     is plain guidance when the cut is the stage's own side (stage 0). When an
     averaged map from the previous stage is supplied, it is regridded to this
     stage's patch grid, fused with each step's own map and steers the
-    conditional prediction patchwise. Returns the stage's final latent and
-    the step-averaged attention map.
+    conditional prediction patchwise. Each fused map and the average are
+    checked to be row-stochastic to 1e-12 (AssertionError otherwise). Returns
+    the stage's final latent and the step-averaged attention map.
     """
     sched = plan.schedule
     vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
@@ -214,8 +214,7 @@ def run_stage(
         if reused_maps is not None:
             reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
             fused = fuse_ca_maps(post.ca, reused_maps, spec.ca_fusion)
-            if verify:
-                _verify_row_stochastic(fused, f"stage {stage_index} step {idx}")
+            _verify_row_stochastic(fused, f"stage {stage_index} step {idx}")
         eps_unc, eps_c = post.fields(condition, ca_mixture=fused)
         step_maps.append(post.ca if fused is None else fused)
         eps_hat = facfg_combine(eps_unc, eps_c, spec.guidance)
@@ -224,8 +223,7 @@ def run_stage(
         else:
             z = euler_flow_step(z, eps_hat, t, t_next)
     avg = average_ca_maps(step_maps)
-    if verify:
-        _verify_row_stochastic(avg, f"stage {stage_index} average")
+    _verify_row_stochastic(avg, f"stage {stage_index} average")
     return z, avg
 
 
@@ -270,13 +268,13 @@ def run_cascade(
     bank: LatentBank,
     condition: int | None,
     seed: int,
-    verify: bool = False,
     stage_callback=None,
 ):
     """Full cascaded run; returns (image, report).
 
     The run is a pure function of its arguments: initial noise and every
-    transition noise derive from sub-seeds of the run seed.
+    transition noise derive from sub-seeds of the run seed. Each VP entry SNR
+    is checked against SNR(L) * ratio**gamma to 1e-6 relative.
     """
     sched = plan.schedule
     vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
@@ -299,7 +297,6 @@ def run_cascade(
             plan,
             i,
             reused_maps=avg_map,
-            verify=verify,
         )
         records.append(
             StageRecord(spec.resolution.side, spec.steps, first, spec.last_timestep, cost)
@@ -312,7 +309,7 @@ def run_cascade(
                 z, spec, nxt, plan, codec, stage_bank, condition,
                 subseed(seed, _SUBSEED_TRANSITION, i),
             )
-            if verify and vp:
+            if vp:
                 ratio = spec.resolution.side / nxt.resolution.side
                 target = snr(sched, spec.last_timestep) * ratio**plan.gamma
                 if abs(snr(sched, first) - target) > 1e-6 * target:

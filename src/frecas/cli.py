@@ -147,8 +147,7 @@ def cmd_sample(cfg: RunConfig) -> int:
             dumps.append((f"stage_{i}", name))
 
     image, report = run_cascade(
-        plan, codec, bank, cfg.condition, cfg.seed,
-        verify=cfg.verify, stage_callback=dump_stage,
+        plan, codec, bank, cfg.condition, cfg.seed, stage_callback=dump_stage,
     )
     direct_cost = compute_cost(build_direct_plan(cfg, plan, sched))
 
@@ -274,8 +273,7 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
     def one(plan):
         # every variant ends at the same target resolution, so one bank and
         # one reference spectrum serve the whole sweep
-        image, report = run_cascade(plan, codec, bank, cfg.condition,
-                                    cfg.seed, verify=cfg.verify)
+        image, report = run_cascade(plan, codec, bank, cfg.condition, cfg.seed)
         curve = radial_psd(image)
         cut = curve.n_bins // 4
         low, high = curve.power[:cut].sum(), curve.power[cut:].sum()

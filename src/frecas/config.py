@@ -25,13 +25,12 @@ Recognized keys:
     codec           identity | haar1
     seed            run seed (0)
     out             output directory
-    verify          true/false: in-run invariant assertions
     dump_stages     true/false: dump each stage's final latent
     bank.path       directory with a serialized bank (wins over procedural)
     bank.kind       value_noise | white
     bank.seed       procedural generator seed (0)
     bank.items      item count (100)
-    bank.classes    class count (4)
+    bank.classes    class count, at most bank.items (4)
     bank.channels   image channels, 1 or 3 (3)
 """
 
@@ -65,8 +64,6 @@ class RunConfig:
     codec: str = "identity"
     seed: int = 0
     out: str = "out"
-    verify: bool = field(default=False,
-                         metadata={"help": "enable in-run invariant assertions"})
     dump_stages: bool = False
     bank_path: str | None = None
     bank_kind: str = "value_noise"
@@ -261,6 +258,11 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> Laten
                        ("bank.channels", cfg.bank_channels)):
         if count < 1:
             raise ConfigError(f"{key} must be at least 1, got {count}")
+    if cfg.bank_channels not in (1, 3):
+        raise ConfigError(f"bank.channels must be 1 or 3, got {cfg.bank_channels}")
+    if cfg.bank_classes > cfg.bank_items:
+        raise ConfigError(f"bank.classes ({cfg.bank_classes}) exceeds bank.items "
+                          f"({cfg.bank_items}): a class with no items is never a condition")
     pixel_side = latent_side * codec.spatial_factor
     try:
         images = make_bank(

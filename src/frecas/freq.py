@@ -17,6 +17,7 @@ bin. Bin power is the mean power of assigned modes, then the mean over
 channels.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,14 @@ class PsdCurve:
         return len(self.freqs)
 
 
+@functools.lru_cache
 def _radial_bin_index(side: int, n_bins: int) -> np.ndarray:
     k = np.fft.fftfreq(side) * side  # wrapped integer frequencies
     r = np.hypot(*np.meshgrid(k, k, indexing="ij"))
     width = nyquist(Resolution(side)) / n_bins
-    return np.minimum(np.rint(r / width).astype(np.intp), n_bins - 1)
+    idx = np.minimum(np.rint(r / width).astype(np.intp), n_bins - 1)
+    idx.setflags(write=False)
+    return idx
 
 
 def mode_powers(g: LatentGrid) -> np.ndarray:

@@ -2,8 +2,8 @@
 builds on: deterministic Gaussian noise, corner-aligned bilinear resampling,
 and the raw binary dump format used by the CLI.
 
-Grids are immutable values: construction copies the input into a read-only
-float64 array, and every operation returns a new grid, except that an
+Grids are immutable values: construction takes ownership of its input (see
+`LatentGrid`), and every operation returns a new grid, except that an
 identity operation (a resample to the grid's own size) returns its input.
 That makes the determinism and thread-safety guarantees trivial.
 """
@@ -33,7 +33,12 @@ class Resolution:
 
 @dataclass(frozen=True)
 class LatentGrid:
-    """A channels x height x width field of finite float64 values."""
+    """A channels x height x width field of finite float64 values.
+
+    A C-contiguous float64 input is not copied: the grid takes ownership of
+    it and marks it read-only, and a grid built from a view changes when the
+    viewed array is written. Any other input is converted to a new array.
+    """
 
     data: np.ndarray = field(repr=False)
 

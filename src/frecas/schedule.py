@@ -27,9 +27,6 @@ DEFAULT_T = 1000
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
 
-_ALPHA_BISECT_TOL = 1e-9   # required accuracy in alpha
-_BISECT_ITERS = 200        # narrows t far below that in practice
-
 
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
@@ -102,25 +99,16 @@ def alpha_at(sched: NoiseSchedule, t: float) -> float:
 
 
 def alpha_inverse(sched: NoiseSchedule, target: float) -> float:
-    """Monotone bisection for the t with a_t = target on the interpolated curve."""
+    """The t with a_t = target on the interpolated curve: a table search for
+    the bracketing segment, then one linear solve, so a_i maps back to i."""
     _require_vp(sched)
     if not sched.alpha[-1] <= target <= 1.0:
         raise ValueError(
             f"alpha {target} outside the schedule range [{sched.alpha[-1]:.3e}, 1]"
         )
-    lo, hi = 0.0, float(sched.T)  # alpha(lo) >= target >= alpha(hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        a = alpha_at(sched, mid)
-        if abs(a - target) <= _ALPHA_BISECT_TOL and hi - lo <= 1e-9:
-            return mid
-        if a > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi == lo:
-            break
-    return 0.5 * (lo + hi)
+    lo = min(int(np.searchsorted(-sched.alpha, -target, side="right")) - 1, sched.T - 1)
+    a0, a1 = sched.alpha[lo], sched.alpha[lo + 1]
+    return float(lo + (target - a0) / (a1 - a0))
 
 
 def snr(sched: NoiseSchedule, t: float) -> float:

@@ -319,9 +319,28 @@ class TestRunCascade:
         np.testing.assert_allclose(image.data, z.data, atol=1e-9)
 
     def test_verify_mode_passes_clean_run(self, rng):
+        # the row-stochastic and SNR checks run on every call
         bank = toy_bank(rng)
         plan = toy_plan()
-        run_cascade(plan, IDENTITY, bank, 0, seed=2, verify=True)
+        run_cascade(plan, IDENTITY, bank, 0, seed=2)
+
+    def test_fused_map_off_the_simplex_fails_the_run(self, rng, monkeypatch):
+        fuse = fuse_ca_maps
+
+        def skewed(own, reused, w_c):
+            m = fuse(own, reused, w_c)
+            return CAMap(m.values * (1.0 + 1e-9), m.rows_h, m.rows_w, m.classes)
+
+        monkeypatch.setattr("frecas.cascade.fuse_ca_maps", skewed)
+        with pytest.raises(AssertionError, match="attention rows deviate"):
+            run_cascade(toy_plan(), IDENTITY, toy_bank(rng), 0, seed=2)
+
+    def test_missed_entry_snr_fails_the_run(self, rng, monkeypatch):
+        shift = shift_timestep_vp
+        monkeypatch.setattr("frecas.cascade.shift_timestep_vp",
+                            lambda *args: shift(*args) + 1.0)
+        with pytest.raises(AssertionError, match="SNR mismatch"):
+            run_cascade(toy_plan(), IDENTITY, toy_bank(rng), 0, seed=2)
 
     def test_report_cost_additivity(self, rng):
         bank = toy_bank(rng)
@@ -356,7 +375,7 @@ class TestRunCascade:
         fs = flow_schedule()
         bank = toy_bank(rng, side=16)
         plan = toy_plan(L=0.05, sched=fs)
-        image, report = run_cascade(plan, IDENTITY, bank, 0, seed=1, verify=True)
+        image, report = run_cascade(plan, IDENTITY, bank, 0, seed=1)
         assert image.shape == (2, 16, 16)
 
     def test_three_stage_cascade_with_map_regridding(self, rng):
@@ -372,7 +391,7 @@ class TestRunCascade:
             schedule=SCHED,
         )
         bank = toy_bank(rng, side=40, n_items=6, n_classes=2)
-        image, report = run_cascade(plan, IDENTITY, bank, 1, seed=9, verify=True)
+        image, report = run_cascade(plan, IDENTITY, bank, 1, seed=9)
         assert image.shape == (2, 40, 40)
         assert len(report.stages) == 3
         for prev, nxt in zip(report.stages, report.stages[1:]):

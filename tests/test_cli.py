@@ -61,9 +61,6 @@ class TestSample:
         raw = (tmp_path / "r" / "image.pgm").read_bytes()
         assert raw.startswith(b"P5\n16 16\n255\n")
 
-    def test_verify_flag_runs(self, tmp_path):
-        assert run_sample(tmp_path / "r", extra=["--verify"]) == EXIT_OK
-
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -34,12 +34,12 @@ class TestConfigFile:
             "seed = 9   # trailing comment\n"
             "\n"
             "bank.items = 12\n"
-            "verify = true\n"
+            "dump_stages = true\n"
             "w_h = 45.0\n"
         )
         values = parse_config_file(path)
         assert values == {"preset": "sd21-x4", "seed": 9, "bank_items": 12,
-                          "verify": True, "w_h": 45.0}
+                          "dump_stages": True, "w_h": 45.0}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -50,7 +50,7 @@ class TestConfigFile:
 
     def test_bad_boolean_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("verify = maybe\n")
+        path.write_text("dump_stages = maybe\n")
         with pytest.raises(ConfigError):
             parse_config_file(path)
 
@@ -81,7 +81,6 @@ SETTINGS = [
     ("codec", "--codec", "codec", "haar1", "haar1"),
     ("seed", "--seed", "seed", "7", 7),
     ("out", "--out", "out", "elsewhere", "elsewhere"),
-    ("verify", "--verify", "verify", "true", True),
     ("dump_stages", "--dump-stages", "dump_stages", "true", True),
     ("bank.path", "--bank-path", "bank_path", "some/bank", "some/bank"),
     ("bank.kind", "--bank-kind", "bank_kind", "white", "white"),
@@ -90,7 +89,7 @@ SETTINGS = [
     ("bank.classes", "--bank-classes", "bank_classes", "3", 3),
     ("bank.channels", "--bank-channels", "bank_channels", "1", 1),
 ]
-BOOL_FLAGS = {"--verify", "--dump-stages"}
+BOOL_FLAGS = {"--dump-stages"}
 
 
 def flag_args(flag, value):
@@ -121,7 +120,7 @@ class TestOneSchema:
         flags = [arg for _, flag, _, value, _ in SETTINGS for arg in flag_args(flag, value)]
         expected = RunConfig(**{name: typed for _, _, name, _, typed in SETTINGS})
         assert cfg_from_file(tmp_path, text) == cfg_from_flags(*flags) == expected
-        # --config is the 22nd flag
+        # --config is the 21st flag
         assert cfg_from_flags("--config", str(tmp_path / "run.cfg"), "--seed", "9") == \
             replace(expected, seed=9)
 
@@ -241,6 +240,25 @@ class TestBuildBank:
                         bank_items=0, bank_classes=0, bank_channels=0, bank_kind="foo")
         plan = build_plan(cfg, build_schedule(cfg))
         assert build_bank(cfg, plan, IDENTITY).size == 4
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--bank-classes", "100000000000000000000000", "bank.classes"),
+        ("--bank-classes", "5", "bank.classes"),
+        ("--bank-channels", "100000000000000000000000", "bank.channels"),
+        ("--bank-channels", "2", "bank.channels"),
+    ])
+    def test_bank_settings_rejected_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                     flag, value, key):
+        # more classes than items, or channels other than 1 and 3: without
+        # the check an oversized count overflows or allocates until killed
+        monkeypatch.setattr("frecas.config.make_bank", lambda *args, **kwargs: pytest.fail(
+            "bank built before its settings were checked"))
+        code = main(["sample", "--base-side", "4", "--bank-items", "4", flag, value,
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"frecas: config error: {key} ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
 
     def test_bank_path_resolution_mismatch(self, tmp_path):
         from frecas.bank import make_white_bank, save_bank

@@ -30,6 +30,18 @@ class TestLatentGrid:
         with pytest.raises(ValueError):
             g.data[0, 0, 0] = 1.0
 
+    def test_takes_ownership_of_float64_contiguous_input(self):
+        x = np.zeros((1, 2, 2))
+        g = LatentGrid(x)
+        assert g.data is x and not x.flags.writeable
+        base = np.zeros((2, 2, 2))
+        g = LatentGrid(base[:1])
+        base[0, 0, 0] = 5.0
+        assert g.data[0, 0, 0] == 5.0 and base.flags.writeable
+        # any other input is converted into a new array
+        y = np.zeros((1, 2, 2), dtype=np.float32)
+        assert not np.shares_memory(LatentGrid(y).data, y) and y.flags.writeable
+
     def test_resolution_requires_square(self):
         assert LatentGrid(np.zeros((1, 4, 4))).resolution() == Resolution(4)
         with pytest.raises(ValueError):

@@ -33,6 +33,30 @@ def bilinear_loop(src, out_h, out_w):
     return out
 
 
+def bilinear_four_gather(src, out_h, out_w):
+    """The bilinear kernel's earlier form: gather the four corners of every
+    output sample as 2-D arrays, lerp the top and bottom pairs along x, then
+    lerp those along y."""
+    c, h, w = src.shape
+    sy = (h - 1) / (out_h - 1) if out_h > 1 else 0.0
+    sx = (w - 1) / (out_w - 1) if out_w > 1 else 0.0
+    ys = np.arange(out_h) * sy
+    xs = np.arange(out_w) * sx
+    y0 = np.minimum(ys.astype(np.intp), max(h - 2, 0))
+    x0 = np.minimum(xs.astype(np.intp), max(w - 2, 0))
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    v00 = src[:, y0[:, None], x0[None, :]]
+    v01 = src[:, y0[:, None], x1[None, :]]
+    v10 = src[:, y1[:, None], x0[None, :]]
+    v11 = src[:, y1[:, None], x1[None, :]]
+    top = v00 + fx * (v01 - v00)
+    bot = v10 + fx * (v11 - v10)
+    return top + fy * (bot - top)
+
+
 def sq_dists_loop(bank_flat, z_flat, scale):
     out = np.zeros(bank_flat.shape[0])
     for i, row in enumerate(bank_flat):
@@ -120,6 +144,19 @@ def test_bilinear_twins_agree(rng):
         src = rng.standard_normal(shape)
         np.testing.assert_allclose(K.bilinear_resample(src, *out), bilinear_loop(src, *out),
                                    rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.integers(1, 12), h=st.integers(1, 70), w=st.integers(1, 70),
+       out_h=st.integers(1, 130), out_w=st.integers(1, 130), identity=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_separable_bilinear_is_the_four_gather_form_bitwise(c, h, w, out_h, out_w,
+                                                            identity, seed):
+    src = np.random.default_rng(seed).standard_normal((c, h, w))
+    if identity:
+        out_h, out_w = h, w
+    assert K.bilinear_resample(src, out_h, out_w).tobytes() == \
+        bilinear_four_gather(src, out_h, out_w).tobytes()
 
 
 def test_sq_dists_twins_agree(rng):

@@ -84,6 +84,15 @@ class TestAlphaInverse:
             a = alpha_at(SCHED, t)
             assert alpha_inverse(SCHED, a) == pytest.approx(t, abs=1e-6)
 
+    @pytest.mark.parametrize("T", [1000, 7])
+    def test_table_entries_invert_exactly(self, T):
+        sched = vp_default(T)
+        assert [alpha_inverse(sched, a) for a in sched.alpha] == list(range(T + 1))
+
+    def test_inverse_lands_on_the_target(self, rng):
+        for a in rng.uniform(SCHED.alpha[-1], 1.0, 2000):
+            assert abs(alpha_at(SCHED, alpha_inverse(SCHED, a)) - a) <= 1e-15
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             alpha_inverse(SCHED, 1e-9)
