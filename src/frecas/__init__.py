@@ -14,7 +14,6 @@ from .cascade import (
     StageSpec,
     average_ca_maps,
     compute_cost,
-    direct_plan,
     fuse_ca_maps,
     ladder,
     plan_from_preset,

@@ -356,9 +356,13 @@ PRESETS = {
 
 
 def preset_timestep(L: float, sched: NoiseSchedule) -> float:
-    """A tabulated preset L (a training-timestep index) in the schedule's
-    units: divided by T on flow schedules, unchanged on VP ones."""
-    return L / sched.T if sched.kind is ScheduleKind.FLOW_MATCHING else float(L)
+    """A last timestep L, as a preset, a stage list or an L sweep writes it,
+    in the schedule's units. On flow schedules an L above 1 is a
+    training-timestep index and is divided by T, and an L of at most 1 is
+    taken as is; VP schedules take every L as is."""
+    if sched.kind is ScheduleKind.FLOW_MATCHING and L > 1.0:
+        return L / sched.T
+    return float(L)
 
 
 def ladder(sides, steps, last_timesteps, *, w_l, w_h, w_c, gamma, sched,
@@ -390,13 +394,3 @@ def plan_from_preset(preset: Preset, base_side: int, sched: NoiseSchedule) -> St
         w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
     )
 
-
-def direct_plan(preset: Preset, base_side: int, sched: NoiseSchedule) -> StagePlan:
-    """Single-stage baseline at the preset's target resolution with the
-    cascade's total step count; cost units stay relative to the training
-    side."""
-    return ladder(
-        [base_side * preset.scale_per_stage[-1]], [sum(preset.steps)], [],
-        w_l=preset.w_l, w_h=preset.w_h, w_c=0.0, gamma=preset.gamma, sched=sched,
-        train_side=base_side,
-    )

@@ -8,29 +8,21 @@ no timestamps.
 
 import argparse
 import os
+import statistics
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from .bank import LatentBank
-from .cascade import (
-    PRESETS,
-    StagePlan,
-    compute_cost,
-    direct_plan,
-    ladder,
-    plan_from_preset,
-    preset_timestep,
-    run_cascade,
-)
+from .cascade import PRESETS, compute_cost, run_cascade
 from .codec import decode
 from .config import (
     ConfigError,
     RunConfig,
     _coerce,
-    _preset_with_overrides,
+    ablation_plan,
     build_bank,
     build_bank_at,
     build_codec,
@@ -43,7 +35,7 @@ from .config import (
 )
 from .freq import PsdCurve, band_energy_fractions, psd_decomposition, radial_psd, write_psd_csv
 from .grid import LatentGrid, seeded_gaussian, subseed, write_grid
-from .schedule import NoiseSchedule, ScheduleKind
+from .schedule import ScheduleKind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,7 +164,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_psd(cfg: RunConfig, timesteps) -> int:
     sched = build_schedule(cfg)
     if sched.kind is not ScheduleKind.VARIANCE_PRESERVING:
-        raise ValueError("psd analysis requires a variance-preserving schedule")
+        raise ConfigError("psd analysis requires a variance-preserving schedule")
     bad = [t for t in timesteps if not 0 <= t <= sched.T]
     if bad:
         raise ConfigError(f"--timesteps must lie in [0, {sched.T}], got {bad[0]:g}")
@@ -205,53 +197,6 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
     return EXIT_OK
 
 
-def _plan_for_n(cfg: RunConfig, n: int, sched) -> StagePlan:
-    """Cascade with n additional stages interpolating the preset's ladder."""
-    if cfg.stages is not None:
-        raise ConfigError("the N ablation needs a preset, not an explicit stage list")
-    preset = _preset_with_overrides(cfg)
-    if n == 0:
-        return direct_plan(preset, cfg.base_side, sched)
-    budget = sum(preset.steps[1:])
-    if budget < n:
-        raise ConfigError(f"preset step budget {budget} too small for N={n}")
-    target_mult = preset.scale_per_stage[-1]
-    sides = [
-        int(round(cfg.base_side * target_mult ** (i / n))) for i in range(n + 1)
-    ]
-    if any(b <= a for a, b in zip(sides, sides[1:])):
-        raise ConfigError(f"N={n} collapses the resolution ladder {sides}")
-    extra = [budget // n] * n
-    for i in range(budget % n):
-        extra[-1 - i] += 1
-    L = preset_timestep(preset.last_timesteps[0], sched)
-    try:
-        return ladder(
-            sides, [preset.steps[0], *extra], [L] * n,
-            w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _ablation_plan(cfg: RunConfig, param: str, value: float, sched) -> StagePlan:
-    if param == "N":
-        if not (float(value).is_integer() and value >= 0):
-            raise ConfigError(f"N must be a non-negative integer, got {value}")
-        return _plan_for_n(cfg, int(value), sched)
-    if param in ("w_l", "w_h", "w_c"):
-        return build_plan(replace(cfg, **{param: value}), sched)
-    if param == "L":
-        plan = build_plan(cfg, sched)
-        *head, last = plan.stages
-        try:
-            return replace(plan, stages=(*(replace(s, last_timestep=value) for s in head), last))
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    raise ConfigError(f"unknown ablation parameter {param!r}; "
-                      "choose from w_h, w_l, w_c, N, L")
-
-
 def _bank_mean_psd(bank: LatentBank, codec) -> np.ndarray:
     acc = None
     for k in range(bank.size):
@@ -262,7 +207,7 @@ def _bank_mean_psd(bank: LatentBank, codec) -> np.ndarray:
 
 def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
     sched = build_schedule(cfg)
-    plans = [_ablation_plan(cfg, param, v, sched) for v in values]
+    plans = [ablation_plan(cfg, param, v, sched) for v in values]
     base_plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, base_plan, codec)
@@ -294,23 +239,29 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     sched = build_schedule(cfg)
     plan = build_plan(cfg, sched)
+    direct = build_direct_plan(cfg, plan, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, plan, codec)
     _check_condition(cfg, bank)
 
-    def one(i):
+    def one(p, i):
         start = time.perf_counter()
-        _, report = run_cascade(plan, codec, bank, cfg.condition, cfg.seed + i)
+        _, report = run_cascade(p, codec, bank, cfg.condition, cfg.seed + i)
         return time.perf_counter() - start, report.cost_units
 
-    results = [one(i) for i in range(5)]
+    results = [one(plan, i) for i in range(5)]
     for i, (secs, cost) in enumerate(results):
         print(f"run {i}: wall_seconds = {secs:.3f} cost_units = {_fmt(cost)}")
-    mean_last3 = sum(s for s, _ in results[2:]) / 3.0
+    wall = statistics.median(s for s, _ in results)
+    direct_wall = statistics.median(one(direct, i)[0] for i in range(5))
+    cost, direct_cost = results[0][1], compute_cost(direct)
     costs = {c for _, c in results}
-    print(f"bench: mean_wall_seconds_last3 = {mean_last3:.3f}")
-    print(f"bench: cost_units = {_fmt(results[0][1])}"
+    print(f"bench: median_wall_seconds = {wall:.3f} "
+          f"(direct {direct_wall:.3f} at target resolution)")
+    print(f"bench: cost_units = {_fmt(cost)}"
           + ("" if len(costs) == 1 else " (WARNING: cost varied across runs)"))
+    print(f"bench: proxy_speedup = {_fmt(direct_cost / cost)} "
+          f"measured_speedup = {direct_wall / wall:.3f}")
     return EXIT_OK
 
 
@@ -320,14 +271,15 @@ def cmd_presets(cfg: RunConfig) -> int:
     rows, invalid = [], 0
     for name in sorted(PRESETS):
         p = PRESETS[name]
-        sched = NoiseSchedule(p.schedule_kind, cfg.T)
+        preset_cfg = RunConfig(preset=name, T=cfg.T, base_side=cfg.base_side)
+        sched = build_schedule(preset_cfg)
         try:
-            plan = plan_from_preset(p, cfg.base_side, sched)
-            direct = compute_cost(direct_plan(p, cfg.base_side, sched))
-        except ValueError as e:
+            plan = build_plan(preset_cfg, sched)
+        except ConfigError as e:
             print(f"frecas: config error: preset {name}: {e}", file=sys.stderr)
             invalid += 1
             continue
+        direct = compute_cost(build_direct_plan(preset_cfg, plan, sched))
         sides = ",".join(str(s.resolution.side) for s in plan.stages)
         steps = ",".join(str(s) for s in p.steps)
         ls = ",".join(f"{v:g}" for v in p.last_timesteps)
@@ -367,7 +319,7 @@ def _build_parser():
         ("sample", "run the cascade and write image, dumps and manifest"),
         ("psd", "write radial PSD decompositions of bank latents at given timesteps"),
         ("ablate", "sweep one parameter and write a metrics CSV"),
-        ("bench", "run five samples and report wall time and cost units"),
+        ("bench", "time five cascade and five direct runs; report medians and speedups"),
         ("presets", "list the shipped cascade presets"),
     ]:
         p = sub.add_parser(name, help=help_text)

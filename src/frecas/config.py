@@ -35,10 +35,11 @@ Recognized keys:
 """
 
 from dataclasses import dataclass, field, fields, replace
+from functools import wraps
 from typing import get_args
 
 from .bank import LatentBank, load_bank, make_bank
-from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset
+from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset, preset_timestep
 from .codec import HAAR1, IDENTITY, LatentCodec, encode
 from .grid import Resolution
 from .schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
@@ -151,13 +152,9 @@ def _preset(cfg: RunConfig) -> Preset:
 
 
 def _preset_with_overrides(cfg: RunConfig) -> Preset:
-    preset = _preset(cfg)
-    updates = {}
-    for name in ("gamma", "w_l", "w_h", "w_c"):
-        value = getattr(cfg, name)
-        if value is not None:
-            updates[name] = value
-    return replace(preset, **updates) if updates else preset
+    updates = {name: getattr(cfg, name) for name in ("gamma", "w_l", "w_h", "w_c")
+               if getattr(cfg, name) is not None}
+    return replace(_preset(cfg), **updates)
 
 
 def _stage_triples(cfg: RunConfig) -> list:
@@ -173,7 +170,24 @@ def _stage_triples(cfg: RunConfig) -> list:
     return triples
 
 
-def _parse_stage_triples(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
+def _plan_builder(build):
+    """A public plan builder: a plan check's ValueError becomes a ConfigError
+    with the same message, since the settings asked for that plan."""
+    @wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ConfigError:
+            raise
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+    return checked
+
+
+@_plan_builder
+def build_plan(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
+    if cfg.stages is None:
+        return plan_from_preset(_preset_with_overrides(cfg), cfg.base_side, sched)
     sides, steps, lasts = zip(*_stage_triples(cfg))
     if lasts[-1] != 0:
         raise ConfigError("final stage must run to timestep 0")
@@ -181,24 +195,10 @@ def _parse_stage_triples(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
     w_h = cfg.w_h if cfg.w_h is not None else 35.0
     w_c = cfg.w_c if cfg.w_c is not None else 0.6
     gamma = cfg.gamma if cfg.gamma is not None else 2.0
-    flow = sched.kind is ScheduleKind.FLOW_MATCHING
-    try:
-        return ladder(
-            sides, steps, [L / sched.T if flow and L > 1.0 else L for L in lasts[:-1]],
-            w_l=w_l, w_h=w_h, w_c=w_c, gamma=gamma, sched=sched,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def build_plan(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
-    if cfg.stages is not None:
-        return _parse_stage_triples(cfg, sched)
-    preset = _preset_with_overrides(cfg)
-    try:
-        return plan_from_preset(preset, cfg.base_side, sched)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return ladder(
+        sides, steps, [preset_timestep(L, sched) for L in lasts[:-1]],
+        w_l=w_l, w_h=w_h, w_c=w_c, gamma=gamma, sched=sched,
+    )
 
 
 def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> StagePlan:
@@ -210,6 +210,53 @@ def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> 
         [last.resolution.side], [sum(s.steps for s in plan.stages)], [],
         w_l=last.guidance.w_l, w_h=last.guidance.w_h, w_c=0.0, gamma=plan.gamma,
         sched=sched, train_side=plan.train_side,
+    )
+
+
+@_plan_builder
+def ablation_plan(cfg: RunConfig, param: str, value: float, sched: NoiseSchedule) -> StagePlan:
+    """The plan `frecas ablate` runs at one value of `param`: the settings'
+    plan with a guidance weight (w_l, w_h, w_c) replaced, with every non-final
+    L replaced (read by `preset_timestep`), or the preset's ladder re-cut into
+    N additional stages (N = 0 is the direct plan)."""
+    if param in ("w_l", "w_h", "w_c"):
+        return build_plan(replace(cfg, **{param: value}), sched)
+    if param == "L":
+        plan = build_plan(cfg, sched)
+        *head, last = plan.stages
+        L = preset_timestep(value, sched)
+        return replace(plan, stages=(*(replace(s, last_timestep=L) for s in head), last))
+    if param == "N":
+        if not (float(value).is_integer() and value >= 0):
+            raise ConfigError(f"N must be a non-negative integer, got {value}")
+        return _plan_for_n(cfg, int(value), sched)
+    raise ConfigError(f"unknown ablation parameter {param!r}; "
+                      "choose from w_h, w_l, w_c, N, L")
+
+
+def _plan_for_n(cfg: RunConfig, n: int, sched: NoiseSchedule) -> StagePlan:
+    """Cascade with n additional stages interpolating the preset's ladder."""
+    if cfg.stages is not None:
+        raise ConfigError("the N ablation needs a preset, not an explicit stage list")
+    if n == 0:
+        return build_direct_plan(cfg, build_plan(cfg, sched), sched)
+    preset = _preset_with_overrides(cfg)
+    budget = sum(preset.steps[1:])
+    if budget < n:
+        raise ConfigError(f"preset step budget {budget} too small for N={n}")
+    target_mult = preset.scale_per_stage[-1]
+    sides = [
+        int(round(cfg.base_side * target_mult ** (i / n))) for i in range(n + 1)
+    ]
+    if any(b <= a for a, b in zip(sides, sides[1:])):
+        raise ConfigError(f"N={n} collapses the resolution ladder {sides}")
+    extra = [budget // n] * n
+    for i in range(budget % n):
+        extra[-1 - i] += 1
+    L = preset_timestep(preset.last_timesteps[0], sched)
+    return ladder(
+        sides, [preset.steps[0], *extra], [L] * n,
+        w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
     )
 
 

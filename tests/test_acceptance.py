@@ -20,7 +20,6 @@ from frecas.cascade import (
     StageSpec,
     average_ca_maps,
     compute_cost,
-    direct_plan,
     fuse_ca_maps,
     plan_from_preset,
     resample_ca_map,
@@ -29,6 +28,7 @@ from frecas.cascade import (
 )
 from frecas.cli import main
 from frecas.codec import HAAR1, IDENTITY, decode, encode
+from frecas.config import RunConfig, build_direct_plan
 from frecas.freq import band_split, psd_decomposition
 from frecas.grid import LatentGrid, Resolution, seeded_gaussian, subseed
 from frecas.sampler import (
@@ -201,13 +201,13 @@ def test_criterion_6_coarse_to_fine_psd():
 def test_criterion_7_compute_proxy_speedups():
     with criterion(7, "preset cost units and proxy speedups (exact arithmetic)"):
         x4 = plan_from_preset(PRESETS["sdxl-x4"], 32, SCHED)
-        x4_direct = direct_plan(PRESETS["sdxl-x4"], 32, SCHED)
+        x4_direct = build_direct_plan(RunConfig(), x4, SCHED)
         assert compute_cost(x4) == 80.0
         assert compute_cost(x4_direct) == 200.0
         assert compute_cost(x4_direct) / compute_cost(x4) == 2.5
 
         x16 = plan_from_preset(PRESETS["sdxl-x16"], 32, SCHED)
-        x16_direct = direct_plan(PRESETS["sdxl-x16"], 32, SCHED)
+        x16_direct = build_direct_plan(RunConfig(), x16, SCHED)
         assert compute_cost(x16) == 290.0
         assert compute_cost(x16_direct) == 800.0
         assert compute_cost(x16_direct) / compute_cost(x16) == 800.0 / 290.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from frecas import _kernels
 from frecas.bank import CAMap, LatentBank, bank_resample, predict
@@ -9,16 +11,17 @@ from frecas.cascade import (
     StageSpec,
     average_ca_maps,
     compute_cost,
-    direct_plan,
     fuse_ca_maps,
     ladder,
     plan_from_preset,
+    preset_timestep,
     resample_ca_map,
     run_cascade,
     run_stage,
     transition,
 )
 from frecas.codec import HAAR1, IDENTITY, decode, encode
+from frecas.config import RunConfig, build_direct_plan
 from frecas.grid import LatentGrid, Resolution, resample_bilinear, seeded_gaussian, subseed
 from frecas.sampler import GuidanceWeights, cfg_combine, ddim_step, predict_z0
 from frecas.schedule import (
@@ -431,11 +434,11 @@ class TestPlansAndCost:
 
         sdxl4 = plan_from_preset(PRESETS["sdxl-x4"], 32, sched)
         assert compute_cost(sdxl4) == 80.0
-        assert compute_cost(direct_plan(PRESETS["sdxl-x4"], 32, sched)) == 200.0
+        assert compute_cost(build_direct_plan(RunConfig(), sdxl4, sched)) == 200.0
 
         sdxl16 = plan_from_preset(PRESETS["sdxl-x16"], 32, sched)
         assert compute_cost(sdxl16) == 290.0
-        assert compute_cost(direct_plan(PRESETS["sdxl-x16"], 32, sched)) == 800.0
+        assert compute_cost(build_direct_plan(RunConfig(), sdxl16, sched)) == 800.0
 
     def test_preset_consistency(self):
         for name, preset in PRESETS.items():
@@ -446,6 +449,13 @@ class TestPlansAndCost:
         fs = flow_schedule()
         plan = plan_from_preset(PRESETS["sd3-x4"], 16, fs)
         assert plan.stages[0].last_timestep == pytest.approx(0.05)
+
+    @given(st.floats(0.0, 5000.0), st.integers(1, 3000))
+    def test_preset_timestep_is_the_one_L_rule(self, L, T):
+        # VP takes every L as is; flow reads an L above 1 as a
+        # training-timestep index and an L of at most 1 as a time in [0, 1]
+        assert preset_timestep(L, vp_default(T)) == L
+        assert preset_timestep(L, flow_schedule(T)) == (L / T if L > 1 else L)
 
     def test_ladder_cuts_guidance_at_previous_side(self):
         plan = ladder([8, 12, 16], [4, 3, 2], [300, 100.5], w_l=7.5, w_h=35.0,

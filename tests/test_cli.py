@@ -86,10 +86,14 @@ class TestExitCodes:
             main(["sample", "--definitely-not-a-flag"])
         assert exc.value.code == EXIT_USAGE
 
-    def test_psd_on_flow_schedule_is_runtime_error(self, tmp_path, capsys):
+    def test_psd_on_flow_schedule_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("frecas.cli.build_bank_at", pytest.fail)
         code = main(["psd", "--preset", "sd3-x4", *FAST, "--out", str(tmp_path / "r")])
-        assert code == EXIT_RUNTIME
-        assert "variance-preserving" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("frecas: config error: psd analysis requires a "
+                       "variance-preserving schedule\n")
+        assert not (tmp_path / "r").exists()
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
@@ -302,14 +306,18 @@ class TestAblate:
 
     def test_sweeping_at_preset_values_reproduces_base_run(self, tmp_path):
         # sweeping any parameter at its preset value is the unmodified run,
-        # so different sweeps must produce identical metric rows
-        main(["ablate", "--param", "w_h", "--values", "35.0", *FAST,
-              "--seed", "2", "--out", str(tmp_path / "a")])
-        main(["ablate", "--param", "L", "--values", "200", *FAST,
-              "--seed", "2", "--out", str(tmp_path / "b")])
-        row_a = (tmp_path / "a" / "ablate_w_h.csv").read_text().strip().split("\n")[1]
-        row_b = (tmp_path / "b" / "ablate_L.csv").read_text().strip().split("\n")[1]
-        assert row_a.split(",")[1:] == row_b.split(",")[1:]
+        # so different sweeps must produce identical metric rows; on a flow
+        # schedule L = 50 is the training-timestep index of L = 0.05
+        def row(preset, param, value, out):
+            main(["ablate", "--preset", preset, "--param", param, "--values", value,
+                  *FAST, "--seed", "2", "--out", str(tmp_path / out)])
+            csv = (tmp_path / out / f"ablate_{param}.csv").read_text()
+            return csv.strip().split("\n")[1].split(",")[1:]
+
+        assert row("sdxl-x4", "w_h", "35.0", "a") == row("sdxl-x4", "L", "200", "b")
+        base = row("sd3-x4", "w_h", "35.0", "c")
+        assert row("sd3-x4", "L", "50", "d") == base
+        assert row("sd3-x4", "L", "0.05", "e") == base
 
 
 class TestBenchAndPresets:
@@ -319,7 +327,8 @@ class TestBenchAndPresets:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("cost_units = 6") == 6  # five runs + summary line
-        assert "mean_wall_seconds_last3" in out
+        assert "bench: median_wall_seconds = " in out
+        assert "bench: proxy_speedup = 2 measured_speedup = " in out
 
     def test_bench_x16_preset_cost(self, capsys):
         code = main(["bench", "--preset", "sdxl-x16", "--base-side", "8",

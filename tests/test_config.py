@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frecas.cascade import PRESETS
-from frecas.cli import EXIT_USAGE, _build_parser, _config_from_args, _plan_for_n, main
+from frecas.cli import EXIT_USAGE, _build_parser, _config_from_args, main
 from frecas.codec import HAAR1, IDENTITY
 from frecas.config import (
     ConfigError,
     RunConfig,
+    ablation_plan,
     build_bank,
     build_codec,
     build_direct_plan,
@@ -358,14 +359,14 @@ class TestLadderRoutes:
     def test_one_extra_stage_is_the_preset(self, name):
         cfg = RunConfig(preset=name)
         sched = build_schedule(cfg)
-        assert _plan_for_n(cfg, 1, sched) == build_plan(cfg, sched)
+        assert ablation_plan(cfg, "N", 1, sched) == build_plan(cfg, sched)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_no_extra_stage_is_the_direct_plan(self, name):
         cfg = RunConfig(preset=name)
         sched = build_schedule(cfg)
         plan = build_plan(cfg, sched)
-        assert _plan_for_n(cfg, 0, sched) == build_direct_plan(cfg, plan, sched)
+        assert ablation_plan(cfg, "N", 0, sched) == build_direct_plan(cfg, plan, sched)
 
 
 @st.composite
