@@ -2,17 +2,17 @@
 a finite latent bank, with conditional/unconditional modes and synthesized
 patchwise attention maps.
 
-For a bank {(x_k, class_k, w_k)} and a VP latent z_t = sqrt(a) x + sqrt(1-a) eps,
-the Bayes-optimal clean-signal estimate is
+For a bank {(x_k, class_k, w_k)} and a latent z_t = scale x + sigma eps (see
+:func:`frecas.schedule.forward_model`), the Bayes-optimal clean-signal
+estimate is
 
-    p_k  ~  w_k * exp(-||z_t - sqrt(a) x_k||^2 / (2 (1 - a)))
-    z0   =  sum_k p_k x_k
-    eps  =  (z_t - sqrt(a) z0) / sqrt(1 - a)
+    p_k    ~  w_k * exp(-||z_t - scale x_k||^2 / (2 sigma^2))
+    z0     =  sum_k p_k x_k
+    field  =  (z_t - c z0) / sigma
 
 over all K items; a condition zeroes the weights outside its class instead
-of slicing the bank. The flow-matching variant uses the interpolation
-kernel exp(-||z_t - (1-t) x_k||^2 / (2 t^2)) and returns the velocity
-(z_t - z0) / t. All posterior weights go through log-sum-exp.
+of slicing the bank. The field is the noise on VP schedules and the velocity
+on flow ones. All posterior weights go through log-sum-exp.
 
 Attention maps: the latent is tiled into p x p patches and each patch gets
 its own posterior over class ids from patch-restricted distances. These
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _kernels
 from .grid import LatentGrid, Resolution, read_grid, resample_bilinear, write_grid
-from .schedule import NoiseSchedule, ScheduleKind, alpha_at
+from .schedule import ForwardModel, NoiseSchedule, forward_model
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,9 @@ class CAMap:
             raise ValueError("one column per class required")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("attention values must be finite and non-negative")
-        if np.max(np.abs(v.sum(axis=1) - 1.0)) > 1e-6:
-            raise ValueError("attention rows must sum to 1")
+        err = np.max(np.abs(v.sum(axis=1) - 1.0))
+        if err > 1e-12:
+            raise ValueError(f"attention rows deviate from 1 by {err:.3e}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
@@ -86,6 +87,8 @@ class LatentBank:
     p = default_patch_size(side), and ``blocks[k, i]`` is the i-th p x p
     patch of item k (see :mod:`frecas._kernels`). :meth:`item` unblocks one
     item; no (K, C, side, side) stack is kept.
+    ``classes`` (sorted distinct ids), each item's ``class_index`` into them
+    and ``log_weights`` are computed once, here.
     """
 
     def __init__(self, items, class_ids, weights):
@@ -96,7 +99,7 @@ class LatentBank:
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if ids.ndim != 1 or ids.size < 1 or w.shape != ids.shape:
             raise ValueError("class_ids and weights must have one entry per item, K >= 1")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be positive and sum to 1")
         blocks, count = None, 0
         for item in items:
@@ -116,10 +119,13 @@ class LatentBank:
             count += 1
         if count != ids.size:
             raise ValueError("class_ids and weights must have one entry per item")
-        for a in (blocks, ids, w):
+        classes, class_index = np.unique(ids, return_inverse=True)
+        log_weights = np.log(w)
+        for a in (blocks, ids, w, class_index, log_weights):
             a.setflags(write=False)
-        self.blocks, self.class_ids, self.weights = blocks, ids, w
+        self.blocks, self.class_ids, self.weights, self.log_weights = blocks, ids, w, log_weights
         self.item_shape, self.patch_size = shape, p
+        self.classes, self.class_index = tuple(classes.tolist()), class_index
 
     @classmethod
     def from_items(cls, items):
@@ -146,9 +152,6 @@ class LatentBank:
     def item(self, k: int) -> LatentGrid:
         return LatentGrid(_kernels.from_blocks(self.blocks[k], self.item_shape, self.patch_size))
 
-    def classes(self) -> tuple:
-        return tuple(int(c) for c in np.unique(self.class_ids))
-
     @cached_property
     def patch_norms(self) -> np.ndarray:
         """||x_kp||^2 over the patches of every item, (K, P), read-only."""
@@ -173,26 +176,11 @@ def default_patch_size(side: int) -> int:
     return p
 
 
-def _kernel_params(sched: NoiseSchedule, t: float):
-    """(scale, variance) of the posterior kernel ||z - scale*x||^2 / (2 var)."""
-    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
-        if not 0.0 < t <= sched.T:
-            raise ValueError(f"denoiser needs t in (0, {sched.T}], got {t}")
-        a = alpha_at(sched, t)
-        if a >= 1.0:
-            raise ValueError("denoiser undefined at zero noise level")
-        return np.sqrt(a), 1.0 - a
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"denoiser needs flow time in (0, 1], got {t}")
-    return 1.0 - t, t * t
-
-
-def _class_log_evidence(log_patch, class_ids, classes):
+def _class_log_evidence(log_patch, class_index, n_classes):
     """LSE of per-item patch log-weights within each class: (n_classes, P)."""
-    out = np.empty((len(classes), log_patch.shape[1]))
-    for i, c in enumerate(classes):
-        rows = log_patch[class_ids == c]
+    out = np.empty((n_classes, log_patch.shape[1]))
+    for i in range(n_classes):
+        rows = log_patch[class_index == i]
         m = rows.max(axis=0)
         out[i] = m + np.log(np.exp(rows - m).sum(axis=0))
     return out
@@ -212,12 +200,14 @@ class Posterior:
     z_t: LatentGrid
     t: float
     sched: NoiseSchedule
-    scale: float
-    var: float
+    fwd: ForwardModel
     log_patch: np.ndarray  # (K, P) per-item patch log-weights
     evidence: np.ndarray  # (n_classes, P) per-class patch log-evidence
     d_full: np.ndarray  # (K,) whole-latent squared distances, row sums of the patch ones
     ca: CAMap
+
+    scale = property(lambda self: self.fwd.scale)
+    var = property(lambda self: self.fwd.var)
 
     def field(self, condition: int | None, ca_mixture: CAMap | None = None) -> LatentGrid:
         """Predicted noise (VP) or velocity (flow) under ``condition``.
@@ -250,7 +240,7 @@ class Posterior:
         """Posterior means weighting all K items, a condition masking the
         other classes; (len(conditions), P, D) blocks from one product."""
         bank = self.bank
-        lw = np.log(bank.weights) - self.d_full / (2.0 * self.var)
+        lw = bank.log_weights - self.d_full / (2.0 * self.var)
         post = np.empty((len(conditions), bank.size))
         for row, condition in zip(post, conditions):
             row[:] = lw
@@ -266,18 +256,13 @@ class Posterior:
         """Within-class patch posteriors times the mixture weight of each
         item's class, mixed per patch: (P, D) blocks."""
         bank = self.bank
-        cls_index = np.searchsorted(np.asarray(self.ca.classes), bank.class_ids)
-        item_resp = np.exp(self.log_patch - self.evidence[cls_index, :])  # (K, P)
-        mix = ca_mixture.values.T[cls_index, :]  # (K, P)
+        item_resp = np.exp(self.log_patch - self.evidence[bank.class_index, :])  # (K, P)
+        mix = ca_mixture.values.T[bank.class_index, :]  # (K, P)
         return _kernels.patch_mix(bank.blocks, item_resp * mix)
 
     def _field(self, z0_blocks) -> LatentGrid:
         z0 = _kernels.from_blocks(z0_blocks, self.bank.item_shape, self.bank.patch_size)
-        if self.sched.kind is ScheduleKind.VARIANCE_PRESERVING:
-            out = (self.z_t.data - self.scale * z0) / np.sqrt(self.var)
-        else:
-            out = (self.z_t.data - z0) / self.t
-        return LatentGrid(out)
+        return LatentGrid(self.fwd.field(self.z_t.data, z0))
 
 
 def posterior(
@@ -295,22 +280,21 @@ def posterior(
     """
     if bank.item_shape != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
-    scale, var = _kernel_params(sched, t)
+    fwd = forward_model(sched, t)
+    if fwd.var < np.finfo(float).tiny:  # t = 0, or too close for 1 / (2 var)
+        raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
     p = bank.patch_size
-    classes = bank.classes()
-
-    log_prior = np.log(bank.weights)
-    d_patch = _kernels.patch_sq_dists(bank.blocks, _kernels.to_blocks(z_t.data, p), scale,
+    d_patch = _kernels.patch_sq_dists(bank.blocks, _kernels.to_blocks(z_t.data, p), fwd.scale,
                                       bank.patch_norms)
-    log_patch = log_prior[:, None] - d_patch / (2.0 * var)  # (K, P)
+    log_patch = bank.log_weights[:, None] - d_patch / (2.0 * fwd.var)  # (K, P)
     d_full = d_patch.sum(axis=1)
 
-    evidence = _class_log_evidence(log_patch, bank.class_ids, classes)
+    evidence = _class_log_evidence(log_patch, bank.class_index, len(bank.classes))
     m = evidence.max(axis=0)
     resp = np.exp(evidence - m)
     g = z_t.height // p
-    ca = CAMap((resp / resp.sum(axis=0)).T, g, g, classes)
-    return Posterior(bank, z_t, t, sched, scale, var, log_patch, evidence, d_full, ca)
+    ca = CAMap((resp / resp.sum(axis=0)).T, g, g, bank.classes)
+    return Posterior(bank, z_t, t, sched, fwd, log_patch, evidence, d_full, ca)
 
 
 def predict(
@@ -438,10 +422,12 @@ def load_bank(directory) -> LatentBank:
             try:
                 name, cls, weight = line.split()
                 cls, weight = int(cls), float(weight)
+                if not (-2**63 <= cls < 2**63 and 0.0 < weight < np.inf):
+                    raise ValueError
             except ValueError:
                 raise ValueError(
-                    f"{manifest}:{lineno}: expected 'filename class_id weight', "
-                    f"got {line.strip()!r}"
+                    f"{manifest}:{lineno}: expected 'filename class_id weight' with an "
+                    f"int64 class id and a positive finite weight, got {line.strip()!r}"
                 ) from None
             items.append((read_grid(os.path.join(directory, name)), cls, weight))
     if not items:

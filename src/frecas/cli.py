@@ -116,10 +116,9 @@ def _manifest_entries(cfg: RunConfig, plan, report, direct_cost, outputs):
 
 def _check_condition(cfg: RunConfig, bank: LatentBank) -> None:
     """Reject a condition with no bank items before any sampling starts."""
-    classes = bank.classes()
-    if cfg.condition not in classes:
+    if cfg.condition not in bank.classes:
         raise ConfigError(f"condition {cfg.condition} is not a class of the bank; "
-                          f"available: {', '.join(str(c) for c in classes)}")
+                          f"available: {', '.join(str(c) for c in bank.classes)}")
 
 
 def cmd_sample(cfg: RunConfig) -> int:

@@ -39,7 +39,7 @@ from functools import wraps
 from typing import get_args
 
 from .bank import LatentBank, load_bank, make_bank
-from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset, preset_timestep
+from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset, stage_timesteps
 from .codec import HAAR1, IDENTITY, LatentCodec, encode
 from .grid import Resolution
 from .schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
@@ -196,7 +196,7 @@ def build_plan(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
     w_c = cfg.w_c if cfg.w_c is not None else 0.6
     gamma = cfg.gamma if cfg.gamma is not None else 2.0
     return ladder(
-        sides, steps, [preset_timestep(L, sched) for L in lasts[:-1]],
+        sides, steps, stage_timesteps(lasts[:-1], sched),
         w_l=w_l, w_h=w_h, w_c=w_c, gamma=gamma, sched=sched,
     )
 
@@ -217,14 +217,14 @@ def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> 
 def ablation_plan(cfg: RunConfig, param: str, value: float, sched: NoiseSchedule) -> StagePlan:
     """The plan `frecas ablate` runs at one value of `param`: the settings'
     plan with a guidance weight (w_l, w_h, w_c) replaced, with every non-final
-    L replaced (read by `preset_timestep`), or the preset's ladder re-cut into
+    L replaced (read by `stage_timesteps`), or the preset's ladder re-cut into
     N additional stages (N = 0 is the direct plan)."""
     if param in ("w_l", "w_h", "w_c"):
         return build_plan(replace(cfg, **{param: value}), sched)
     if param == "L":
         plan = build_plan(cfg, sched)
         *head, last = plan.stages
-        L = preset_timestep(value, sched)
+        L, = stage_timesteps([value], sched)
         return replace(plan, stages=(*(replace(s, last_timestep=L) for s in head), last))
     if param == "N":
         if not (float(value).is_integer() and value >= 0):
@@ -253,9 +253,8 @@ def _plan_for_n(cfg: RunConfig, n: int, sched: NoiseSchedule) -> StagePlan:
     extra = [budget // n] * n
     for i in range(budget % n):
         extra[-1 - i] += 1
-    L = preset_timestep(preset.last_timesteps[0], sched)
     return ladder(
-        sides, [preset.steps[0], *extra], [L] * n,
+        sides, [preset.steps[0], *extra], stage_timesteps([preset.last_timesteps[0]] * n, sched),
         w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
     )
 

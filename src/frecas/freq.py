@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import LatentGrid, Resolution, resample_bilinear
-from .schedule import NoiseSchedule, alpha_at, diffuse
+from .schedule import NoiseSchedule, diffuse, forward_model, require_vp
 
 
 def nyquist(res: Resolution) -> float:
@@ -130,16 +130,16 @@ def psd_decomposition(
     """PSD decomposition of a forward-diffused latent.
 
     Returns (psd_total, psd_noise, psd_signal): the curve of the noisy
-    latent, the curve of its injected noise part sqrt(1 - a_t) * eps, and
+    latent, the curve of its injected noise part sigma_t * eps, and
     the clamped difference max(total - noise, 0) estimating the clean-signal
     energy per band.
     """
     if z0.shape != noise.shape:
         raise ValueError(f"shape mismatch: {z0.shape} vs {noise.shape}")
-    a = alpha_at(sched, t)  # also validates VP schedule and t domain
+    require_vp(sched)
     z_t = diffuse(z0, t, noise, sched)
     psd_total = radial_psd(z_t, n_bins)
-    noise_part = LatentGrid(np.sqrt(1.0 - a) * noise.data)
+    noise_part = LatentGrid(forward_model(sched, t).sigma * noise.data)
     psd_noise = radial_psd(noise_part, n_bins)
     signal = np.maximum(psd_total.power - psd_noise.power, 0.0)
     psd_signal = PsdCurve(psd_total.freqs, signal, psd_total.resolution)

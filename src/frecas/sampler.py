@@ -19,7 +19,7 @@ import numpy as np
 
 from .freq import band_split
 from .grid import LatentGrid, Resolution
-from .schedule import NoiseSchedule, ScheduleKind, alpha_at
+from .schedule import NoiseSchedule, diffuse, forward_model, require_vp
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,11 @@ def facfg_combine(
 def predict_z0(
     z_t: LatentGrid, eps_hat: LatentGrid, t: float, sched: NoiseSchedule
 ) -> LatentGrid:
-    """Clean-signal estimate from the noisy latent and a predicted field.
-
-    VP: (z_t - sqrt(1 - a_t) * eps_hat) / sqrt(a_t), the exact inverse of
-    the forward form. Flow: z_t - t * v_hat with v_hat a velocity.
-    """
+    """Clean-signal estimate from the noisy latent and a predicted field (a
+    noise on VP, a velocity on flow), the exact inverse of the field's form."""
     if z_t.shape != eps_hat.shape:
         raise ValueError(f"shape mismatch: {z_t.shape} vs {eps_hat.shape}")
-    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
-        a = alpha_at(sched, t)
-        return LatentGrid((z_t.data - np.sqrt(1.0 - a) * eps_hat.data) / np.sqrt(a))
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"flow time {t} outside [0, 1]")
-    return LatentGrid(z_t.data - t * eps_hat.data)
+    return LatentGrid(forward_model(sched, t).clean(z_t.data, eps_hat.data))
 
 
 def ddim_step(
@@ -84,9 +75,8 @@ def ddim_step(
     """Deterministic (eta = 0) DDIM update from t down to t_prev."""
     if t_prev > t:
         raise ValueError(f"t_prev {t_prev} must not exceed t {t}")
-    z0 = predict_z0(z_t, eps_hat, t, sched)
-    a_prev = alpha_at(sched, t_prev)
-    return LatentGrid(np.sqrt(a_prev) * z0.data + np.sqrt(1.0 - a_prev) * eps_hat.data)
+    require_vp(sched)
+    return diffuse(predict_z0(z_t, eps_hat, t, sched), t_prev, eps_hat, sched)
 
 
 def euler_flow_step(

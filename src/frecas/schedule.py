@@ -1,4 +1,4 @@
-"""Noise schedules, SNR arithmetic, forward diffusion, and the closed-form
+"""Noise schedules, SNR arithmetic, the forward model, and the closed-form
 timestep shifts that keep SNR matched across resolution changes.
 
 Two schedule kinds are supported:
@@ -8,10 +8,15 @@ Two schedule kinds are supported:
   are real-valued in [0, T]; a_t is evaluated by piecewise-linear
   interpolation between the integer grid points, with a_0 = 1.
 * flow matching: z_t = (1 - t) z_0 + t eps over continuous t in [0, 1].
+
+Both are z_t = scale z_0 + sigma eps. :func:`forward_model` gives these
+coefficients at t and the c of the field (z_t - c z_0) / sigma a denoiser
+predicts: the noise on VP (c = scale), the velocity eps - z_0 on flow (c = 1).
 """
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,14 +84,14 @@ def flow_schedule(T: int = DEFAULT_T) -> NoiseSchedule:
     return NoiseSchedule(ScheduleKind.FLOW_MATCHING, T)
 
 
-def _require_vp(sched: NoiseSchedule):
+def require_vp(sched: NoiseSchedule):
     if sched.kind is not ScheduleKind.VARIANCE_PRESERVING:
         raise ValueError("operation requires a variance-preserving schedule")
 
 
 def alpha_at(sched: NoiseSchedule, t: float) -> float:
     """a_t by piecewise-linear interpolation; a_0 = 1."""
-    _require_vp(sched)
+    require_vp(sched)
     t = float(t)
     if not 0.0 <= t <= sched.T:
         raise ValueError(f"timestep {t} outside [0, {sched.T}]")
@@ -101,7 +106,7 @@ def alpha_at(sched: NoiseSchedule, t: float) -> float:
 def alpha_inverse(sched: NoiseSchedule, target: float) -> float:
     """The t with a_t = target on the interpolated curve: a table search for
     the bracketing segment, then one linear solve, so a_i maps back to i."""
-    _require_vp(sched)
+    require_vp(sched)
     if not sched.alpha[-1] <= target <= 1.0:
         raise ValueError(
             f"alpha {target} outside the schedule range [{sched.alpha[-1]:.3e}, 1]"
@@ -113,24 +118,47 @@ def alpha_inverse(sched: NoiseSchedule, target: float) -> float:
 
 def snr(sched: NoiseSchedule, t: float) -> float:
     """Signal-to-noise ratio a_t / (1 - a_t); diverges at t = 0."""
-    _require_vp(sched)
+    require_vp(sched)
     a = alpha_at(sched, t)
     if a >= 1.0:
         raise ValueError("SNR is infinite at t = 0")
     return a / (1.0 - a)
 
 
+class ForwardModel(NamedTuple):
+    """z_t = scale z_0 + sigma eps at one t, with var = sigma**2 as the
+    schedule computes it, and the field (z_t - c z_0) / sigma."""
+
+    scale: float
+    sigma: float
+    var: float
+    c: float
+
+    def field(self, z_t, z0):
+        return (z_t - self.c * z0) / self.sigma
+
+    def clean(self, z_t, field):
+        return (z_t - self.sigma * field) / self.c
+
+
+def forward_model(sched: NoiseSchedule, t: float) -> ForwardModel:
+    """The forward-model coefficients at t in [0, t_max]."""
+    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
+        a = alpha_at(sched, t)
+        scale = np.sqrt(a)
+        return ForwardModel(scale, np.sqrt(1.0 - a), 1.0 - a, scale)
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"flow time {t} outside [0, 1]")
+    return ForwardModel(1.0 - t, t, t * t, 1.0)
+
+
 def diffuse(z0: LatentGrid, t: float, noise: LatentGrid, sched: NoiseSchedule) -> LatentGrid:
     """Forward diffusion to timestep t with the given noise realization."""
     if z0.shape != noise.shape:
         raise ValueError(f"shape mismatch: {z0.shape} vs {noise.shape}")
-    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
-        a = alpha_at(sched, t)
-        return LatentGrid(np.sqrt(a) * z0.data + np.sqrt(1.0 - a) * noise.data)
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"flow time {t} outside [0, 1]")
-    return LatentGrid((1.0 - t) * z0.data + t * noise.data)
+    fwd = forward_model(sched, t)
+    return LatentGrid(fwd.scale * z0.data + fwd.sigma * noise.data)
 
 
 def shift_timestep_vp(L: float, ratio: float, gamma: float, sched: NoiseSchedule) -> float:
@@ -143,7 +171,7 @@ def shift_timestep_vp(L: float, ratio: float, gamma: float, sched: NoiseSchedule
     Written with 1 - a_L, the denominator cannot round to 0 when a_L rounds
     to 1; an r that underflows to 0 gives a_F = 0, below the schedule.
     """
-    _require_vp(sched)
+    require_vp(sched)
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"resolution ratio must be in (0, 1], got {ratio}")
     if gamma < 0.0:

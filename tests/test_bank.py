@@ -86,7 +86,7 @@ class TestBankType:
 
     def test_classes_sorted_unique(self, rng):
         bank = small_bank(rng, n_items=5, n_classes=2)
-        assert bank.classes() == (0, 1)
+        assert bank.classes == (0, 1)
 
     def test_patch_norms_are_computed_once_at_the_banks_patch_size(self, rng):
         bank = small_bank(rng, n_items=3, channels=2, side=16)
@@ -448,6 +448,35 @@ class TestCaMaps:
         expected = (z.data[0] - np.sqrt(a) * z0) / np.sqrt(1 - a)
         np.testing.assert_allclose(eps.data[0], expected, rtol=1e-9)
 
+    def test_class_ids_need_not_be_0_to_n(self, rng):
+        # unsorted, negative and gapped ids: each item's class column comes
+        # from the bank's class index, not from its id
+        stack = rng.standard_normal((9, 1, 8, 8))
+        w = rng.uniform(0.5, 2.0, 9)
+        bank = LatentBank(stack, np.tile([12, -3, 7], 3), w / w.sum())
+        assert bank.classes == (-3, 7, 12)
+        z = rand_grid(rng, channels=1, side=8)
+        post = posterior(bank, z, 400, SCHED)
+        assert post.ca.classes == bank.classes
+        for condition in (None, -3, 7, 12):
+            np.testing.assert_allclose(post.field(condition).data,
+                                       direct_field(bank, z, 400, condition, SCHED),
+                                       rtol=1e-9, atol=1e-9)
+        onehot = np.zeros((64, 3))
+        onehot[:, 2] = 1.0  # class 12's column
+        eps = post.field(12, ca_mixture=CAMap(onehot, 8, 8, bank.classes))
+        # oracle: per-pixel posterior over the class-12 items
+        a = alpha_at(SCHED, 400)
+        members = np.flatnonzero(bank.class_ids == 12)
+        items = stack[members, 0]
+        logw = np.log(bank.weights[members])[:, None, None] - (
+            (z.data[0][None] - np.sqrt(a) * items) ** 2
+        ) / (2 * (1 - a))
+        p = np.exp(logw - logw.max(axis=0))
+        p /= p.sum(axis=0)
+        expected = (z.data[0] - np.sqrt(a) * (p * items).sum(axis=0)) / np.sqrt(1 - a)
+        np.testing.assert_allclose(eps.data[0], expected, rtol=1e-9)
+
     def test_mixture_changes_prediction(self, rng):
         bank = small_bank(rng, n_items=6, channels=1, side=8, n_classes=2)
         z = rand_grid(rng, channels=1, side=8)
@@ -474,7 +503,7 @@ class TestProceduralBanks:
         bank = make_value_noise_bank(32, channels=3, n_items=20, n_classes=4, seed=1)
         assert (bank.size, bank.item_shape) == (20, (3, 32, 32))
         assert bank.blocks.shape == (20, 8 * 8, 3 * 4 * 4)  # patch size 4 at side 32
-        assert bank.classes() == (0, 1, 2, 3)
+        assert bank.classes == (0, 1, 2, 3)
         np.testing.assert_allclose(bank.weights.sum(), 1.0, atol=1e-12)
 
     def test_value_noise_bank_deterministic(self):
@@ -514,6 +543,9 @@ class TestSerialization:
         "item_0000.frcg 0 0.5 extra",
         "item_0000.frcg zero 0.5",
         "item_0000.frcg 0 half",
+        "item_0000.frcg 9223372036854775808 0.5",  # one past the largest int64
+        "item_0000.frcg 0 nan",
+        "item_0000.frcg 0 -0.5",
     ])
     def test_malformed_manifest_line_is_named(self, rng, tmp_path, line):
         write_grid(tmp_path / "item_0000.frcg", rand_grid(rng, channels=1, side=4))

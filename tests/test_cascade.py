@@ -185,7 +185,7 @@ class TestRunStage:
         plan = toy_plan(steps=(1, 1))
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
         out, avg = run_stage(plan.stages[0], z, 1000.0, bank_resample(bank, Resolution(8)),
-                             1, plan, 0)
+                             1, plan)
         assert out.shape == z.shape
         np.testing.assert_allclose(avg.values.sum(axis=1), 1.0, atol=1e-12)
 
@@ -194,8 +194,8 @@ class TestRunStage:
         plan = toy_plan()
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
         small = bank_resample(bank, Resolution(8))
-        a, _ = run_stage(plan.stages[0], z, 1000.0, small, 1, plan, 0)
-        b, _ = run_stage(plan.stages[0], z, 1000.0, small, 1, plan, 0)
+        a, _ = run_stage(plan.stages[0], z, 1000.0, small, 1, plan)
+        b, _ = run_stage(plan.stages[0], z, 1000.0, small, 1, plan)
         assert np.array_equal(a.data, b.data)
 
     def test_stage0_with_w1_depends_only_on_conditional(self, rng):
@@ -203,7 +203,7 @@ class TestRunStage:
         bank = toy_bank(rng, side=8, n_items=6, n_classes=2)
         plan = toy_plan(w=(1.0, 1.0))
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
-        out, _ = run_stage(plan.stages[0], z, 1000.0, bank, 1, plan, 0)
+        out, _ = run_stage(plan.stages[0], z, 1000.0, bank, 1, plan)
         grid = np.linspace(1000.0, 200.0, 5)
         manual = z
         for t, t_next in zip(grid[:-1], grid[1:]):
@@ -219,7 +219,7 @@ class TestRunStage:
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
         skewed = CAMap(np.tile([0.9, 0.1], (64, 1)), 8, 8, (0, 1))
         with_maps, _ = run_stage(plan.stages[1], z, 500.0, toy_bank(rng, side=8, n_items=6, n_classes=2),
-                                 1, plan, 1, reused_maps=skewed)
+                                 1, plan, reused_maps=skewed)
         assert with_maps.shape == z.shape
 
     def test_reused_map_is_regridded_to_the_stage_grid(self, rng):
@@ -228,8 +228,8 @@ class TestRunStage:
         plan = toy_plan()
         z = LatentGrid(rng.standard_normal((2, 16, 16)))
         coarse = _random_map(rng, 4, 4, (0, 1))
-        a, avg_a = run_stage(plan.stages[1], z, 500.0, bank, 1, plan, 1, reused_maps=coarse)
-        b, avg_b = run_stage(plan.stages[1], z, 500.0, bank, 1, plan, 1,
+        a, avg_a = run_stage(plan.stages[1], z, 500.0, bank, 1, plan, reused_maps=coarse)
+        b, avg_b = run_stage(plan.stages[1], z, 500.0, bank, 1, plan,
                              reused_maps=resample_ca_map(coarse, 8, 8))
         np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(avg_a.values, avg_b.values)
@@ -248,10 +248,10 @@ class TestRunStage:
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
         if with_map:
             reused = CAMap(np.tile([0.7, 0.3], (64, 1)), 8, 8, (0, 1))
-            run_stage(plan.stages[1], z, 500.0, bank, 1, plan, 1, reused_maps=reused)
+            run_stage(plan.stages[1], z, 500.0, bank, 1, plan, reused_maps=reused)
             steps = 3
         else:
-            run_stage(plan.stages[0], z, 1000.0, bank, 1, plan, 0)
+            run_stage(plan.stages[0], z, 1000.0, bank, 1, plan)
             steps = 5
         assert calls == {"patch_sq_dists": steps, "sq_dists": 0}
 
@@ -321,7 +321,7 @@ class TestRunCascade:
             z = ddim_step(z, cfg_combine(eps_unc, eps_c, w), t, t_next, SCHED)
         np.testing.assert_allclose(image.data, z.data, atol=1e-9)
 
-    def test_verify_mode_passes_clean_run(self, rng):
+    def test_clean_run_passes_row_and_snr_checks(self, rng):
         # the row-stochastic and SNR checks run on every call
         bank = toy_bank(rng)
         plan = toy_plan()
@@ -335,7 +335,7 @@ class TestRunCascade:
             return CAMap(m.values * (1.0 + 1e-9), m.rows_h, m.rows_w, m.classes)
 
         monkeypatch.setattr("frecas.cascade.fuse_ca_maps", skewed)
-        with pytest.raises(AssertionError, match="attention rows deviate"):
+        with pytest.raises(ValueError, match="attention rows deviate"):
             run_cascade(toy_plan(), IDENTITY, toy_bank(rng), 0, seed=2)
 
     def test_missed_entry_snr_fails_the_run(self, rng, monkeypatch):

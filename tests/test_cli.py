@@ -3,7 +3,8 @@ import pytest
 
 from frecas.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from frecas.config import ConfigError, RunConfig, build_plan, build_schedule
-from frecas.grid import read_grid
+from frecas.bank import LatentBank, save_bank
+from frecas.grid import LatentGrid, read_grid, write_grid
 
 FAST = ["--base-side", "8", "--bank-items", "8", "--bank-channels", "3"]
 
@@ -105,17 +106,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("item,manifest", [
         (b"FRCG" + b"\xff" * 12, "item_0000.frcg 0 1.0\n"),
         (None, "item_0000.frcg 0 1.0 2\n"),
+        # a valid grid of the plan's target shape behind a bad id or weight
+        ("grid", "item_0000.frcg 99999999999999999999 1.0\n"),
+        ("grid", "item_0000.frcg 0 nan\n"),
+        ("grid", "item_0000.frcg 0 -1.0\n"),
     ])
     def test_malformed_bank_is_runtime_error(self, tmp_path, capsys, item, manifest):
         bank = tmp_path / "bank"
         bank.mkdir()
-        if item is not None:
+        if item == "grid":
+            write_grid(bank / "item_0000.frcg", LatentGrid(np.zeros((3, 16, 16))))
+        elif item is not None:
             (bank / "item_0000.frcg").write_bytes(item)
         (bank / "manifest.txt").write_text(manifest)
         code = main(["sample", *FAST, "--bank-path", str(bank), "--out", str(tmp_path / "r")])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("frecas: error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+        if item == "grid":  # rejected as the manifest is read, naming its line
+            assert "manifest.txt:1: " in err
 
     def test_oversized_bank_is_runtime_error(self, tmp_path, capsys):
         # 10^12 items of 3x64x64 float64 is 87.3 PiB: the allocation is
@@ -170,6 +180,30 @@ class TestExitCodes:
         assert err == ("frecas: config error: condition 99 is not a class of the bank; "
                        "available: 0, 1, 2, 3\n")
         assert not (tmp_path / "r").exists()
+
+    def test_unknown_condition_lists_unsorted_bank_ids(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(3)
+        save_bank(tmp_path / "bank", LatentBank(rng.standard_normal((6, 3, 16, 16)),
+                                                np.tile([12, -3, 7], 2), np.full(6, 1 / 6)))
+        monkeypatch.setattr("frecas.cli.run_cascade", pytest.fail)
+        code = main(["sample", *FAST, "--bank-path", str(tmp_path / "bank"), "--condition", "5",
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ("frecas: config error: condition 5 is not a class "
+                                           "of the bank; available: -3, 7, 12\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--preset", "sd3-x4", "--param", "L", "--values", "1000"],
+        ["sample", "--schedule", "flow", "--stages", "16:4:1000,32:2:0"],
+    ])
+    def test_flow_L_error_names_the_L_as_written(self, tmp_path, capsys, monkeypatch, argv):
+        # 1000 is training timestep T, flow time 1: the error names 1000, not 1
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main([*argv, *FAST, "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("frecas: config error: non-final stages must stop below the "
+                       "schedule's t_max = 1, got L = 1000\n")
 
     def test_unknown_ablate_param_is_usage_error(self, tmp_path):
         code = main(["ablate", "--param", "zeta", "--values", "1", *FAST,

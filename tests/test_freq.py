@@ -14,7 +14,7 @@ from frecas.freq import (
     write_psd_csv,
 )
 from frecas.grid import LatentGrid, Resolution, seeded_gaussian
-from frecas.schedule import NoiseSchedule, ScheduleKind, vp_default
+from frecas.schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
 
 from conftest import rand_grid
 
@@ -163,6 +163,11 @@ class TestPsdDecomposition:
         z0, noise = rand_grid(rng, side=16), rand_grid(rng, side=16)
         _, _, signal = psd_decomposition(z0, noise, 700, SCHED)
         assert np.all(signal.power >= 0)
+
+    def test_flow_schedule_rejected(self, rng):
+        z0, noise = rand_grid(rng, side=16), rand_grid(rng, side=16)
+        with pytest.raises(ValueError, match="variance-preserving"):
+            psd_decomposition(z0, noise, 0.5, flow_schedule())
 
     def test_band_energy_fractions_sum_to_one(self, rng):
         curve = radial_psd(rand_grid(rng, side=32))

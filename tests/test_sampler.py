@@ -174,6 +174,11 @@ class TestDdim:
         with pytest.raises(ValueError):
             ddim_step(rand_grid(rng), rand_grid(rng), 100, 200, SCHED)
 
+    def test_flow_schedule_rejected(self, rng):
+        # a flow field is a velocity, not the noise DDIM re-noises with
+        with pytest.raises(ValueError, match="variance-preserving"):
+            ddim_step(rand_grid(rng), rand_grid(rng), 0.5, 0.25, FLOW)
+
 
 class TestEulerFlow:
     def test_no_move_when_times_equal(self, rng):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from frecas.bank import LatentBank, posterior
 from frecas.grid import LatentGrid
+from frecas.sampler import predict_z0
 from frecas.schedule import (
     NoiseSchedule,
     ScheduleKind,
@@ -13,6 +15,7 @@ from frecas.schedule import (
     alpha_inverse,
     diffuse,
     flow_schedule,
+    forward_model,
     shift_timestep_flow,
     shift_timestep_vp,
     snr,
@@ -252,3 +255,50 @@ class TestShiftFlow:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             shift_timestep_flow(1.5, 4.0)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestForwardModel:
+    """z_t = scale z0 + sigma eps, and the field f = (z_t - c z0) / sigma:
+    f is eps on VP and the velocity eps - z0 on flow."""
+
+    @staticmethod
+    def draw_case(data, sched):
+        t = data.draw(st.floats(0.0, sched.t_max, exclude_min=True), label="t")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        z0, eps = rng.standard_normal((2, 1, 4, 4))
+        f = eps if sched.kind is ScheduleKind.VARIANCE_PRESERVING else eps - z0
+        return t, LatentGrid(z0), LatentGrid(eps), f
+
+    @pytest.mark.parametrize("sched", [SCHED, flow_schedule()], ids=["vp", "flow"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_predict_z0_inverts_diffuse(self, sched, data):
+        t, z0, eps, f = self.draw_case(data, sched)
+        fwd = forward_model(sched, t)
+        z_t = diffuse(z0, t, eps, sched)
+        rec = predict_z0(z_t, LatentGrid(f), t, sched)
+        # rounding of z_t, of sigma f and of their difference, divided by c
+        budget = 8 * EPS * (np.abs(z_t.data) + fwd.scale * np.abs(z0.data)
+                            + fwd.sigma * (np.abs(eps.data) + np.abs(f))) / fwd.c
+        assert np.all(np.abs(rec.data - z0.data) <= budget)
+
+    @pytest.mark.parametrize("sched", [SCHED, flow_schedule()], ids=["vp", "flow"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_one_item_posterior_field_is_the_forward_field(self, sched, data):
+        t, x, eps, f = self.draw_case(data, sched)
+        fwd = forward_model(sched, t)
+        bank = LatentBank(x.data[None], [5], [1.0])
+        z_t = diffuse(x, t, eps, sched)
+        if fwd.var < np.finfo(float).tiny:
+            with pytest.raises(ValueError, match="zero noise level"):
+                posterior(bank, z_t, t, sched)
+            return
+        field = posterior(bank, z_t, t, sched).field(None).data
+        # the posterior mean is x exactly; z_t - c x cancels, then / sigma
+        budget = 8 * EPS * (np.abs(z_t.data) + fwd.c * np.abs(x.data)
+                            + fwd.sigma * np.abs(f)) / fwd.sigma
+        assert np.all(np.abs(field - f) <= budget)
