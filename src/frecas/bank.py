@@ -33,6 +33,11 @@ the unconditional and conditional predictions are one (2, K) @ (K, P*C*p*p)
 product, weighting all K items with the condition masking the other
 classes; the mixture is one (P, 1, K) @ (P, K, C*p*p) product. The
 whole-latent distances are the row sums of the patch distances.
+
+Every bank is built as ``LatentBank(items, class_ids, weights)`` from a
+stream of items, each blocked as it arrives: :func:`make_bank` encodes each
+procedural item as it is drawn and :func:`load_bank` reads one saved grid at
+a time, so no build holds a second bank or a list of grids.
 """
 
 import os
@@ -42,6 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from .codec import IDENTITY, LatentCodec, encode
 from .grid import LatentGrid, Resolution, read_grid, resample_bilinear, write_grid
 from .schedule import ForwardModel, NoiseSchedule, forward_model
 
@@ -126,13 +132,6 @@ class LatentBank:
         self.blocks, self.class_ids, self.weights, self.log_weights = blocks, ids, w, log_weights
         self.item_shape, self.patch_size = shape, p
         self.classes, self.class_index = tuple(classes.tolist()), class_index
-
-    @classmethod
-    def from_items(cls, items):
-        """Build from an iterable of (LatentGrid, class_id, weight) triples."""
-        grids, ids, w = zip(*items)
-        w = np.asarray(w, dtype=np.float64)
-        return cls((g.data for g in grids), np.asarray(ids), w / w.sum())
 
     @property
     def size(self) -> int:
@@ -281,13 +280,16 @@ def posterior(
     if bank.item_shape != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
     fwd = forward_model(sched, t)
-    if fwd.var < np.finfo(float).tiny:  # t = 0, or too close for 1 / (2 var)
-        raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
     p = bank.patch_size
     d_patch = _kernels.patch_sq_dists(bank.blocks, _kernels.to_blocks(z_t.data, p), fwd.scale,
                                       bank.patch_norms)
-    log_patch = bank.log_weights[:, None] - d_patch / (2.0 * fwd.var)  # (K, P)
     d_full = d_patch.sum(axis=1)
+    # zero noise: var is 0 or subnormal, or a distance over 2 var would reach
+    # max / 2 (var * max itself cannot overflow for var <= 1)
+    info = np.finfo(float)
+    if not (fwd.var >= info.tiny and d_full.max() < fwd.var * info.max):
+        raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
+    log_patch = bank.log_weights[:, None] - d_patch / (2.0 * fwd.var)  # (K, P)
 
     evidence = _class_log_evidence(log_patch, bank.class_index, len(bank.classes))
     m = evidence.max(axis=0)
@@ -353,51 +355,40 @@ def _shape_mask(rng, side: int, kind: int) -> np.ndarray:
     return (np.abs((yy - cy) + (xx - cx)) < r // 2 + 1).astype(float)  # diagonal bar
 
 
-def make_value_noise_bank(
-    side: int,
-    channels: int = 3,
-    n_items: int = 100,
-    n_classes: int = 4,
-    seed: int = 0,
-) -> LatentBank:
-    """Multi-octave value-noise textures plus geometric shapes, grouped into
-    classes that differ by shape vocabulary."""
-    rng = np.random.default_rng(int(seed))
+def _value_noise_items(rng, side, channels, ids):
+    """Multi-octave value-noise textures plus geometric shapes, one item per
+    class id; classes differ by shape vocabulary."""
+    for cls in ids:
+        item = np.stack([_value_noise(rng, side) for _ in range(channels)])
+        item -= item.mean()
+        item /= item.std()
+        for _ in range(2):
+            mask = _shape_mask(rng, side, cls % 4)
+            item += _SHAPE_AMPLITUDE * float(rng.normal()) * mask[None]
+        yield item / item.std()
 
-    def items():
-        for k in range(n_items):
-            item = np.stack([_value_noise(rng, side) for _ in range(channels)])
-            item -= item.mean()
-            item /= item.std()
-            for _ in range(2):
-                mask = _shape_mask(rng, side, k % n_classes % 4)
-                item += _SHAPE_AMPLITUDE * float(rng.normal()) * mask[None]
-            yield item / item.std()
 
+def _white_items(rng, side, channels, ids):
+    """Pure white noise, a control with no coarse-to-fine structure."""
+    for _ in ids:
+        yield rng.standard_normal((channels, side, side))
+
+
+_ITEMS = {"value_noise": _value_noise_items, "white": _white_items}
+
+
+def make_bank(kind: str, side: int, channels=3, n_items=100, n_classes=4, seed=0,
+              codec: LatentCodec = IDENTITY) -> LatentBank:
+    """Procedural bank of ``kind`` (value_noise | white): ``n_items`` image
+    items of ``channels`` x ``side`` x ``side``, ids ``k % n_classes`` and
+    equal weights. Each item is encoded by ``codec`` as it is drawn, so the
+    bank holds codes, e.g. (4 * channels, side / 2, side / 2) for Haar."""
+    if kind not in _ITEMS:
+        raise ValueError(f"unknown bank kind {kind!r}")
     ids = np.arange(n_items, dtype=np.int64) % n_classes
-    return LatentBank(items(), ids, np.full(n_items, 1.0 / n_items))
-
-
-def make_white_bank(
-    side: int,
-    channels: int = 3,
-    n_items: int = 100,
-    n_classes: int = 4,
-    seed: int = 0,
-) -> LatentBank:
-    """Pure white-noise control bank (no coarse-to-fine structure)."""
-    rng = np.random.default_rng(int(seed))
-    items = (rng.standard_normal((channels, side, side)) for _ in range(n_items))
-    ids = np.arange(n_items, dtype=np.int64) % n_classes
-    return LatentBank(items, ids, np.full(n_items, 1.0 / n_items))
-
-
-def make_bank(kind: str, side: int, channels=3, n_items=100, n_classes=4, seed=0) -> LatentBank:
-    if kind == "value_noise":
-        return make_value_noise_bank(side, channels, n_items, n_classes, seed)
-    if kind == "white":
-        return make_white_bank(side, channels, n_items, n_classes, seed)
-    raise ValueError(f"unknown bank kind {kind!r}")
+    images = _ITEMS[kind](np.random.default_rng(int(seed)), side, channels, ids)
+    return LatentBank((encode(codec, LatentGrid(x)).data for x in images), ids,
+                      np.full(n_items, 1.0 / n_items))
 
 
 def save_bank(directory, bank: LatentBank) -> None:
@@ -413,8 +404,10 @@ def save_bank(directory, bank: LatentBank) -> None:
 
 
 def load_bank(directory) -> LatentBank:
+    """Bank written by :func:`save_bank`, weights normalised to sum to 1. The
+    whole manifest is checked before the first grid is read."""
     manifest = os.path.join(directory, "manifest.txt")
-    items = []
+    entries = []
     with open(manifest) as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
@@ -429,7 +422,10 @@ def load_bank(directory) -> LatentBank:
                     f"{manifest}:{lineno}: expected 'filename class_id weight' with an "
                     f"int64 class id and a positive finite weight, got {line.strip()!r}"
                 ) from None
-            items.append((read_grid(os.path.join(directory, name)), cls, weight))
-    if not items:
+            entries.append((name, cls, weight))
+    if not entries:
         raise ValueError(f"{manifest}: no bank items")
-    return LatentBank.from_items(items)
+    names, ids, w = zip(*entries)
+    w = np.asarray(w)
+    items = (read_grid(os.path.join(directory, name)).data for name in names)
+    return LatentBank(items, ids, w / w.sum())

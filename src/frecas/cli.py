@@ -219,7 +219,7 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
         # one reference spectrum serve the whole sweep
         image, report = run_cascade(plan, codec, bank, cfg.condition, cfg.seed)
         curve = radial_psd(image)
-        cut = curve.n_bins // 4
+        cut = curve.low_bins
         low, high = curve.power[:cut].sum(), curve.power[cut:].sum()
         dist = float(np.sqrt(np.sum((curve.power - bank_psd) ** 2)))
         return report.cost_units, float(high), float(low), dist

@@ -40,7 +40,7 @@ from typing import get_args
 
 from .bank import LatentBank, load_bank, make_bank
 from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset, stage_timesteps
-from .codec import HAAR1, IDENTITY, LatentCodec, encode
+from .codec import HAAR1, IDENTITY, LatentCodec
 from .grid import Resolution
 from .schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
 
@@ -288,9 +288,9 @@ def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBan
 def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> LatentBank:
     """Latent bank at one latent side.
 
-    Procedural banks are generated as image-space textures at the matching
-    pixel resolution and pushed through the codec's encoder, so they are
-    valid latents for any codec.
+    Procedural banks are drawn as image-space textures at the matching
+    pixel resolution and encoded item by item on their way into the bank
+    (`make_bank`), so they are valid latents for any codec.
     """
     if cfg.bank_path:
         bank = load_bank(cfg.bank_path)
@@ -309,19 +309,15 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> Laten
     if cfg.bank_classes > cfg.bank_items:
         raise ConfigError(f"bank.classes ({cfg.bank_classes}) exceeds bank.items "
                           f"({cfg.bank_items}): a class with no items is never a condition")
-    pixel_side = latent_side * codec.spatial_factor
     try:
-        images = make_bank(
+        return make_bank(
             cfg.bank_kind,
-            pixel_side,
+            latent_side * codec.spatial_factor,
             channels=cfg.bank_channels,
             n_items=cfg.bank_items,
             n_classes=cfg.bank_classes,
             seed=cfg.bank_seed,
+            codec=codec,
         )
     except ValueError as e:  # an unknown bank.kind, or numpy refusing a negative bank.seed
         raise ConfigError(str(e)) from e
-    if codec is IDENTITY:
-        return images
-    latents = (encode(codec, images.item(k)).data for k in range(images.size))
-    return LatentBank(latents, images.class_ids, images.weights)

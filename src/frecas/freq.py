@@ -80,6 +80,11 @@ class PsdCurve:
     def n_bins(self) -> int:
         return len(self.freqs)
 
+    @property
+    def low_bins(self) -> int:
+        """Bins in the low band: a quarter of them, rounded half to even, at least 1."""
+        return max(round(self.n_bins / 4), 1)
+
 
 @functools.lru_cache
 def _radial_bin_index(side: int, n_bins: int) -> np.ndarray:
@@ -146,9 +151,9 @@ def psd_decomposition(
     return psd_total, psd_noise, psd_signal
 
 
-def band_energy_fractions(curve: PsdCurve, low_fraction: float = 0.25):
+def band_energy_fractions(curve: PsdCurve):
     """(low, high) shares of the curve's energy; low = lowest bins."""
-    cut = max(int(round(curve.n_bins * low_fraction)), 1)
+    cut = curve.low_bins
     total = float(curve.power.sum())
     if total == 0.0:
         return 0.0, 0.0

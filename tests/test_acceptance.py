@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from frecas.bank import CAMap, LatentBank, make_value_noise_bank, predict
+from frecas.bank import CAMap, LatentBank, make_bank, predict
 from frecas.cascade import (
     PRESETS,
     StagePlan,
@@ -175,7 +175,7 @@ def test_criterion_5_bank_denoiser_oracle_equivalence():
 def test_criterion_6_coarse_to_fine_psd():
     with criterion(6, "clean-signal energy emerges low-frequency first"):
         start = time.perf_counter()
-        bank = make_value_noise_bank(64, channels=3, n_items=100, n_classes=4, seed=0)
+        bank = make_bank("value_noise", 64, channels=3, n_items=100, n_classes=4, seed=0)
         noises = [
             seeded_gaussian((3, 64, 64), subseed(0, 2, k)) for k in range(bank.size)
         ]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,11 @@ from frecas.bank import (
     default_patch_size,
     load_bank,
     make_bank,
-    make_value_noise_bank,
-    make_white_bank,
     posterior,
     predict,
     save_bank,
 )
+from frecas.codec import HAAR1, encode
 from frecas.freq import radial_psd
 from frecas.cascade import PRESETS, plan_from_preset
 from frecas.grid import LatentGrid, Resolution, write_grid
@@ -78,11 +78,6 @@ class TestBankType:
             LatentBank(stack, np.array([0, 1]), np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             LatentBank(stack, np.array([0, 1]), np.array([1.1, -0.1]))
-
-    def test_from_items_normalizes_weights(self, rng):
-        items = [(rand_grid(rng, channels=1, side=4), k, 2.0) for k in range(3)]
-        bank = LatentBank.from_items(items)
-        np.testing.assert_allclose(bank.weights, 1 / 3, rtol=1e-12)
 
     def test_classes_sorted_unique(self, rng):
         bank = small_bank(rng, n_items=5, n_classes=2)
@@ -199,6 +194,19 @@ class TestPredict:
             predict(bank, z, 0, None, SCHED)
         with pytest.raises(ValueError):
             predict(bank, z, 0.0, None, FLOW)
+
+    def test_flow_zero_noise_cut_sits_where_distances_overflow(self, rng):
+        # var = 4e-308 is a normal float, but d / (2 var) overflows for the
+        # far item; at t = 1e-150 every distance over 2 var stays finite
+        bank = small_bank(rng, n_items=2, channels=1, side=8, n_classes=2)
+        z = bank.item(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero noise level"):
+                posterior(bank, z, 2e-154, FLOW)
+            post = posterior(bank, z, 1e-150, FLOW)
+            for condition in (None, 1):
+                assert np.all(np.isfinite(post.field(condition).data))
 
     def test_flow_velocity_consistent_with_kernel(self, rng):
         bank = small_bank(rng, n_items=4, channels=1, side=4)
@@ -500,24 +508,24 @@ class TestCaMaps:
 
 class TestProceduralBanks:
     def test_value_noise_bank_shape_and_classes(self):
-        bank = make_value_noise_bank(32, channels=3, n_items=20, n_classes=4, seed=1)
+        bank = make_bank("value_noise", 32, channels=3, n_items=20, n_classes=4, seed=1)
         assert (bank.size, bank.item_shape) == (20, (3, 32, 32))
         assert bank.blocks.shape == (20, 8 * 8, 3 * 4 * 4)  # patch size 4 at side 32
         assert bank.classes == (0, 1, 2, 3)
         np.testing.assert_allclose(bank.weights.sum(), 1.0, atol=1e-12)
 
     def test_value_noise_bank_deterministic(self):
-        a = make_value_noise_bank(16, n_items=4, seed=9)
-        b = make_value_noise_bank(16, n_items=4, seed=9)
+        a = make_bank("value_noise", 16, n_items=4, seed=9)
+        b = make_bank("value_noise", 16, n_items=4, seed=9)
         np.testing.assert_array_equal(a.blocks, b.blocks)
 
     def test_value_noise_spectrum_decays(self):
-        bank = make_value_noise_bank(64, n_items=20, seed=0)
+        bank = make_bank("value_noise", 64, n_items=20, seed=0)
         psd = np.mean([radial_psd(bank.item(k)).power for k in range(20)], axis=0)
         assert psd[1] > 10 * psd[16]  # red spectrum, unlike white noise
 
     def test_white_bank_flat_spectrum(self):
-        bank = make_white_bank(64, n_items=20, seed=0)
+        bank = make_bank("white", 64, n_items=20, seed=0)
         psd = np.mean([radial_psd(bank.item(k)).power for k in range(20)], axis=0)
         dev = np.abs(psd / psd.mean() - 1)
         assert dev.max() < 0.35  # no radial structure
@@ -526,6 +534,17 @@ class TestProceduralBanks:
         assert make_bank("white", 8, n_items=2).size == 2
         with pytest.raises(ValueError):
             make_bank("perlin", 8)
+
+    @pytest.mark.parametrize("kind", ["value_noise", "white"])
+    def test_encoded_bank_is_the_image_bank_encoded_item_by_item(self, kind):
+        images = make_bank(kind, 16, channels=3, n_items=5, n_classes=2, seed=4)
+        latents = make_bank(kind, 16, channels=3, n_items=5, n_classes=2, seed=4, codec=HAAR1)
+        assert latents.item_shape == (12, 8, 8)
+        for k in range(images.size):
+            np.testing.assert_array_equal(latents.item(k).data,
+                                          encode(HAAR1, images.item(k)).data)
+        np.testing.assert_array_equal(latents.class_ids, images.class_ids)
+        np.testing.assert_array_equal(latents.weights, images.weights)
 
 
 class TestSerialization:
@@ -552,6 +571,37 @@ class TestSerialization:
         (tmp_path / "manifest.txt").write_text(f"item_0000.frcg 1 0.5\n\n{line}\n")
         with pytest.raises(ValueError, match=r"manifest\.txt:3: expected 'filename class_id weight'"):
             load_bank(tmp_path)
+
+    def test_manifest_is_checked_before_any_grid_is_read(self, rng, tmp_path, monkeypatch):
+        write_grid(tmp_path / "item_0000.frcg", rand_grid(rng, channels=1, side=4))
+        (tmp_path / "manifest.txt").write_text(
+            "item_0000.frcg 1 0.5\n\nitem_0000.frcg 0 half\n")
+        monkeypatch.setattr("frecas.bank.read_grid", lambda path: pytest.fail(
+            f"{path} read before the manifest was checked"))
+        with pytest.raises(ValueError, match=r"manifest\.txt:3: "):
+            load_bank(tmp_path)
+
+    def test_load_bank_normalizes_weights(self, rng, tmp_path):
+        for k in range(3):
+            write_grid(tmp_path / f"item_{k}.frcg", rand_grid(rng, channels=1, side=4))
+        (tmp_path / "manifest.txt").write_text(
+            "".join(f"item_{k}.frcg {k} 2.0\n" for k in range(3)))
+        bank = load_bank(tmp_path)
+        np.testing.assert_allclose(bank.weights, 1 / 3, rtol=1e-12)
+        assert bank.classes == (0, 1, 2)
+
+    def test_load_bank_holds_no_second_copy(self, tmp_path):
+        # grids stream into the blocked bank one at a time, so loading
+        # holds about one bank's worth, not a list of grids beside it
+        save_bank(tmp_path, make_bank("white", 64, n_items=100))
+        tracemalloc.start()
+        try:
+            bank = load_bank(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bank.size == 100 and bank.side == 64
+        assert peak < 1.5 * bank.blocks.nbytes
 
     def test_empty_manifest_rejected(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("\n")

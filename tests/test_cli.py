@@ -4,6 +4,7 @@ import pytest
 from frecas.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from frecas.config import ConfigError, RunConfig, build_plan, build_schedule
 from frecas.bank import LatentBank, save_bank
+from frecas.freq import band_energy_fractions, radial_psd
 from frecas.grid import LatentGrid, read_grid, write_grid
 
 FAST = ["--base-side", "8", "--bank-items", "8", "--bank-channels", "3"]
@@ -352,6 +353,21 @@ class TestAblate:
         base = row("sd3-x4", "w_h", "35.0", "c")
         assert row("sd3-x4", "L", "50", "d") == base
         assert row("sd3-x4", "L", "0.05", "e") == base
+
+    def test_low_band_is_cut_where_the_psd_summary_cuts_it(self, tmp_path):
+        # side 14 has 7 radial bins: the lowest quarter rounds to 2 bins,
+        # where n_bins // 4 would give 1
+        flags = ["--preset", "sdxl-x4", "--base-side", "7", "--bank-items", "8", "--seed", "2"]
+        assert main(["ablate", "--param", "w_h", "--values", "35", *flags,
+                     "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["sample", "--w-h", "35", *flags, "--out", str(tmp_path / "s")]) == EXIT_OK
+        curve = radial_psd(read_grid(tmp_path / "s" / "image.frcg"))  # float32 dump
+        assert curve.n_bins == 7 and curve.low_bins == 2 != 7 // 4
+        row = (tmp_path / "a" / "ablate_w_h.csv").read_text().split("\n")[1].split(",")
+        high, low = float(row[2]), float(row[3])
+        assert high == pytest.approx(curve.power[2:].sum(), rel=1e-5)
+        assert low == pytest.approx(curve.power[:2].sum(), rel=1e-5)
+        assert low / (low + high) == pytest.approx(band_energy_fractions(curve)[0], rel=1e-5)
 
 
 class TestBenchAndPresets:
