@@ -80,10 +80,6 @@ class CAMap:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
 
 class LatentBank:
     """Finite latent distribution: K items, their class ids and prior weights.
@@ -284,10 +280,13 @@ def posterior(
     d_patch = _kernels.patch_sq_dists(bank.blocks, _kernels.to_blocks(z_t.data, p), fwd.scale,
                                       bank.patch_norms)
     d_full = d_patch.sum(axis=1)
+    d_max = d_full.max()
+    info = np.finfo(float)
+    if fwd.var >= info.tiny and not np.isfinite(d_max):
+        raise ValueError(f"latent distances to the bank overflow at t = {t}")
     # zero noise: var is 0 or subnormal, or a distance over 2 var would reach
     # max / 2 (var * max itself cannot overflow for var <= 1)
-    info = np.finfo(float)
-    if not (fwd.var >= info.tiny and d_full.max() < fwd.var * info.max):
+    if not (fwd.var >= info.tiny and d_max < fwd.var * info.max):
         raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
     log_patch = bank.log_weights[:, None] - d_patch / (2.0 * fwd.var)  # (K, P)
 

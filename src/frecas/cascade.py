@@ -39,11 +39,11 @@ _SUBSEED_TRANSITION = 1
 
 @dataclass(frozen=True)
 class StageSpec:
+    """One stage: its resolution, step count and L; its weights are the plan's."""
+
     resolution: Resolution
     steps: int
     last_timestep: float  # L; 0 for the final stage
-    guidance: GuidanceWeights
-    ca_fusion: float = 0.0  # w_c
 
     def __post_init__(self):
         if self.steps < 1:
@@ -51,21 +51,28 @@ class StageSpec:
         if not 0 <= self.last_timestep < math.inf:
             raise ValueError(f"last timestep must be finite and non-negative, "
                              f"got {self.last_timestep}")
-        if not 0.0 <= self.ca_fusion <= 1.0:
-            raise ValueError("ca fusion weight must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class StagePlan:
+    """Stages of increasing side and the settings they share: gamma, the
+    schedule, FA-CFG strengths w_l, w_h (cut by `guidance`) and fusion w_c."""
+
     stages: tuple
     gamma: float
     schedule: NoiseSchedule
+    w_l: float
+    w_h: float
+    w_c: float
     train_side: int | None = None  # cost reference s0; stage-0 side by default
 
     def __post_init__(self):
         stages = tuple(self.stages)
         if not stages:
             raise ValueError("plan needs at least one stage")
+        GuidanceWeights(self.w_l, self.w_h, stages[0].resolution)  # checks w_l and w_h
+        if not 0.0 <= self.w_c <= 1.0:
+            raise ValueError("ca fusion weight must lie in [0, 1]")
         sides = [s.resolution.side for s in stages]
         if any(b <= a for a, b in zip(sides, sides[1:])):
             raise ValueError("stage resolutions must be strictly increasing")
@@ -92,13 +99,11 @@ class StagePlan:
         if self.train_side is None:
             object.__setattr__(self, "train_side", stages[0].resolution.side)
 
-    @property
-    def n_additional(self) -> int:
-        return len(self.stages) - 1
-
-    @property
-    def base_side(self) -> int:
-        return self.stages[0].resolution.side
+    def guidance(self, spec: StageSpec) -> GuidanceWeights:
+        """A stage's FA-CFG weights, cut at the previous stage's side (the first
+        stage's own: plain CFG at w_l); ValueError for a stage not in the plan."""
+        i = self.stages.index(spec)
+        return GuidanceWeights(self.w_l, self.w_h, self.stages[max(i - 1, 0)].resolution)
 
 
 @dataclass(frozen=True)
@@ -188,17 +193,18 @@ def run_stage(
 ):
     """Run one stage from first_timestep down to its last timestep.
 
-    Scores are combined with the frequency-aware guidance of ``spec``, which
-    is plain guidance when the cut is the stage's own side (stage 0). When an
-    averaged map from the previous stage is supplied, it is regridded to this
-    stage's patch grid, fused with each step's own map and steers the
-    conditional prediction patchwise. Each fused map and the average are
-    CAMaps, whose rows are checked to sum to 1 within 1e-12 (ValueError
-    otherwise). Returns the stage's final latent and the averaged map.
+    Scores are combined with ``plan.guidance(spec)``, plain guidance at the
+    first stage. When an averaged map from the previous stage is supplied,
+    it is regridded to this stage's patch grid, fused with each step's own
+    map at ``plan.w_c`` and steers the conditional prediction patchwise.
+    Each fused map and the average are CAMaps, whose rows are checked to sum
+    to 1 within 1e-12 (ValueError otherwise). Returns the stage's final
+    latent and the averaged map.
     """
     sched = plan.schedule
     vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
     grid = _stage_time_grid(first_timestep, spec.last_timestep, spec.steps)
+    gw = plan.guidance(spec)
     step_maps = []
     for idx in range(spec.steps):
         t, t_next = float(grid[idx]), float(grid[idx + 1])
@@ -206,10 +212,10 @@ def run_stage(
         fused = None
         if reused_maps is not None:
             reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
-            fused = fuse_ca_maps(post.ca, reused_maps, spec.ca_fusion)
+            fused = fuse_ca_maps(post.ca, reused_maps, plan.w_c)
         eps_unc, eps_c = post.fields(condition, ca_mixture=fused)
         step_maps.append(post.ca if fused is None else fused)
-        eps_hat = facfg_combine(eps_unc, eps_c, spec.guidance)
+        eps_hat = facfg_combine(eps_unc, eps_c, gw)
         if vp:
             z = ddim_step(z, eps_hat, t, t_next, sched)
         else:
@@ -360,18 +366,15 @@ def ladder(sides, steps, last_timesteps, *, w_l, w_h, w_c, gamma, sched,
            train_side=None) -> StagePlan:
     """The stage plan that climbs `sides`: stage i runs steps[i] steps down to
     last_timesteps[i] (schedule units, one per non-final stage; the final
-    stage runs to 0) with FA-CFG cut at sides[i-1] (stage 0 at its own side).
+    stage runs to 0). `StagePlan.guidance` derives each stage's FA-CFG cut.
     """
     if not len(sides) == len(steps) == len(last_timesteps) + 1:
         raise ValueError("a ladder needs a side and a step count per stage "
                          "and a last timestep per non-final stage")
     lasts = [float(L) for L in last_timesteps] + [0.0]
-    cuts = [sides[0], *sides[:-1]]
-    stages = tuple(
-        StageSpec(Resolution(side), n, last, GuidanceWeights(w_l, w_h, Resolution(cut)), w_c)
-        for side, n, last, cut in zip(sides, steps, lasts, cuts)
-    )
-    return StagePlan(stages, gamma, sched, train_side)
+    stages = tuple(StageSpec(Resolution(side), n, last)
+                   for side, n, last in zip(sides, steps, lasts))
+    return StagePlan(stages, gamma, sched, w_l, w_h, w_c, train_side)
 
 
 def plan_from_preset(preset: Preset, base_side: int, sched: NoiseSchedule) -> StagePlan:

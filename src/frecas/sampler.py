@@ -9,8 +9,8 @@ one band split (the band_split residual construction) of d = eps_c - eps_unc:
     combined = cfg(eps_unc, eps_c, w_l) + (w_h - w_l) high(d)
 
 A cut at the grid's own side makes high(d) exactly 0 and w_l == w_h makes
-its weight 0; both give exactly plain guidance. The first stage of a cascade
-cuts at its own side.
+its weight 0; both give exactly plain guidance. `cascade.StagePlan.guidance`
+cuts each stage at the previous stage's side, the first at its own.
 """
 
 from dataclasses import dataclass
@@ -24,8 +24,8 @@ from .schedule import NoiseSchedule, diffuse, forward_model, require_vp
 
 @dataclass(frozen=True)
 class GuidanceWeights:
-    """Band guidance strengths; base is the cut resolution: the previous
-    stage's side, or a first stage's own side."""
+    """Band guidance strengths; base is the cut resolution. A cascade stage
+    gets its weights from `cascade.StagePlan.guidance`."""
 
     w_l: float
     w_h: float

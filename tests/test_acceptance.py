@@ -220,10 +220,10 @@ def test_criterion_8_framework_degeneracy():
         bank = LatentBank(stack, np.arange(10) % 4, np.full(10, 0.1))
         w = 7.5
         plan = StagePlan(
-            stages=(StageSpec(Resolution(16), 8, 0.0,
-                              GuidanceWeights(w, 35.0, Resolution(16)), 0.0),),
+            stages=(StageSpec(Resolution(16), 8, 0.0),),
             gamma=2.0,
             schedule=SCHED,
+            w_l=w, w_h=35.0, w_c=0.0,
         )
         image, _ = run_cascade(plan, IDENTITY, bank, 1, seed=77)
 
@@ -277,12 +277,12 @@ def test_criterion_11_transition_chain_integrity(rng):
         # identity codec, equal resolutions: F = L and only the noise changes
         stack = rng.standard_normal((6, 2, 8, 8))
         bank = LatentBank(stack, np.arange(6) % 2, np.full(6, 1 / 6))
-        gw = GuidanceWeights(7.5, 35.0, Resolution(8))
         plan = StagePlan(
-            stages=(StageSpec(Resolution(8), 2, 200.0, gw, 0.5),
-                    StageSpec(Resolution(16), 2, 0.0, gw, 0.5)),
+            stages=(StageSpec(Resolution(8), 2, 200.0),
+                    StageSpec(Resolution(16), 2, 0.0)),
             gamma=2.0,
             schedule=SCHED,
+            w_l=7.5, w_h=35.0, w_c=0.5,
         )
         spec = plan.stages[0]
         z_L = LatentGrid(rng.standard_normal((2, 8, 8)))

@@ -208,6 +208,16 @@ class TestPredict:
             for condition in (None, 1):
                 assert np.all(np.isfinite(post.field(condition).data))
 
+    def test_overflowing_distances_are_not_a_zero_noise_level(self):
+        # at t = 500 var is about 0.99, but a 1e160 latent's squared norm
+        # overflows; a 1e150 latent's stays finite and runs
+        bank = make_bank("value_noise", 8, n_items=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow at t = 500"):
+                posterior(bank, LatentGrid(np.full((3, 8, 8), 1e160)), 500.0, SCHED)
+            posterior(bank, LatentGrid(np.full((3, 8, 8), 1e150)), 500.0, SCHED)
+
     def test_flow_velocity_consistent_with_kernel(self, rng):
         bank = small_bank(rng, n_items=4, channels=1, side=4)
         z = rand_grid(rng, channels=1, side=4)
@@ -406,7 +416,7 @@ class TestPosterior:
         bank = small_bank(rng)
         z = rand_grid(rng, channels=2, side=8)
         post = posterior(bank, z, 300.0, SCHED)
-        mix = CAMap(np.tile([0.2, 0.5, 0.3], (post.ca.n_rows, 1)),
+        mix = CAMap(np.tile([0.2, 0.5, 0.3], (post.ca.values.shape[0], 1)),
                     post.ca.rows_h, post.ca.rows_w, post.ca.classes)
         for condition, mixture in ((None, None), (2, None), (1, mix)):
             field, ca = predict(bank, z, 300.0, condition, SCHED, ca_mixture=mixture)

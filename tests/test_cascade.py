@@ -46,13 +46,12 @@ def toy_plan(side0=8, side1=16, steps=(4, 3), L=200.0, w=(7.5, 35.0), w_c=0.6,
              gamma=2.0, sched=SCHED) -> StagePlan:
     return StagePlan(
         stages=(
-            StageSpec(Resolution(side0), steps[0], L,
-                      GuidanceWeights(w[0], w[1], Resolution(side0)), w_c),
-            StageSpec(Resolution(side1), steps[1], 0.0,
-                      GuidanceWeights(w[0], w[1], Resolution(side0)), w_c),
+            StageSpec(Resolution(side0), steps[0], L),
+            StageSpec(Resolution(side1), steps[1], 0.0),
         ),
         gamma=gamma,
         schedule=sched,
+        w_l=w[0], w_h=w[1], w_c=w_c,
     )
 
 
@@ -276,10 +275,10 @@ class TestRunCascade:
         bank = toy_bank(rng, side=8)
         w = 7.5
         plan = StagePlan(
-            stages=(StageSpec(Resolution(8), 6, 0.0,
-                              GuidanceWeights(w, 99.0, Resolution(8)), 0.0),),
+            stages=(StageSpec(Resolution(8), 6, 0.0),),
             gamma=2.0,
             schedule=SCHED,
+            w_l=w, w_h=99.0, w_c=0.0,
         )
         image, report = run_cascade(plan, IDENTITY, bank, 2, seed=11)
         z = seeded_gaussian((2, 8, 8), subseed(11, 0))
@@ -290,6 +289,15 @@ class TestRunCascade:
             z = ddim_step(z, cfg_combine(eps_unc, eps_c, w), t, t_next, SCHED)
         assert np.abs(image.data - z.data).max() <= 1e-6
         assert report.cost_units == 6.0
+
+    def test_single_stage_image_ignores_w_c(self, rng):
+        # a single stage has no maps to reuse, so the direct plan's w_c is moot
+        bank = toy_bank(rng, side=8)
+        images = [run_cascade(ladder([8], [4], [], w_l=7.5, w_h=35.0, w_c=w_c, gamma=2.0,
+                                     sched=SCHED), IDENTITY, bank, 1, seed=5)[0]
+                  for w_c in (0.0, 0.6, 1.0)]
+        for image in images[1:]:
+            assert image.data.tobytes() == images[0].data.tobytes()
 
     def test_equal_band_weights_degenerate_to_plain_cfg_cascade(self, rng):
         # manual two-stage cascade with plain guidance at both stages must
@@ -384,14 +392,13 @@ class TestRunCascade:
     def test_three_stage_cascade_with_map_regridding(self, rng):
         # sides 10 -> 20 -> 40 move the attention grid from 10x10 to 8x8,
         # exercising the resample-renormalize path between stages
-        gw01 = GuidanceWeights(7.5, 35.0, Resolution(10))
-        gw12 = GuidanceWeights(7.5, 35.0, Resolution(20))
         plan = StagePlan(
-            stages=(StageSpec(Resolution(10), 3, 300.0, gw01, 0.5),
-                    StageSpec(Resolution(20), 2, 150.0, gw01, 0.5),
-                    StageSpec(Resolution(40), 2, 0.0, gw12, 0.5)),
+            stages=(StageSpec(Resolution(10), 3, 300.0),
+                    StageSpec(Resolution(20), 2, 150.0),
+                    StageSpec(Resolution(40), 2, 0.0)),
             gamma=2.0,
             schedule=SCHED,
+            w_l=7.5, w_h=35.0, w_c=0.5,
         )
         bank = toy_bank(rng, side=40, n_items=6, n_classes=2)
         image, report = run_cascade(plan, IDENTITY, bank, 1, seed=9)
@@ -405,30 +412,21 @@ class TestRunCascade:
 
 class TestPlansAndCost:
     def test_plan_validation(self):
-        gw = GuidanceWeights(7.5, 35.0, Resolution(8))
+        kw = dict(gamma=2.0, schedule=SCHED, w_l=7.5, w_h=35.0, w_c=0.0)
         with pytest.raises(ValueError):  # non-increasing resolutions
-            StagePlan(stages=(StageSpec(Resolution(16), 4, 200.0, gw),
-                              StageSpec(Resolution(8), 4, 0.0, gw)),
-                      gamma=2.0, schedule=SCHED)
+            StagePlan(stages=(StageSpec(Resolution(16), 4, 200.0),
+                              StageSpec(Resolution(8), 4, 0.0)), **kw)
         with pytest.raises(ValueError):  # final stage must reach 0
-            StagePlan(stages=(StageSpec(Resolution(8), 4, 100.0, gw),),
-                      gamma=2.0, schedule=SCHED)
+            StagePlan(stages=(StageSpec(Resolution(8), 4, 100.0),), **kw)
         with pytest.raises(ValueError):  # earlier stages need L > 0
-            StagePlan(stages=(StageSpec(Resolution(8), 4, 0.0, gw),
-                              StageSpec(Resolution(16), 4, 0.0, gw)),
-                      gamma=2.0, schedule=SCHED)
-
-    def test_n_additional(self):
-        plan = toy_plan()
-        assert plan.n_additional == 1
-        assert len(plan.stages) == plan.n_additional + 1
+            StagePlan(stages=(StageSpec(Resolution(8), 4, 0.0),
+                              StageSpec(Resolution(16), 4, 0.0)), **kw)
 
     def test_compute_cost_examples(self):
         sched = SCHED
         single = StagePlan(
-            stages=(StageSpec(Resolution(32), 50, 0.0,
-                              GuidanceWeights(7.5, 35.0, Resolution(32))),),
-            gamma=2.0, schedule=sched,
+            stages=(StageSpec(Resolution(32), 50, 0.0),),
+            gamma=2.0, schedule=sched, w_l=7.5, w_h=35.0, w_c=0.0,
         )
         assert compute_cost(single) == 50.0
 
@@ -463,8 +461,20 @@ class TestPlansAndCost:
         assert [s.resolution.side for s in plan.stages] == [8, 12, 16]
         assert [s.steps for s in plan.stages] == [4, 3, 2]
         assert [s.last_timestep for s in plan.stages] == [300.0, 100.5, 0.0]
-        assert [s.guidance.base.side for s in plan.stages] == [8, 8, 12]
+        assert [plan.guidance(s).base.side for s in plan.stages] == [8, 8, 12]
         assert plan.train_side == 8
+
+    def test_guidance_of_a_stage_from_another_plan_raises(self):
+        plan, other = toy_plan(), toy_plan(side1=12)
+        assert plan.guidance(plan.stages[1]) == GuidanceWeights(7.5, 35.0, Resolution(8))
+        with pytest.raises(ValueError):
+            plan.guidance(other.stages[1])
+
+    @pytest.mark.parametrize("w", [dict(w_c=1.5), dict(w_c=-0.1), dict(w=(-1.0, 35.0)),
+                                   dict(w=(7.5, float("nan")))])
+    def test_plan_checks_its_weights(self, w):
+        with pytest.raises(ValueError, match="fusion weight|guidance weights"):
+            toy_plan(**w)
 
     def test_ladder_equals_hand_built_plan(self):
         plan = ladder([8, 16], [4, 3], [200], w_l=7.5, w_h=35.0, w_c=0.6,
@@ -480,9 +490,8 @@ class TestPlansAndCost:
 
     @pytest.mark.parametrize("L", [float("nan"), float("inf"), -1.0])
     def test_stage_rejects_non_finite_or_negative_last_timestep(self, L):
-        gw = GuidanceWeights(7.5, 35.0, Resolution(8))
         with pytest.raises(ValueError, match="last timestep must be finite"):
-            StageSpec(Resolution(8), 4, L, gw)
+            StageSpec(Resolution(8), 4, L)
 
     @pytest.mark.parametrize("side0,L,gamma", [(8, 200.0, 20.0), (4, 900.0, 2.0)])
     def test_plan_rejects_unreachable_vp_entry(self, side0, L, gamma):

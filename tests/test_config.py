@@ -167,8 +167,8 @@ class TestBuilders:
         assert [s.resolution.side for s in plan.stages] == [8, 16]
         assert [s.steps for s in plan.stages] == [4, 2]
         assert plan.stages[0].last_timestep == 150.0
-        assert plan.stages[0].guidance.base.side == 8
-        assert plan.stages[1].guidance.base.side == 8
+        assert plan.guidance(plan.stages[0]).base.side == 8
+        assert plan.guidance(plan.stages[1]).base.side == 8
 
     def test_bad_stage_triples(self):
         cfg = RunConfig(stages="8:4", preset=None)
@@ -183,7 +183,7 @@ class TestBuilders:
     def test_guidance_overrides_apply_to_preset(self):
         cfg = RunConfig(preset="sdxl-x4", w_h=99.0, gamma=2.5)
         plan = build_plan(cfg, build_schedule(cfg))
-        assert plan.stages[1].guidance.w_h == 99.0
+        assert plan.guidance(plan.stages[1]).w_h == 99.0
         assert plan.gamma == 2.5
 
     def test_direct_plan_for_custom_stages_uses_total_steps(self):
@@ -404,7 +404,7 @@ class TestStageListProperties:
         assert [s.resolution.side for s in plan.stages] == sides
         assert [s.steps for s in plan.stages] == steps
         assert [s.last_timestep for s in plan.stages] == expected
-        assert [s.guidance.base.side for s in plan.stages] == [sides[0], *sides[:-1]]
+        assert [plan.guidance(s).base.side for s in plan.stages] == [sides[0], *sides[:-1]]
 
     @settings(deadline=None)
     @given(

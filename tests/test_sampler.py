@@ -71,12 +71,13 @@ class TestFaCfg:
     def test_one_split_matches_two_split_at_shipped_stages(self, rng, name):
         preset = PRESETS[name]
         sched = SCHED if preset.schedule_kind is SCHED.kind else FLOW
-        for spec in plan_from_preset(preset, 32, sched).stages:
-            side = spec.resolution.side
+        plan = plan_from_preset(preset, 32, sched)
+        for spec in plan.stages:
+            side, gw = spec.resolution.side, plan.guidance(spec)
             unc, con = rand_grid(rng, side=side), rand_grid(rng, side=side)
-            one = facfg_combine(unc, con, spec.guidance).data
-            two = two_split_facfg(unc, con, spec.guidance).data
-            scale = max(spec.guidance.w_l, spec.guidance.w_h) * np.abs(con.data).max()
+            one = facfg_combine(unc, con, gw).data
+            two = two_split_facfg(unc, con, gw).data
+            scale = max(gw.w_l, gw.w_h) * np.abs(con.data).max()
             assert np.abs(one - two).max() <= 1e-14 * scale
 
     def test_constant_scores_use_low_weight_only(self):
