@@ -5,9 +5,9 @@ denoiser-evaluation cost accountant.
 
 A run starts from pure noise at the base resolution and the top of the
 schedule, alternates stage sampling with transitions, and decodes the final
-latent. Stage entry timesteps are chosen so the signal-to-noise ratio is
-preserved across each resolution change (scaled by ratio**gamma), computed
-through the closed-form shifts in :mod:`frecas.schedule`.
+latent. Every timestep it visits comes from its `StagePlan`: stage 0 enters
+at t_max, each later stage at the F that `StagePlan.entry_timestep` derives
+from the previous stage's L through the shifts in :mod:`frecas.schedule`.
 
 Cost model: one denoiser evaluation at side s costs (s / s0)**2 units, so a
 plan costs sum(steps_i * (s_i / s0)**2). Guidance's two evaluations per step
@@ -15,7 +15,7 @@ are a constant factor and excluded.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,9 @@ class StageSpec:
 @dataclass(frozen=True)
 class StagePlan:
     """Stages of increasing side and the settings they share: gamma, the
-    schedule, FA-CFG strengths w_l, w_h (cut by `guidance`) and fusion w_c."""
+    schedule, FA-CFG strengths w_l, w_h (cut by `guidance`) and fusion w_c.
+    `first_timesteps` is derived: each stage's entry F, t_max and then
+    `entry_timestep`; a stage whose F is not above its L is a ValueError."""
 
     stages: tuple
     gamma: float
@@ -65,6 +67,7 @@ class StagePlan:
     w_h: float
     w_c: float
     train_side: int | None = None  # cost reference s0; stage-0 side by default
+    first_timesteps: tuple = field(init=False)
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -87,17 +90,38 @@ class StagePlan:
                              f"{', '.join(f'{s.last_timestep:g}' for s in stages[:-1])}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
-        if self.schedule.kind is ScheduleKind.VARIANCE_PRESERVING:
-            for a, b in zip(stages, stages[1:]):
-                try:  # the transition's SNR-matched entry must exist
-                    shift_timestep_vp(a.last_timestep, a.resolution.side / b.resolution.side,
-                                      self.gamma, self.schedule)
-                except ValueError as e:
-                    raise ValueError(f"no entry timestep for side {b.resolution.side} "
-                                     f"from L = {a.last_timestep:g}: {e}") from None
+        firsts = [t_max]
+        for i, (a, b) in enumerate(zip(stages, stages[1:]), 1):
+            F = self.entry_timestep(a, b)
+            if F <= b.last_timestep:
+                raise ValueError(f"stage {i} (side {b.resolution.side}) enters at "
+                                 f"F = {F:g}, not above its L = {b.last_timestep:g}")
+            firsts.append(F)
         object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "first_timesteps", tuple(firsts))
         if self.train_side is None:
             object.__setattr__(self, "train_side", stages[0].resolution.side)
+
+    def entry_timestep(self, src: StageSpec, dst: StageSpec) -> float:
+        """F, where stage dst starts from src's L. VP: SNR(F) = SNR(L) *
+        (src side / dst side)**gamma, checked to 1e-6 relative (AssertionError).
+        Flow: SD3's shift by dst side / src side, which has no exponent, so
+        gamma has no effect. ValueError when no F exists."""
+        L, sched = src.last_timestep, self.schedule
+        try:
+            if sched.kind is ScheduleKind.FLOW_MATCHING:
+                return shift_timestep_flow(L, dst.resolution.side / src.resolution.side)
+            ratio = src.resolution.side / dst.resolution.side
+            target = snr(sched, L) * ratio**self.gamma
+            F = shift_timestep_vp(L, ratio, self.gamma, sched)
+            achieved = snr(sched, F)
+        except ValueError as e:
+            raise ValueError(f"no entry timestep for side {dst.resolution.side} "
+                             f"from L = {L:g}: {e}") from None
+        if abs(achieved - target) > 1e-6 * target:
+            raise AssertionError(f"entry to side {dst.resolution.side} from L = {L:g}: "
+                                 f"SNR mismatch, {achieved!r} against {target!r}")
+        return F
 
     def guidance(self, spec: StageSpec) -> GuidanceWeights:
         """A stage's FA-CFG weights, cut at the previous stage's side (the first
@@ -105,21 +129,19 @@ class StagePlan:
         i = self.stages.index(spec)
         return GuidanceWeights(self.w_l, self.w_h, self.stages[max(i - 1, 0)].resolution)
 
-
-@dataclass(frozen=True)
-class StageRecord:
-    resolution: int
-    steps: int
-    first_timestep: float  # F (T or 1.0 for stage 0)
-    last_timestep: float  # L
-    cost_units: float
+    def time_grid(self, spec: StageSpec) -> np.ndarray:
+        """steps + 1 evenly spaced times from a stage's F down to its L; the
+        denoiser runs at grid[:-1]. ValueError for a stage not in the plan."""
+        F = self.first_timesteps[self.stages.index(spec)]
+        return np.linspace(F, spec.last_timestep, spec.steps + 1)
 
 
 @dataclass(frozen=True)
 class RunReport:
+    """A run's seed and cost units; its stages' F, L and costs are the plan's."""
+
     seed: int
     cost_units: float
-    stages: tuple
 
 
 def stage_costs(plan: StagePlan) -> tuple:
@@ -174,24 +196,15 @@ def resample_ca_map(m: CAMap, rows_h: int, rows_w: int) -> CAMap:
 # stage execution
 # ---------------------------------------------------------------------------
 
-def _stage_time_grid(first: float, last: float, steps: int) -> np.ndarray:
-    """Evaluation times and landing points: steps+1 evenly spaced values from
-    first down to last; the denoiser runs at grid[:-1]."""
-    if first <= last:
-        raise ValueError(f"stage must move down in time: {first} -> {last}")
-    return np.linspace(first, last, steps + 1)
-
-
 def run_stage(
     spec: StageSpec,
     z: LatentGrid,
-    first_timestep: float,
     bank: LatentBank,
     condition: int | None,
     plan: StagePlan,
     reused_maps: CAMap | None = None,
 ):
-    """Run one stage from first_timestep down to its last timestep.
+    """Run one stage over ``plan.time_grid(spec)``, from its F down to its L.
 
     Scores are combined with ``plan.guidance(spec)``, plain guidance at the
     first stage. When an averaged map from the previous stage is supplied,
@@ -203,7 +216,7 @@ def run_stage(
     """
     sched = plan.schedule
     vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
-    grid = _stage_time_grid(first_timestep, spec.last_timestep, spec.steps)
+    grid = plan.time_grid(spec)
     gw = plan.guidance(spec)
     step_maps = []
     for idx in range(spec.steps):
@@ -235,7 +248,9 @@ def transition(
 ):
     """The five-step hop to the next stage: denoise the last latent to a
     clean estimate, decode, bilinearly interpolate to the next pixel
-    resolution, encode, and diffuse to the SNR-matched entry timestep.
+    resolution, encode, and diffuse to ``plan.entry_timestep(from_spec,
+    to_spec)``, which for two stages of the plan is the later one's entry in
+    ``plan.first_timesteps``.
 
     The denoise step is a single conditional evaluation. Returns (z_F, F).
     """
@@ -247,12 +262,7 @@ def transition(
     pixel_side = to_spec.resolution.side * codec.spatial_factor
     image_up = resample_bilinear_rect(image, pixel_side, pixel_side)
     z0_up = encode(codec, image_up)
-    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
-        ratio = from_spec.resolution.side / to_spec.resolution.side
-        F = shift_timestep_vp(L, ratio, plan.gamma, sched)
-    else:
-        scale = to_spec.resolution.side / from_spec.resolution.side
-        F = shift_timestep_flow(L, scale)
+    F = plan.entry_timestep(from_spec, to_spec)
     noise = seeded_gaussian(z0_up.shape, noise_seed)
     z_f = diffuse(z0_up, F, noise, sched)
     return z_f, F
@@ -269,48 +279,29 @@ def run_cascade(
     """Full cascaded run; returns (image, report).
 
     The run is a pure function of its arguments: initial noise and every
-    transition noise derive from sub-seeds of the run seed. Each VP entry SNR
-    is checked against SNR(L) * ratio**gamma to 1e-6 relative.
+    transition noise derive from sub-seeds of the run seed. Every timestep it
+    visits comes from the plan (`StagePlan.time_grid`).
     """
-    sched = plan.schedule
-    vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
-    first = sched.t_max
     shape = (bank.channels, plan.stages[0].resolution.side, plan.stages[0].resolution.side)
     z = seeded_gaussian(shape, subseed(seed, _SUBSEED_INIT))
 
-    records = []
     avg_map = None
-    for i, (spec, cost) in enumerate(zip(plan.stages, stage_costs(plan))):
+    for i, spec in enumerate(plan.stages):
         # one stage bank alive at a time: it serves the stage and the
         # transition out of it, and is dropped before the next is built
         stage_bank = bank_resample(bank, spec.resolution)
-        z, avg_map = run_stage(spec, z, first, stage_bank, condition, plan,
-                               reused_maps=avg_map)
-        records.append(
-            StageRecord(spec.resolution.side, spec.steps, first, spec.last_timestep, cost)
-        )
+        z, avg_map = run_stage(spec, z, stage_bank, condition, plan, reused_maps=avg_map)
         if stage_callback is not None:
             stage_callback(i, z)
         if i + 1 < len(plan.stages):
-            nxt = plan.stages[i + 1]
-            z, first = transition(
-                z, spec, nxt, plan, codec, stage_bank, condition,
+            z, _ = transition(
+                z, spec, plan.stages[i + 1], plan, codec, stage_bank, condition,
                 subseed(seed, _SUBSEED_TRANSITION, i),
             )
-            if vp:
-                ratio = spec.resolution.side / nxt.resolution.side
-                target = snr(sched, spec.last_timestep) * ratio**plan.gamma
-                if abs(snr(sched, first) - target) > 1e-6 * target:
-                    raise AssertionError(f"transition {i}: SNR mismatch")
         del stage_bank
 
     image = decode(codec, z)
-    report = RunReport(
-        seed=int(seed),
-        cost_units=compute_cost(plan),
-        stages=tuple(records),
-    )
-    return image, report
+    return image, RunReport(seed=int(seed), cost_units=compute_cost(plan))
 
 
 # ---------------------------------------------------------------------------

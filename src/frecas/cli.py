@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from .bank import LatentBank
-from .cascade import PRESETS, compute_cost, run_cascade
+from .cascade import PRESETS, compute_cost, run_cascade, stage_costs
 from .codec import decode
 from .config import (
     ConfigError,
@@ -99,12 +99,13 @@ def _manifest_entries(cfg: RunConfig, plan, report, direct_cost, outputs):
         ("bank.classes", cfg.bank_classes),
         ("bank.channels", cfg.bank_channels),
     ]
-    for i, rec in enumerate(report.stages):
-        entries.append((f"stage.{i}.resolution", rec.resolution))
-        entries.append((f"stage.{i}.steps", rec.steps))
-        entries.append((f"stage.{i}.first_timestep", rec.first_timestep))
-        entries.append((f"stage.{i}.last_timestep", rec.last_timestep))
-        entries.append((f"stage.{i}.cost_units", rec.cost_units))
+    stages = zip(plan.stages, plan.first_timesteps, stage_costs(plan))
+    for i, (spec, first, cost) in enumerate(stages):
+        entries.append((f"stage.{i}.resolution", spec.resolution.side))
+        entries.append((f"stage.{i}.steps", spec.steps))
+        entries.append((f"stage.{i}.first_timestep", first))
+        entries.append((f"stage.{i}.last_timestep", spec.last_timestep))
+        entries.append((f"stage.{i}.cost_units", cost))
     for key, value in outputs:
         entries.append((f"output.{key}", value))
     return entries

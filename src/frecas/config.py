@@ -18,7 +18,7 @@ Recognized keys:
     base_side       latent side of stage 0 when materializing a preset (32)
     schedule        vp | flow (presets pick their own)
     T               training timesteps of the schedule (1000)
-    gamma           SNR exponent for transition shifts
+    gamma           SNR exponent of VP transition shifts (no effect on flow)
     w_l, w_h        guidance strengths for the low/high frequency bands
     w_c             attention-map fusion weight in [0, 1]
     condition       class id to condition on (0)

@@ -117,11 +117,12 @@ def alpha_inverse(sched: NoiseSchedule, target: float) -> float:
 
 
 def snr(sched: NoiseSchedule, t: float) -> float:
-    """Signal-to-noise ratio a_t / (1 - a_t); diverges at t = 0."""
+    """Signal-to-noise ratio a_t / (1 - a_t); ValueError where a_t rounds to
+    1, as at t = 0, since the ratio is infinite there."""
     require_vp(sched)
     a = alpha_at(sched, t)
     if a >= 1.0:
-        raise ValueError("SNR is infinite at t = 0")
+        raise ValueError(f"SNR is infinite at t = {t:g}: alpha rounds to 1")
     return a / (1.0 - a)
 
 

@@ -18,10 +18,17 @@ from frecas.cascade import (
     resample_ca_map,
     run_cascade,
     run_stage,
+    stage_costs,
     transition,
 )
 from frecas.codec import HAAR1, IDENTITY, decode, encode
-from frecas.config import RunConfig, build_direct_plan
+from frecas.config import (
+    RunConfig,
+    ablation_plan,
+    build_direct_plan,
+    build_plan,
+    build_schedule,
+)
 from frecas.grid import LatentGrid, Resolution, resample_bilinear, seeded_gaussian, subseed
 from frecas.sampler import GuidanceWeights, cfg_combine, ddim_step, predict_z0
 from frecas.schedule import (
@@ -183,7 +190,7 @@ class TestRunStage:
         bank = toy_bank(rng, side=8)
         plan = toy_plan(steps=(1, 1))
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
-        out, avg = run_stage(plan.stages[0], z, 1000.0, bank_resample(bank, Resolution(8)),
+        out, avg = run_stage(plan.stages[0], z, bank_resample(bank, Resolution(8)),
                              1, plan)
         assert out.shape == z.shape
         np.testing.assert_allclose(avg.values.sum(axis=1), 1.0, atol=1e-12)
@@ -193,8 +200,8 @@ class TestRunStage:
         plan = toy_plan()
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
         small = bank_resample(bank, Resolution(8))
-        a, _ = run_stage(plan.stages[0], z, 1000.0, small, 1, plan)
-        b, _ = run_stage(plan.stages[0], z, 1000.0, small, 1, plan)
+        a, _ = run_stage(plan.stages[0], z, small, 1, plan)
+        b, _ = run_stage(plan.stages[0], z, small, 1, plan)
         assert np.array_equal(a.data, b.data)
 
     def test_stage0_with_w1_depends_only_on_conditional(self, rng):
@@ -202,7 +209,7 @@ class TestRunStage:
         bank = toy_bank(rng, side=8, n_items=6, n_classes=2)
         plan = toy_plan(w=(1.0, 1.0))
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
-        out, _ = run_stage(plan.stages[0], z, 1000.0, bank, 1, plan)
+        out, _ = run_stage(plan.stages[0], z, bank, 1, plan)
         grid = np.linspace(1000.0, 200.0, 5)
         manual = z
         for t, t_next in zip(grid[:-1], grid[1:]):
@@ -217,7 +224,7 @@ class TestRunStage:
         plan = toy_plan(w_c=1.0)
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
         skewed = CAMap(np.tile([0.9, 0.1], (64, 1)), 8, 8, (0, 1))
-        with_maps, _ = run_stage(plan.stages[1], z, 500.0, toy_bank(rng, side=8, n_items=6, n_classes=2),
+        with_maps, _ = run_stage(plan.stages[1], z, toy_bank(rng, side=8, n_items=6, n_classes=2),
                                  1, plan, reused_maps=skewed)
         assert with_maps.shape == z.shape
 
@@ -227,8 +234,8 @@ class TestRunStage:
         plan = toy_plan()
         z = LatentGrid(rng.standard_normal((2, 16, 16)))
         coarse = _random_map(rng, 4, 4, (0, 1))
-        a, avg_a = run_stage(plan.stages[1], z, 500.0, bank, 1, plan, reused_maps=coarse)
-        b, avg_b = run_stage(plan.stages[1], z, 500.0, bank, 1, plan,
+        a, avg_a = run_stage(plan.stages[1], z, bank, 1, plan, reused_maps=coarse)
+        b, avg_b = run_stage(plan.stages[1], z, bank, 1, plan,
                              reused_maps=resample_ca_map(coarse, 8, 8))
         np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(avg_a.values, avg_b.values)
@@ -247,10 +254,10 @@ class TestRunStage:
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
         if with_map:
             reused = CAMap(np.tile([0.7, 0.3], (64, 1)), 8, 8, (0, 1))
-            run_stage(plan.stages[1], z, 500.0, bank, 1, plan, reused_maps=reused)
+            run_stage(plan.stages[1], z, bank, 1, plan, reused_maps=reused)
             steps = 3
         else:
-            run_stage(plan.stages[0], z, 1000.0, bank, 1, plan)
+            run_stage(plan.stages[0], z, bank, 1, plan)
             steps = 5
         assert calls == {"patch_sq_dists": steps, "sq_dists": 0}
 
@@ -357,30 +364,31 @@ class TestRunCascade:
         bank = toy_bank(rng)
         plan = toy_plan()
         _, report = run_cascade(plan, IDENTITY, bank, 1, seed=7)
-        assert report.cost_units == sum(r.cost_units for r in report.stages)
+        assert report.cost_units == sum(stage_costs(plan))
         assert report.cost_units == compute_cost(plan)
 
     def test_stage_timesteps_strictly_decreasing(self, rng):
         bank = toy_bank(rng)
         plan = toy_plan()
-        _, report = run_cascade(plan, IDENTITY, bank, 1, seed=7)
-        for rec in report.stages:
-            assert rec.first_timestep > rec.last_timestep
+        run_cascade(plan, IDENTITY, bank, 1, seed=7)
+        for first, spec in zip(plan.first_timesteps, plan.stages):
+            assert first > spec.last_timestep
 
     @pytest.mark.parametrize("sched,L", [(SCHED, 200.0), (flow_schedule(), 0.05)],
                              ids=["vp", "flow"])
     def test_first_stage_enters_at_t_max(self, rng, sched, L):
-        _, report = run_cascade(toy_plan(L=L, sched=sched), IDENTITY, toy_bank(rng), 1, seed=7)
-        assert report.stages[0].first_timestep == sched.t_max
+        plan = toy_plan(L=L, sched=sched)
+        run_cascade(plan, IDENTITY, toy_bank(rng), 1, seed=7)
+        assert plan.first_timesteps[0] == sched.t_max
 
     def test_report_entry_timesteps_satisfy_snr_matching(self, rng):
         bank = toy_bank(rng)
         plan = toy_plan()
-        _, report = run_cascade(plan, IDENTITY, bank, 1, seed=7)
-        for prev, nxt in zip(report.stages, report.stages[1:]):
-            ratio = prev.resolution / nxt.resolution
+        run_cascade(plan, IDENTITY, bank, 1, seed=7)
+        for prev, nxt, first in zip(plan.stages, plan.stages[1:], plan.first_timesteps[1:]):
+            ratio = prev.resolution.side / nxt.resolution.side
             target = snr(SCHED, prev.last_timestep) * ratio**plan.gamma
-            assert abs(snr(SCHED, nxt.first_timestep) - target) <= 1e-6 * target
+            assert abs(snr(SCHED, first) - target) <= 1e-6 * target
 
     def test_flow_cascade_runs(self, rng):
         fs = flow_schedule()
@@ -403,11 +411,11 @@ class TestRunCascade:
         bank = toy_bank(rng, side=40, n_items=6, n_classes=2)
         image, report = run_cascade(plan, IDENTITY, bank, 1, seed=9)
         assert image.shape == (2, 40, 40)
-        assert len(report.stages) == 3
-        for prev, nxt in zip(report.stages, report.stages[1:]):
-            ratio = prev.resolution / nxt.resolution
+        assert len(plan.first_timesteps) == 3
+        for prev, nxt, first in zip(plan.stages, plan.stages[1:], plan.first_timesteps[1:]):
+            ratio = prev.resolution.side / nxt.resolution.side
             target = snr(SCHED, prev.last_timestep) * ratio**plan.gamma
-            assert abs(snr(SCHED, nxt.first_timestep) - target) <= 1e-6 * target
+            assert abs(snr(SCHED, first) - target) <= 1e-6 * target
 
 
 class TestPlansAndCost:
@@ -500,6 +508,35 @@ class TestPlansAndCost:
             shift_timestep_vp(L, side0 / 16, gamma, SCHED)
         with pytest.raises(ValueError, match="no entry timestep for side 16 from L"):
             toy_plan(side0=side0, L=L, gamma=gamma)
+
+    @pytest.mark.parametrize("sched,lasts,gamma", [
+        (SCHED, [100, 500], 2.0),
+        (flow_schedule(), [100, 500], 2.0),
+        (SCHED, [300, 300], 0.0),  # gamma = 0 shifts nothing, so F = L
+    ], ids=["vp", "flow", "vp-gamma-0"])
+    def test_plan_rejects_a_stage_entering_at_or_below_its_L(self, sched, lasts, gamma):
+        # stage 1 enters at the shift of L = 100 (VP 147.4, flow 0.12) or
+        # at 300 itself, none of them above its own L
+        lasts = [preset_timestep(L, sched) for L in lasts]
+        with pytest.raises(ValueError, match=r"stage 1 \(side 12\) enters at F = .*"
+                                             r"not above its L"):
+            ladder([8, 12, 16], [2, 2, 2], lasts, w_l=7.5, w_h=35.0, w_c=0.6,
+                   gamma=gamma, sched=sched)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_transition_enters_at_the_plans_first_timestep(self, rng, name):
+        # the preset's ladder and its ablate --param N ladders with 1 to 3
+        # additional stages: the run's F is the one the plan derived
+        cfg = RunConfig(preset=name, base_side=8)
+        sched = build_schedule(cfg)
+        plans = [build_plan(cfg, sched), *(ablation_plan(cfg, "N", n, sched) for n in (1, 2, 3))]
+        for plan in plans:
+            for i, (a, b) in enumerate(zip(plan.stages, plan.stages[1:])):
+                side = a.resolution.side
+                bank = toy_bank(rng, side=side, n_items=4, n_classes=2)
+                z = LatentGrid(rng.standard_normal((2, side, side)))
+                _, F = transition(z, a, b, plan, IDENTITY, bank, 1, 5)
+                assert F == plan.first_timesteps[i + 1]
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.5])
     def test_plan_rejects_non_finite_or_negative_gamma(self, gamma):

@@ -170,6 +170,28 @@ class TestExitCodes:
         assert "no entry timestep" in err and "outside the schedule range" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["sample", "--stages", "8:2:100,12:2:500,16:2:0"],
+         "stage 1 (side 12) enters at F = 147.356, not above its L = 500"),
+        (["sample", "--stages", "8:2:100,12:2:500,16:2:0", "--schedule", "flow"],
+         "stage 1 (side 12) enters at F = 0.119782, not above its L = 0.5"),
+        (["ablate", "--preset", "sdxl-x4", "--param", "L", "--values", "1e-13",
+          "--base-side", "8"],
+         "no entry timestep for side 16 from L = 1e-13: "
+         "SNR is infinite at t = 1e-13: alpha rounds to 1"),
+    ], ids=["vp-stages", "flow-stages", "ablate-L-1e-13"])
+    def test_stage_entry_not_above_its_L_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         argv, reason):
+        # a stage that could not move down from its entry F to its L: rejected
+        # with the plan, before a bank is built or a stage sampled
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main([*argv, "--bank-items", "8", "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"frecas: config error: {reason}\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", [
         ["sample"], ["ablate", "--param", "w_c", "--values", "0.5"], ["bench"],
     ])

@@ -23,7 +23,7 @@ from frecas.config import (
     parse_config_file,
     target_side,
 )
-from frecas.schedule import ScheduleKind, alpha_at
+from frecas.schedule import ScheduleKind, alpha_at, shift_timestep_flow, shift_timestep_vp
 
 
 class TestConfigFile:
@@ -395,12 +395,25 @@ class TestStageListProperties:
             with pytest.raises(ConfigError, match="t_max"):
                 build_plan(cfg, sched)
             return
-        if not flow and any(not vp_entry_reachable(sched, L, a / b, 2.0)
-                            for L, a, b in zip(expected, sides, sides[1:])):
-            with pytest.raises(ConfigError, match="no entry timestep"):
-                build_plan(cfg, sched)
-            return
+        # each later stage enters at the shift of the previous L, which must
+        # exist and lie above the stage's own L; the first failure is reported
+        firsts = [sched.t_max]
+        for i, (L, nxt, a, b) in enumerate(zip(expected, expected[1:], sides, sides[1:]), 1):
+            if flow:
+                F = shift_timestep_flow(L, b / a)
+            elif vp_entry_reachable(sched, L, a / b, 2.0):
+                F = shift_timestep_vp(L, a / b, 2.0, sched)
+            else:
+                with pytest.raises(ConfigError, match="no entry timestep"):
+                    build_plan(cfg, sched)
+                return
+            if F <= nxt:
+                with pytest.raises(ConfigError, match=rf"stage {i} \(side {b}\).*not above"):
+                    build_plan(cfg, sched)
+                return
+            firsts.append(F)
         plan = build_plan(cfg, sched)
+        assert list(plan.first_timesteps) == firsts
         assert [s.resolution.side for s in plan.stages] == sides
         assert [s.steps for s in plan.stages] == steps
         assert [s.last_timestep for s in plan.stages] == expected
