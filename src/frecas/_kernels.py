@@ -22,6 +22,8 @@ posterior makes one pass per step; :func:`sq_dists` stays as the direct
 form that tests compare against.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -41,12 +43,17 @@ def backend() -> str:
 # gathered corners per output sample, so the two forms are bitwise equal.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache
 def _taps(n_in: int, n_out: int):
-    """(lower index, upper index, weight) of n_out samples on an n_in axis."""
+    """(lower index, upper index, weight) of n_out samples on an n_in axis;
+    memoized per axis pair, so the arrays are read-only."""
     step = (n_in - 1) / (n_out - 1) if n_out > 1 else 0.0
     pos = np.arange(n_out) * step
     lo = np.minimum(pos.astype(np.intp), max(n_in - 2, 0))
-    return lo, np.minimum(lo + 1, n_in - 1), pos - lo
+    taps = lo, np.minimum(lo + 1, n_in - 1), pos - lo
+    for a in taps:
+        a.setflags(write=False)
+    return taps
 
 
 def bilinear_resample(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -33,11 +33,16 @@ the unconditional and conditional predictions are one (2, K) @ (K, P*C*p*p)
 product, weighting all K items with the condition masking the other
 classes; the mixture is one (P, 1, K) @ (P, K, C*p*p) product. The
 whole-latent distances are the row sums of the patch distances.
+:func:`blocked_posterior` takes the latent already in the bank's layout and
+:meth:`Posterior.field_blocks` returns the fields in it, so a cascade stage
+keeps its latent blocked from step to step; :func:`posterior` and
+:meth:`Posterior.fields` are the same computation for grids.
 
 Every bank is built as ``LatentBank(items, class_ids, weights)`` from a
 stream of items, each blocked as it arrives: :func:`make_bank` encodes each
-procedural item as it is drawn and :func:`load_bank` reads one saved grid at
-a time, so no build holds a second bank or a list of grids.
+procedural item as it is drawn, :func:`load_bank` reads one saved grid at a
+time and :func:`bank_resample` unblocks one item at a time straight into the
+resampling kernel, so no build holds a second bank or a list of grids.
 """
 
 import os
@@ -48,7 +53,7 @@ import numpy as np
 
 from . import _kernels
 from .codec import IDENTITY, LatentCodec, encode
-from .grid import LatentGrid, Resolution, read_grid, resample_bilinear, write_grid
+from .grid import LatentGrid, Resolution, read_grid, write_grid
 from .schedule import ForwardModel, NoiseSchedule, forward_model
 
 
@@ -89,8 +94,9 @@ class LatentBank:
     p = default_patch_size(side), and ``blocks[k, i]`` is the i-th p x p
     patch of item k (see :mod:`frecas._kernels`). :meth:`item` unblocks one
     item; no (K, C, side, side) stack is kept.
-    ``classes`` (sorted distinct ids), each item's ``class_index`` into them
-    and ``log_weights`` are computed once, here.
+    ``classes`` (sorted distinct ids), each item's ``class_index`` into them,
+    the ``class_members`` index array of each class and ``log_weights`` are
+    computed once, here.
     """
 
     def __init__(self, items, class_ids, weights):
@@ -122,12 +128,14 @@ class LatentBank:
         if count != ids.size:
             raise ValueError("class_ids and weights must have one entry per item")
         classes, class_index = np.unique(ids, return_inverse=True)
+        members = tuple(np.flatnonzero(class_index == i) for i in range(classes.size))
         log_weights = np.log(w)
-        for a in (blocks, ids, w, class_index, log_weights):
+        for a in (blocks, ids, w, class_index, log_weights, *members):
             a.setflags(write=False)
         self.blocks, self.class_ids, self.weights, self.log_weights = blocks, ids, w, log_weights
         self.item_shape, self.patch_size = shape, p
-        self.classes, self.class_index = tuple(classes.tolist()), class_index
+        self.classes, self.class_index, self.class_members = (
+            tuple(classes.tolist()), class_index, members)
 
     @property
     def size(self) -> int:
@@ -144,8 +152,16 @@ class LatentBank:
     def resolution(self) -> Resolution:
         return Resolution(self.side)
 
+    def block(self, x: np.ndarray) -> np.ndarray:
+        """A (C, side, side) array as (P, C*p*p) blocks in this bank's layout."""
+        return _kernels.to_blocks(x, self.patch_size)
+
+    def unblock(self, blocks: np.ndarray) -> np.ndarray:
+        """(P, C*p*p) blocks in this bank's layout as a (C, side, side) array."""
+        return _kernels.from_blocks(blocks, self.item_shape, self.patch_size)
+
     def item(self, k: int) -> LatentGrid:
-        return LatentGrid(_kernels.from_blocks(self.blocks[k], self.item_shape, self.patch_size))
+        return LatentGrid(self.unblock(self.blocks[k]))
 
     @cached_property
     def patch_norms(self) -> np.ndarray:
@@ -156,10 +172,13 @@ class LatentBank:
 
 
 def bank_resample(bank: LatentBank, target: Resolution) -> LatentBank:
-    """Every item bilinearly resampled; ids and weights preserved."""
+    """Every item bilinearly resampled; ids and weights preserved. Items go
+    one at a time from the bank's blocks through the resampling kernel into
+    the new bank, so only one item is unblocked at a time."""
     if bank.resolution() == target:
         return bank
-    items = (resample_bilinear(bank.item(k), target).data for k in range(bank.size))
+    side = target.side
+    items = (_kernels.bilinear_resample(bank.unblock(b), side, side) for b in bank.blocks)
     return LatentBank(items, bank.class_ids, bank.weights)
 
 
@@ -171,13 +190,13 @@ def default_patch_size(side: int) -> int:
     return p
 
 
-def _class_log_evidence(log_patch, class_index, n_classes):
+def _class_log_evidence(log_patch, class_members):
     """LSE of per-item patch log-weights within each class: (n_classes, P)."""
-    out = np.empty((n_classes, log_patch.shape[1]))
-    for i in range(n_classes):
-        rows = log_patch[class_index == i]
+    out = np.empty((len(class_members), log_patch.shape[1]))
+    for row, members in zip(out, class_members):
+        rows = log_patch[members]
         m = rows.max(axis=0)
-        out[i] = m + np.log(np.exp(rows - m).sum(axis=0))
+        row[:] = m + np.log(np.exp(rows - m).sum(axis=0))
     return out
 
 
@@ -185,14 +204,16 @@ def _class_log_evidence(log_patch, class_index, n_classes):
 class Posterior:
     """The bank posterior at one (latent, t), shared by every prediction.
 
-    Built by :func:`posterior` from one patch-distance pass over all K
-    items; the unconditional, conditional and mixture fields and the
-    attention map ``ca`` all derive from it without touching the bank
-    distances again.
+    Built by :func:`posterior` (or :func:`blocked_posterior`) from one
+    patch-distance pass over all K items; the unconditional, conditional
+    and mixture fields and the attention map ``ca`` all derive from it
+    without touching the bank distances again. The latent is held as
+    ``z_blocks`` in the bank's layout; :meth:`field_blocks` gives the fields
+    in that layout and :meth:`field` and :meth:`fields` as grids.
     """
 
     bank: LatentBank
-    z_t: LatentGrid
+    z_blocks: np.ndarray  # (P, C*p*p) the latent, patch-blocked
     t: float
     sched: NoiseSchedule
     fwd: ForwardModel
@@ -203,6 +224,7 @@ class Posterior:
 
     scale = property(lambda self: self.fwd.scale)
     var = property(lambda self: self.fwd.var)
+    z_t = property(lambda self: LatentGrid(self.bank.unblock(self.z_blocks)))
 
     def field(self, condition: int | None, ca_mixture: CAMap | None = None) -> LatentGrid:
         """Predicted noise (VP) or velocity (flow) under ``condition``.
@@ -214,16 +236,23 @@ class Posterior:
         """
         self._check(condition, ca_mixture)
         z0 = self._plain_z0([condition])[0] if ca_mixture is None else self._mixture_z0(ca_mixture)
-        return self._field(z0)
+        return self._grid(self.fwd.field(self.z_blocks, z0))
 
     def fields(self, condition: int | None, ca_mixture: CAMap | None = None):
         """(unconditional field, ``field(condition, ca_mixture)``), the pair
-        guidance combines. Without a mixture both plain predictions are one
+        guidance combines: :meth:`field_blocks` as grids."""
+        return tuple(self._grid(f) for f in self.field_blocks(condition, ca_mixture))
+
+    def field_blocks(self, condition: int | None, ca_mixture: CAMap | None = None):
+        """The pair :meth:`fields` returns, as (P, C*p*p) blocks in the
+        bank's layout. Without a mixture both plain predictions are one
         product over the bank."""
         self._check(condition, ca_mixture)
         if ca_mixture is None:
-            return tuple(self._field(z0) for z0 in self._plain_z0([None, condition]))
-        return self._field(self._plain_z0([None])[0]), self._field(self._mixture_z0(ca_mixture))
+            z0s = self._plain_z0([None, condition])
+        else:
+            z0s = self._plain_z0([None])[0], self._mixture_z0(ca_mixture)
+        return tuple(self.fwd.field(self.z_blocks, z0) for z0 in z0s)
 
     def _check(self, condition, ca_mixture):
         if condition is not None and int(condition) not in self.ca.classes:
@@ -255,9 +284,8 @@ class Posterior:
         mix = ca_mixture.values.T[bank.class_index, :]  # (K, P)
         return _kernels.patch_mix(bank.blocks, item_resp * mix)
 
-    def _field(self, z0_blocks) -> LatentGrid:
-        z0 = _kernels.from_blocks(z0_blocks, self.bank.item_shape, self.bank.patch_size)
-        return LatentGrid(self.fwd.field(self.z_t.data, z0))
+    def _grid(self, blocks) -> LatentGrid:
+        return LatentGrid(self.bank.unblock(blocks))
 
 
 def posterior(
@@ -266,19 +294,31 @@ def posterior(
     t: float,
     sched: NoiseSchedule,
 ) -> Posterior:
-    """The bank posterior at latent z_t and time t.
+    """The bank posterior at latent z_t and time t: :func:`blocked_posterior`
+    of the latent blocked in the bank's layout, after checking its shape.
 
-    Makes one patch-distance pass over the bank with the bank's patch size,
-    the default one of the latent's side. Its ``ca`` holds the patchwise
-    class responsibilities of the whole bank at this latent, independent of
-    any conditioning.
+    Its ``ca`` holds the patchwise class responsibilities of the whole bank
+    at this latent, independent of any conditioning.
     """
     if bank.item_shape != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
+    return blocked_posterior(bank, bank.block(z_t.data), t, sched)
+
+
+def blocked_posterior(
+    bank: LatentBank,
+    z_blocks: np.ndarray,
+    t: float,
+    sched: NoiseSchedule,
+) -> Posterior:
+    """The bank posterior at a latent given as (P, C*p*p) blocks in the
+    bank's layout, which the caller keeps finite and of the bank's shape.
+
+    Makes one patch-distance pass over the bank with the bank's patch size,
+    the default one of the latent's side.
+    """
     fwd = forward_model(sched, t)
-    p = bank.patch_size
-    d_patch = _kernels.patch_sq_dists(bank.blocks, _kernels.to_blocks(z_t.data, p), fwd.scale,
-                                      bank.patch_norms)
+    d_patch = _kernels.patch_sq_dists(bank.blocks, z_blocks, fwd.scale, bank.patch_norms)
     d_full = d_patch.sum(axis=1)
     d_max = d_full.max()
     info = np.finfo(float)
@@ -290,12 +330,12 @@ def posterior(
         raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
     log_patch = bank.log_weights[:, None] - d_patch / (2.0 * fwd.var)  # (K, P)
 
-    evidence = _class_log_evidence(log_patch, bank.class_index, len(bank.classes))
+    evidence = _class_log_evidence(log_patch, bank.class_members)
     m = evidence.max(axis=0)
     resp = np.exp(evidence - m)
-    g = z_t.height // p
+    g = bank.side // bank.patch_size
     ca = CAMap((resp / resp.sum(axis=0)).T, g, g, bank.classes)
-    return Posterior(bank, z_t, t, sched, fwd, log_patch, evidence, d_full, ca)
+    return Posterior(bank, z_blocks, t, sched, fwd, log_patch, evidence, d_full, ca)
 
 
 def predict(

@@ -20,14 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bank import CAMap, LatentBank, bank_resample, posterior, predict
+from .bank import CAMap, LatentBank, bank_resample, blocked_posterior, predict
 from .codec import LatentCodec, decode, encode
 from .grid import LatentGrid, Resolution, resample_bilinear_rect, seeded_gaussian, subseed
-from .sampler import GuidanceWeights, ddim_step, euler_flow_step, facfg_combine, predict_z0
+from .sampler import GuidanceWeights, ddim_update, euler_update, facfg, predict_z0
 from .schedule import (
     NoiseSchedule,
     ScheduleKind,
     diffuse,
+    forward_model,
     shift_timestep_flow,
     shift_timestep_vp,
     snr,
@@ -104,9 +105,11 @@ class StagePlan:
 
     def entry_timestep(self, src: StageSpec, dst: StageSpec) -> float:
         """F, where stage dst starts from src's L. VP: SNR(F) = SNR(L) *
-        (src side / dst side)**gamma, checked to 1e-6 relative (AssertionError).
-        Flow: SD3's shift by dst side / src side, which has no exponent, so
-        gamma has no effect. ValueError when no F exists."""
+        (src side / dst side)**gamma, checked to 1e-6 relative plus the
+        rounding SNR(F) = a_F / (1 - a_F) inherits from 1 - a_F, relative
+        eps / (1 - a_F) = eps (1 + SNR), which near t = 0 outgrows 1e-6
+        (AssertionError). Flow: SD3's shift by dst side / src side, which has
+        no exponent, so gamma has no effect. ValueError when no F exists."""
         L, sched = src.last_timestep, self.schedule
         try:
             if sched.kind is ScheduleKind.FLOW_MATCHING:
@@ -118,7 +121,8 @@ class StagePlan:
         except ValueError as e:
             raise ValueError(f"no entry timestep for side {dst.resolution.side} "
                              f"from L = {L:g}: {e}") from None
-        if abs(achieved - target) > 1e-6 * target:
+        tol = 1e-6 + 8 * np.finfo(float).eps * (1.0 + target)
+        if abs(achieved - target) > tol * target:
             raise AssertionError(f"entry to side {dst.resolution.side} from L = {L:g}: "
                                  f"SNR mismatch, {achieved!r} against {target!r}")
         return F
@@ -213,27 +217,42 @@ def run_stage(
     Each fused map and the average are CAMaps, whose rows are checked to sum
     to 1 within 1e-12 (ValueError otherwise). Returns the stage's final
     latent and the averaged map.
+
+    A step is :func:`frecas.bank.blocked_posterior`, ``field_blocks``,
+    :func:`frecas.sampler.facfg` and :func:`frecas.sampler.ddim_update` or
+    :func:`frecas.sampler.euler_update`: the array functions behind the grid
+    API, applied to the latent held as (P, C*p*p) blocks in the bank's
+    layout from the distance pass to the update. Only a cut stage's band
+    split unblocks (the guidance difference), and the latent is unblocked
+    once, at the end. One finiteness check on each new latent stands in for
+    the grid checks: a non-finite one is a ValueError naming the step's t.
     """
+    if bank.item_shape != z.shape:
+        raise ValueError(f"latent shape {z.shape} does not match bank {bank.item_shape}")
     sched = plan.schedule
     vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
     grid = plan.time_grid(spec)
     gw = plan.guidance(spec)
+
+    z_blocks = bank.block(z.data)
     step_maps = []
     for idx in range(spec.steps):
         t, t_next = float(grid[idx]), float(grid[idx + 1])
-        post = posterior(bank, z, t, sched)
+        post = blocked_posterior(bank, z_blocks, t, sched)
         fused = None
         if reused_maps is not None:
             reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
             fused = fuse_ca_maps(post.ca, reused_maps, plan.w_c)
-        eps_unc, eps_c = post.fields(condition, ca_mixture=fused)
+        eps_unc, eps_c = post.field_blocks(condition, ca_mixture=fused)
         step_maps.append(post.ca if fused is None else fused)
-        eps_hat = facfg_combine(eps_unc, eps_c, gw)
+        eps_hat = facfg(eps_unc, eps_c, gw, bank.side, bank.unblock, bank.block)
         if vp:
-            z = ddim_step(z, eps_hat, t, t_next, sched)
+            z_blocks = ddim_update(z_blocks, eps_hat, post.fwd, forward_model(sched, t_next))
         else:
-            z = euler_flow_step(z, eps_hat, t, t_next)
-    return z, average_ca_maps(step_maps)
+            z_blocks = euler_update(z_blocks, eps_hat, t, t_next)
+        if not np.isfinite(z_blocks).all():
+            raise ValueError(f"non-finite latent after the step at t = {t:g}")
+    return LatentGrid(bank.unblock(z_blocks)), average_ca_maps(step_maps)
 
 
 def transition(

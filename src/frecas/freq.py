@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import LatentGrid, Resolution, resample_bilinear
+from . import _kernels
+from .grid import LatentGrid, Resolution
 from .schedule import NoiseSchedule, diffuse, forward_model, require_vp
 
 
@@ -38,20 +39,37 @@ class BandSplit:
     base: Resolution
 
 
-def band_split(g: LatentGrid, base: Resolution) -> BandSplit:
-    """Split into frequencies below the base Nyquist and the residual above.
+def low_band(x: np.ndarray, base_side: int) -> np.ndarray:
+    """up(down(x, base_side)) of a (C, side, side) array; x itself at
+    base_side == side. ValueError for a non-square array or a base above
+    its side."""
+    side = x.shape[1]
+    if x.shape[2] != side:
+        raise ValueError(f"band_split needs a square grid, got {side}x{x.shape[2]}")
+    if base_side > side:
+        raise ValueError(f"base side {base_side} exceeds grid side {side}")
+    if base_side == side:
+        return x
+    down = _kernels.bilinear_resample(x, base_side, base_side)
+    return _kernels.bilinear_resample(down, side, side)
 
-    low = up(down(g, base)); high = g - low. Constants survive the round
-    trip exactly, so a constant grid has zero high band.
+
+def high_band(x: np.ndarray, base_side: int, out=None) -> np.ndarray:
+    """x - low_band(x, base_side), written into ``out`` when given; ``out``
+    may be x itself."""
+    return np.subtract(x, low_band(x, base_side), out=out)
+
+
+def band_split(g: LatentGrid, base: Resolution) -> BandSplit:
+    """Split into frequencies below the base Nyquist and the residual above:
+    low = :func:`low_band`, high = g - low.
+
+    Constants survive the round trip exactly, so a constant grid has zero
+    high band; at the grid's own side the low band is the grid itself.
     """
-    if g.height != g.width:
-        raise ValueError(f"band_split needs a square grid, got {g.height}x{g.width}")
-    if base.side > g.height:
-        raise ValueError(f"base side {base.side} exceeds grid side {g.height}")
-    current = Resolution(g.height)
-    low = resample_bilinear(resample_bilinear(g, base), current)
-    high = LatentGrid(g.data - low.data)
-    return BandSplit(low=low, high=high, base=base)
+    low = low_band(g.data, base.side)
+    return BandSplit(low=g if low is g.data else LatentGrid(low),
+                     high=LatentGrid(g.data - low), base=base)
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,8 @@ def snr(sched: NoiseSchedule, t: float) -> float:
 
 class ForwardModel(NamedTuple):
     """z_t = scale z_0 + sigma eps at one t, with var = sigma**2 as the
-    schedule computes it, and the field (z_t - c z_0) / sigma."""
+    schedule computes it, and the field (z_t - c z_0) / sigma. Its methods
+    act on arrays of any one layout, grids or patch blocks."""
 
     scale: float
     sigma: float
@@ -140,6 +141,9 @@ class ForwardModel(NamedTuple):
 
     def clean(self, z_t, field):
         return (z_t - self.sigma * field) / self.c
+
+    def noised(self, z0, noise):
+        return self.scale * z0 + self.sigma * noise
 
 
 def forward_model(sched: NoiseSchedule, t: float) -> ForwardModel:
@@ -158,8 +162,7 @@ def diffuse(z0: LatentGrid, t: float, noise: LatentGrid, sched: NoiseSchedule) -
     """Forward diffusion to timestep t with the given noise realization."""
     if z0.shape != noise.shape:
         raise ValueError(f"shape mismatch: {z0.shape} vs {noise.shape}")
-    fwd = forward_model(sched, t)
-    return LatentGrid(fwd.scale * z0.data + fwd.sigma * noise.data)
+    return LatentGrid(forward_model(sched, t).noised(z0.data, noise.data))
 
 
 def shift_timestep_vp(L: float, ratio: float, gamma: float, sched: NoiseSchedule) -> float:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frecas import _kernels
-from frecas.bank import CAMap, LatentBank, bank_resample, predict
+from frecas.bank import CAMap, LatentBank, bank_resample, posterior, predict
 from frecas.cascade import (
     PRESETS,
     StagePlan,
@@ -30,8 +32,16 @@ from frecas.config import (
     build_schedule,
 )
 from frecas.grid import LatentGrid, Resolution, resample_bilinear, seeded_gaussian, subseed
-from frecas.sampler import GuidanceWeights, cfg_combine, ddim_step, predict_z0
+from frecas.sampler import (
+    GuidanceWeights,
+    cfg_combine,
+    ddim_step,
+    euler_flow_step,
+    facfg_combine,
+    predict_z0,
+)
 from frecas.schedule import (
+    ScheduleKind,
     alpha_at,
     diffuse,
     flow_schedule,
@@ -260,6 +270,64 @@ class TestRunStage:
             run_stage(plan.stages[0], z, bank, 1, plan)
             steps = 5
         assert calls == {"patch_sq_dists": steps, "sq_dists": 0}
+
+
+def reference_stage(spec, z, bank, condition, plan, reused_maps=None):
+    """run_stage's loop written with the public per-step grid functions."""
+    sched = plan.schedule
+    grid = plan.time_grid(spec)
+    gw = plan.guidance(spec)
+    maps = []
+    for t, t_next in zip(grid[:-1].tolist(), grid[1:].tolist()):
+        post = posterior(bank, z, t, sched)
+        fused = None
+        if reused_maps is not None:
+            reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
+            fused = fuse_ca_maps(post.ca, reused_maps, plan.w_c)
+        eps_unc, eps_c = post.fields(condition, ca_mixture=fused)
+        maps.append(post.ca if fused is None else fused)
+        eps_hat = facfg_combine(eps_unc, eps_c, gw)
+        if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
+            z = ddim_step(z, eps_hat, t, t_next, sched)
+        else:
+            z = euler_flow_step(z, eps_hat, t, t_next)
+    return z, average_ca_maps(maps)
+
+
+class TestBlockedStage:
+    @pytest.mark.parametrize("sched,L", [(SCHED, 200.0), (flow_schedule(), 0.3)],
+                             ids=["vp", "flow"])
+    @pytest.mark.parametrize("stage", [0, 1], ids=["stage0", "cut-stage-fused-map"])
+    @pytest.mark.parametrize("condition", [None, 1])
+    def test_matches_the_public_step_functions_bytewise(self, rng, sched, L, stage,
+                                                        condition):
+        plan = toy_plan(L=L, sched=sched)
+        spec = plan.stages[stage]
+        side = spec.resolution.side
+        bank = toy_bank(rng, side=side, n_items=9)
+        z = LatentGrid(rng.standard_normal((2, side, side)))
+        # stage 1 has an 8 x 8 patch grid; a 4 x 4 map is regridded first
+        reused = _random_map(rng, 4, 4, bank.classes) if stage else None
+        out, avg = run_stage(spec, z, bank, condition, plan, reused_maps=reused)
+        ref, ref_avg = reference_stage(spec, z, bank, condition, plan, reused_maps=reused)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert avg.values.tobytes() == ref_avg.values.tobytes()
+        assert plan.guidance(spec).base.side == (side if stage == 0 else 8)
+
+    @pytest.mark.parametrize("stage,w,t", [
+        (0, (1e308, 35.0), "1000"),  # plain CFG at w_l overflows
+        (1, (7.5, 1e308), None),  # the high band's weight overflows
+    ], ids=["w_l", "w_h"])
+    def test_non_finite_latent_names_the_step(self, rng, stage, w, t):
+        plan = toy_plan(w=w)
+        spec = plan.stages[stage]
+        side = spec.resolution.side
+        bank = toy_bank(rng, side=side)
+        z = LatentGrid(rng.standard_normal((2, side, side)))
+        t = t or f"{plan.first_timesteps[stage]:g}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"non-finite latent after the step at t = {t}$"):
+                run_stage(spec, z, bank, 1, plan)
 
 
 class TestRunCascade:
@@ -537,6 +605,34 @@ class TestPlansAndCost:
                 z = LatentGrid(rng.standard_normal((2, side, side)))
                 _, F = transition(z, a, b, plan, IDENTITY, bank, 1, 5)
                 assert F == plan.first_timesteps[i + 1]
+
+    def test_entry_near_t0_passes_the_snr_check(self):
+        # 1 - alpha(1e-8) is ~1e-12, so SNR(F) carries ~1e-4 relative
+        # rounding; a fixed 1e-6 tolerance raised "SNR mismatch" here
+        cfg = RunConfig(base_side=8, bank_items=8)
+        for L in (1e-8, 1e-10):
+            plan = ablation_plan(cfg, "L", L, build_schedule(cfg))
+            assert plan.first_timesteps[1] > plan.stages[1].last_timestep
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_L=st.floats(-10.0, math.log10(999.0)),
+           sides=st.sampled_from([(8, 16), (8, 12), (4, 16), (16, 17), (2, 64)]),
+           gamma=st.floats(0.0, 8.0))
+    def test_entry_snr_check_holds_down_to_small_L(self, log_L, sides, gamma):
+        # L from 1e-10 up: a plan builds or names the transition it cannot
+        # enter; it never fails the SNR check on correct arithmetic
+        L = 10.0**log_L
+        try:
+            ladder(sides, [2, 2], [L], w_l=7.5, w_h=35.0, w_c=0.6, gamma=gamma, sched=SCHED)
+        except ValueError as e:
+            assert "no entry timestep" in str(e) or "not above its L" in str(e)
+
+    def test_perturbed_entry_still_fails_the_snr_check(self, monkeypatch):
+        shift = shift_timestep_vp
+        monkeypatch.setattr("frecas.cascade.shift_timestep_vp",
+                            lambda *args: shift(*args) * (1.0 + 1e-4))
+        with pytest.raises(AssertionError, match="SNR mismatch"):
+            toy_plan(L=200.0)
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.5])
     def test_plan_rejects_non_finite_or_negative_gamma(self, gamma):

@@ -295,6 +295,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"frecas: config error: {key} must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("flag,t", [("--w-l", "1000"), ("--w-h", None)])
+    def test_overflowing_guidance_is_runtime_error(self, tmp_path, capsys, flag, t):
+        # a finite weight whose guided field overflows: the step's new latent
+        # is non-finite, and the error names the step (stage 1 enters at F)
+        cfg = RunConfig(base_side=8, bank_items=8)
+        t = t or f"{build_plan(cfg, build_schedule(cfg)).first_timesteps[1]:g}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["sample", "--preset", "sdxl-x4", *FAST[:4], flag, "1e308",
+                         "--out", str(tmp_path / "r")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == f"frecas: error: non-finite latent after the step at t = {t}\n"
+
+    def test_ablate_L_near_t0_passes_the_entry_check(self, tmp_path, capsys):
+        code = main(["ablate", "--preset", "sdxl-x4", "--param", "L", "--values", "1e-8",
+                     *FAST[:4], "--out", str(tmp_path / "r")])
+        assert code == EXIT_OK, capsys.readouterr().err
+
 
 class TestPsd:
     def test_writes_per_timestep_and_summary(self, tmp_path):

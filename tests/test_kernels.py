@@ -159,6 +159,19 @@ def test_separable_bilinear_is_the_four_gather_form_bitwise(c, h, w, out_h, out_
         bilinear_four_gather(src, out_h, out_w).tobytes()
 
 
+def test_taps_are_memoized_read_only_and_leave_the_kernel_unchanged(rng):
+    src = rng.standard_normal((3, 9, 13))
+    K._taps.cache_clear()
+    first = K.bilinear_resample(src, 17, 5)  # computes the taps
+    taps = K._taps(9, 17) + K._taps(13, 5)
+    assert K._taps(9, 17) is K._taps(9, 17)
+    assert K._taps.cache_info().misses == 2
+    for a in taps:
+        assert not a.flags.writeable
+    again = K.bilinear_resample(src, 17, 5)  # reads the cached taps
+    assert first.tobytes() == again.tobytes() == bilinear_four_gather(src, 17, 5).tobytes()
+
+
 def test_sq_dists_twins_agree(rng):
     bank = rng.standard_normal((12, 300))
     z = rng.standard_normal(300)
