@@ -6,7 +6,7 @@ analysis tools.
 """
 
 from ._kernels import backend
-from .bank import CAMap, LatentBank, Posterior, bank_resample, make_bank, posterior, predict
+from .bank import CAMap, LatentBank, Posterior, bank_resample, blocked_posterior, make_bank, predict
 from .cascade import (
     PRESETS,
     RunReport,
@@ -22,7 +22,6 @@ from .cascade import (
 )
 from .codec import HAAR1, IDENTITY, LatentCodec, decode, encode
 from .freq import (
-    BandSplit,
     PsdCurve,
     band_split,
     nyquist,

@@ -18,11 +18,11 @@ Attention maps: the latent is tiled into p x p patches and each patch gets
 its own posterior over class ids from patch-restricted distances. These
 row-stochastic maps are the analytic analogue of cross-attention weights;
 the cascade fuses them across stages and feeds them back via the
-``ca_mixture`` argument of :meth:`Posterior.field`, which turns the
+``ca_mixture`` argument of :meth:`Posterior.field_blocks`, which turns the
 prediction into a patchwise mixture of class-conditional posterior means.
 
-One posterior per (latent, t) serves all four uses: :func:`posterior` makes
-one patch-distance pass over the whole bank, and the unconditional,
+One posterior per (latent, t) serves all four uses: :func:`blocked_posterior`
+makes one patch-distance pass over the whole bank, and the unconditional,
 conditional and mixture predictions and the attention map are all read off
 it. A bank holds its items patch-blocked, (K, P, C*p*p) for the default
 patch size p of its side, so each of these is a BLAS product over the bank
@@ -33,10 +33,9 @@ the unconditional and conditional predictions are one (2, K) @ (K, P*C*p*p)
 product, weighting all K items with the condition masking the other
 classes; the mixture is one (P, 1, K) @ (P, K, C*p*p) product. The
 whole-latent distances are the row sums of the patch distances.
-:func:`blocked_posterior` takes the latent already in the bank's layout and
-:meth:`Posterior.field_blocks` returns the fields in it, so a cascade stage
-keeps its latent blocked from step to step; :func:`posterior` and
-:meth:`Posterior.fields` are the same computation for grids.
+The posterior takes the latent in the bank's layout and returns its fields
+in it, so a cascade stage keeps its latent blocked from step to step;
+:func:`predict` is the one entry for a (C, H, W) grid latent.
 
 Every bank is built as ``LatentBank(items, class_ids, weights)`` from a
 stream of items, each blocked as it arrives: :func:`make_bank` encodes each
@@ -204,30 +203,25 @@ def _class_log_evidence(log_patch, class_members):
 class Posterior:
     """The bank posterior at one (latent, t), shared by every prediction.
 
-    Built by :func:`posterior` (or :func:`blocked_posterior`) from one
-    patch-distance pass over all K items; the unconditional, conditional
-    and mixture fields and the attention map ``ca`` all derive from it
-    without touching the bank distances again. The latent is held as
-    ``z_blocks`` in the bank's layout; :meth:`field_blocks` gives the fields
-    in that layout and :meth:`field` and :meth:`fields` as grids.
+    Built by :func:`blocked_posterior` from one patch-distance pass over
+    all K items; the unconditional, conditional and mixture fields and the
+    attention map ``ca`` all derive from it without touching the bank
+    distances again. The latent is held as ``z_blocks`` in the bank's
+    layout, and :meth:`field` and :meth:`field_blocks` give the fields in
+    that layout.
     """
 
     bank: LatentBank
     z_blocks: np.ndarray  # (P, C*p*p) the latent, patch-blocked
-    t: float
-    sched: NoiseSchedule
-    fwd: ForwardModel
+    fwd: ForwardModel  # of the posterior's t
     log_patch: np.ndarray  # (K, P) per-item patch log-weights
     evidence: np.ndarray  # (n_classes, P) per-class patch log-evidence
     d_full: np.ndarray  # (K,) whole-latent squared distances, row sums of the patch ones
     ca: CAMap
 
-    scale = property(lambda self: self.fwd.scale)
-    var = property(lambda self: self.fwd.var)
-    z_t = property(lambda self: LatentGrid(self.bank.unblock(self.z_blocks)))
-
-    def field(self, condition: int | None, ca_mixture: CAMap | None = None) -> LatentGrid:
-        """Predicted noise (VP) or velocity (flow) under ``condition``.
+    def field(self, condition: int | None, ca_mixture: CAMap | None = None) -> np.ndarray:
+        """Predicted noise (VP) or velocity (flow) under ``condition``, as
+        (P, C*p*p) blocks in the bank's layout.
 
         With ``ca_mixture`` the clean-signal estimate becomes a patchwise
         mixture: each patch mixes the class-conditional posterior means with
@@ -236,16 +230,11 @@ class Posterior:
         """
         self._check(condition, ca_mixture)
         z0 = self._plain_z0([condition])[0] if ca_mixture is None else self._mixture_z0(ca_mixture)
-        return self._grid(self.fwd.field(self.z_blocks, z0))
-
-    def fields(self, condition: int | None, ca_mixture: CAMap | None = None):
-        """(unconditional field, ``field(condition, ca_mixture)``), the pair
-        guidance combines: :meth:`field_blocks` as grids."""
-        return tuple(self._grid(f) for f in self.field_blocks(condition, ca_mixture))
+        return self.fwd.field(self.z_blocks, z0)
 
     def field_blocks(self, condition: int | None, ca_mixture: CAMap | None = None):
-        """The pair :meth:`fields` returns, as (P, C*p*p) blocks in the
-        bank's layout. Without a mixture both plain predictions are one
+        """(unconditional field, ``field(condition, ca_mixture)``), the pair
+        guidance combines. Without a mixture both plain predictions are one
         product over the bank."""
         self._check(condition, ca_mixture)
         if ca_mixture is None:
@@ -264,7 +253,7 @@ class Posterior:
         """Posterior means weighting all K items, a condition masking the
         other classes; (len(conditions), P, D) blocks from one product."""
         bank = self.bank
-        lw = bank.log_weights - self.d_full / (2.0 * self.var)
+        lw = bank.log_weights - self.d_full / (2.0 * self.fwd.var)
         post = np.empty((len(conditions), bank.size))
         for row, condition in zip(post, conditions):
             row[:] = lw
@@ -284,26 +273,6 @@ class Posterior:
         mix = ca_mixture.values.T[bank.class_index, :]  # (K, P)
         return _kernels.patch_mix(bank.blocks, item_resp * mix)
 
-    def _grid(self, blocks) -> LatentGrid:
-        return LatentGrid(self.bank.unblock(blocks))
-
-
-def posterior(
-    bank: LatentBank,
-    z_t: LatentGrid,
-    t: float,
-    sched: NoiseSchedule,
-) -> Posterior:
-    """The bank posterior at latent z_t and time t: :func:`blocked_posterior`
-    of the latent blocked in the bank's layout, after checking its shape.
-
-    Its ``ca`` holds the patchwise class responsibilities of the whole bank
-    at this latent, independent of any conditioning.
-    """
-    if bank.item_shape != z_t.shape:
-        raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
-    return blocked_posterior(bank, bank.block(z_t.data), t, sched)
-
 
 def blocked_posterior(
     bank: LatentBank,
@@ -315,7 +284,9 @@ def blocked_posterior(
     bank's layout, which the caller keeps finite and of the bank's shape.
 
     Makes one patch-distance pass over the bank with the bank's patch size,
-    the default one of the latent's side.
+    the default one of the latent's side. The posterior's ``ca`` holds the
+    patchwise class responsibilities of the whole bank at this latent,
+    independent of any conditioning.
     """
     fwd = forward_model(sched, t)
     d_patch = _kernels.patch_sq_dists(bank.blocks, z_blocks, fwd.scale, bank.patch_norms)
@@ -335,7 +306,7 @@ def blocked_posterior(
     resp = np.exp(evidence - m)
     g = bank.side // bank.patch_size
     ca = CAMap((resp / resp.sum(axis=0)).T, g, g, bank.classes)
-    return Posterior(bank, z_blocks, t, sched, fwd, log_patch, evidence, d_full, ca)
+    return Posterior(bank, z_blocks, fwd, log_patch, evidence, d_full, ca)
 
 
 def predict(
@@ -346,9 +317,13 @@ def predict(
     sched: NoiseSchedule,
     ca_mixture: CAMap | None = None,
 ):
-    """(field, ca) of one posterior; see :class:`Posterior`."""
-    post = posterior(bank, z_t, t, sched)
-    return post.field(condition, ca_mixture), post.ca
+    """(field, ca) at a grid latent z_t of the bank's shape: the
+    :func:`blocked_posterior` of its blocks, :meth:`Posterior.field` as a
+    grid and the posterior's attention map; see :class:`Posterior`."""
+    if bank.item_shape != z_t.shape:
+        raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
+    post = blocked_posterior(bank, bank.block(z_t.data), t, sched)
+    return LatentGrid(bank.unblock(post.field(condition, ca_mixture))), post.ca
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from . import _kernels
 from .bank import CAMap, LatentBank, bank_resample, blocked_posterior, predict
 from .codec import LatentCodec, decode, encode
 from .grid import LatentGrid, Resolution, resample_bilinear_rect, seeded_gaussian, subseed
-from .sampler import GuidanceWeights, ddim_update, euler_update, facfg, predict_z0
+from .sampler import GuidanceWeights, ddim_step, euler_flow_step, facfg_combine, predict_z0
 from .schedule import (
     NoiseSchedule,
     ScheduleKind,
@@ -59,7 +59,9 @@ class StagePlan:
     """Stages of increasing side and the settings they share: gamma, the
     schedule, FA-CFG strengths w_l, w_h (cut by `guidance`) and fusion w_c.
     `first_timesteps` is derived: each stage's entry F, t_max and then
-    `entry_timestep`; a stage whose F is not above its L is a ValueError."""
+    `entry_timestep`. A stage whose F is not above its L is a ValueError, as
+    is one that runs the denoiser (at its `time_grid` but the last, and at a
+    non-final L) where the noise variance is below the smallest normal float."""
 
     stages: tuple
     gamma: float
@@ -100,6 +102,13 @@ class StagePlan:
             firsts.append(F)
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "first_timesteps", tuple(firsts))
+        for i, spec in enumerate(stages):
+            # var grows with t, so a stage's least denoiser time decides: the
+            # final stage's last step, or the L where a transition denoises
+            t = self.time_grid(spec)[-2 if spec is stages[-1] else -1]
+            if forward_model(self.schedule, t).var < np.finfo(float).tiny:
+                raise ValueError(f"stage {i} (side {spec.resolution.side}) runs the "
+                                 f"denoiser at zero noise level, t = {t:g}")
         if self.train_side is None:
             object.__setattr__(self, "train_side", stages[0].resolution.side)
 
@@ -218,14 +227,14 @@ def run_stage(
     to 1 within 1e-12 (ValueError otherwise). Returns the stage's final
     latent and the averaged map.
 
-    A step is :func:`frecas.bank.blocked_posterior`, ``field_blocks``,
-    :func:`frecas.sampler.facfg` and :func:`frecas.sampler.ddim_update` or
-    :func:`frecas.sampler.euler_update`: the array functions behind the grid
-    API, applied to the latent held as (P, C*p*p) blocks in the bank's
-    layout from the distance pass to the update. Only a cut stage's band
-    split unblocks (the guidance difference), and the latent is unblocked
-    once, at the end. One finiteness check on each new latent stands in for
-    the grid checks: a non-finite one is a ValueError naming the step's t.
+    A step is :func:`frecas.bank.blocked_posterior`, `Posterior.field_blocks`,
+    :func:`frecas.sampler.facfg_combine` and :func:`frecas.sampler.ddim_step`
+    or :func:`frecas.sampler.euler_flow_step`, applied to the latent held as
+    (P, C*p*p) blocks in the bank's layout from the distance pass to the
+    update. Only a cut stage's band split unblocks (the guidance difference),
+    and the latent is unblocked once, at the end. Its shape is checked on
+    entry, and each new latent for finiteness: a non-finite one is a
+    ValueError naming the step's t.
     """
     if bank.item_shape != z.shape:
         raise ValueError(f"latent shape {z.shape} does not match bank {bank.item_shape}")
@@ -245,11 +254,11 @@ def run_stage(
             fused = fuse_ca_maps(post.ca, reused_maps, plan.w_c)
         eps_unc, eps_c = post.field_blocks(condition, ca_mixture=fused)
         step_maps.append(post.ca if fused is None else fused)
-        eps_hat = facfg(eps_unc, eps_c, gw, bank.side, bank.unblock, bank.block)
+        eps_hat = facfg_combine(eps_unc, eps_c, gw, bank.side, bank.unblock, bank.block)
         if vp:
-            z_blocks = ddim_update(z_blocks, eps_hat, post.fwd, forward_model(sched, t_next))
+            z_blocks = ddim_step(z_blocks, eps_hat, post.fwd, forward_model(sched, t_next))
         else:
-            z_blocks = euler_update(z_blocks, eps_hat, t, t_next)
+            z_blocks = euler_flow_step(z_blocks, eps_hat, t, t_next)
         if not np.isfinite(z_blocks).all():
             raise ValueError(f"non-finite latent after the step at t = {t:g}")
     return LatentGrid(bank.unblock(z_blocks)), average_ca_maps(step_maps)

@@ -32,13 +32,6 @@ def nyquist(res: Resolution) -> float:
     return res.side / 2.0
 
 
-@dataclass(frozen=True)
-class BandSplit:
-    low: LatentGrid
-    high: LatentGrid
-    base: Resolution
-
-
 def low_band(x: np.ndarray, base_side: int) -> np.ndarray:
     """up(down(x, base_side)) of a (C, side, side) array; x itself at
     base_side == side. ValueError for a non-square array or a base above
@@ -54,22 +47,14 @@ def low_band(x: np.ndarray, base_side: int) -> np.ndarray:
     return _kernels.bilinear_resample(down, side, side)
 
 
-def high_band(x: np.ndarray, base_side: int, out=None) -> np.ndarray:
-    """x - low_band(x, base_side), written into ``out`` when given; ``out``
-    may be x itself."""
-    return np.subtract(x, low_band(x, base_side), out=out)
-
-
-def band_split(g: LatentGrid, base: Resolution) -> BandSplit:
-    """Split into frequencies below the base Nyquist and the residual above:
-    low = :func:`low_band`, high = g - low.
-
-    Constants survive the round trip exactly, so a constant grid has zero
-    high band; at the grid's own side the low band is the grid itself.
-    """
-    low = low_band(g.data, base.side)
-    return BandSplit(low=g if low is g.data else LatentGrid(low),
-                     high=LatentGrid(g.data - low), base=base)
+def band_split(x: np.ndarray, base_side: int, out=None):
+    """(low, high) of a (C, side, side) array: the frequencies below the base
+    Nyquist, low = :func:`low_band`, and the residual above, high = x - low,
+    written into ``out`` when given. Constants survive the round trip
+    exactly, so a constant array has zero high band. At x's own side low is
+    x itself and high is 0, so ``out`` may be x only below that side."""
+    low = low_band(x, base_side)
+    return low, np.subtract(x, low, out=out)
 
 
 @dataclass(frozen=True)

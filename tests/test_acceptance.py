@@ -42,11 +42,14 @@ from frecas.schedule import (
     alpha_at,
     alpha_inverse,
     diffuse,
+    forward_model,
     shift_timestep_flow,
     shift_timestep_vp,
     snr,
     vp_default,
 )
+
+from conftest import as_is
 
 SCHED = vp_default()
 
@@ -68,12 +71,12 @@ def test_criterion_1_facfg_degeneracy():
         start = time.perf_counter()
         for _ in range(100):
             w = float(rng.uniform(0.0, 15.0))
-            unc = LatentGrid(rng.standard_normal((1, 64, 64)))
-            con = LatentGrid(rng.standard_normal((1, 64, 64)))
-            fa = facfg_combine(unc, con, GuidanceWeights(w, w, gw_base))
+            unc = rng.standard_normal((1, 64, 64))
+            con = rng.standard_normal((1, 64, 64))
+            fa = facfg_combine(unc, con, GuidanceWeights(w, w, gw_base), 64, as_is, as_is)
             plain = cfg_combine(unc, con, w)
-            bound = 1e-5 * (1.0 + max(np.abs(unc.data).max(), np.abs(con.data).max()))
-            assert np.abs(fa.data - plain.data).max() <= bound
+            bound = 1e-5 * (1.0 + max(np.abs(unc).max(), np.abs(con).max()))
+            assert np.abs(fa - plain).max() <= bound
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
@@ -83,10 +86,10 @@ def test_criterion_2_exact_band_partition():
         rng = np.random.default_rng(202)
         start = time.perf_counter()
         for _ in range(1000):
-            g = LatentGrid(rng.standard_normal((1, 32, 32)))
-            bs = band_split(g, Resolution(16))
-            err = np.abs(bs.low.data + bs.high.data - g.data).max()
-            assert err <= 1e-6 * (1.0 + np.abs(g.data).max())
+            x = rng.standard_normal((1, 32, 32))
+            low, high = band_split(x, 16)
+            err = np.abs(low + high - x).max()
+            assert err <= 1e-6 * (1.0 + np.abs(x).max())
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
@@ -232,7 +235,9 @@ def test_criterion_8_framework_degeneracy():
         for t, t_next in zip(grid[:-1], grid[1:]):
             eps_unc, _ = predict(bank, z, t, None, SCHED)
             eps_c, _ = predict(bank, z, t, 1, SCHED)
-            z = ddim_step(z, cfg_combine(eps_unc, eps_c, w), t, t_next, SCHED)
+            eps_hat = cfg_combine(eps_unc.data, eps_c.data, w)
+            z = LatentGrid(ddim_step(z.data, eps_hat, forward_model(SCHED, t),
+                                     forward_model(SCHED, t_next)))
         assert np.abs(image.data - z.data).max() <= 1e-6
 
 

@@ -9,10 +9,10 @@ from frecas.bank import (
     CAMap,
     LatentBank,
     bank_resample,
+    blocked_posterior,
     default_patch_size,
     load_bank,
     make_bank,
-    posterior,
     predict,
     save_bank,
 )
@@ -27,6 +27,7 @@ from frecas.schedule import (
     alpha_at,
     diffuse,
     flow_schedule,
+    forward_model,
     shift_timestep_flow,
     shift_timestep_vp,
     vp_default,
@@ -36,6 +37,16 @@ from conftest import bank_stack, rand_grid
 
 SCHED = vp_default()
 FLOW = flow_schedule()
+
+
+def posterior_at(bank, z: LatentGrid, t, sched):
+    """The posterior at a grid latent, blocked in the bank's layout."""
+    return blocked_posterior(bank, bank.block(z.data), t, sched)
+
+
+def field_grid(post, condition, ca_mixture=None) -> np.ndarray:
+    """A posterior's field as a (C, H, W) array."""
+    return post.bank.unblock(post.field(condition, ca_mixture))
 
 
 def small_bank(rng, n_items=6, channels=2, side=8, n_classes=3) -> LatentBank:
@@ -203,10 +214,10 @@ class TestPredict:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="zero noise level"):
-                posterior(bank, z, 2e-154, FLOW)
-            post = posterior(bank, z, 1e-150, FLOW)
+                posterior_at(bank, z, 2e-154, FLOW)
+            post = posterior_at(bank, z, 1e-150, FLOW)
             for condition in (None, 1):
-                assert np.all(np.isfinite(post.field(condition).data))
+                assert np.all(np.isfinite(post.field(condition)))
 
     def test_overflowing_distances_are_not_a_zero_noise_level(self):
         # at t = 500 var is about 0.99, but a 1e160 latent's squared norm
@@ -215,8 +226,8 @@ class TestPredict:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow at t = 500"):
-                posterior(bank, LatentGrid(np.full((3, 8, 8), 1e160)), 500.0, SCHED)
-            posterior(bank, LatentGrid(np.full((3, 8, 8), 1e150)), 500.0, SCHED)
+                posterior_at(bank, LatentGrid(np.full((3, 8, 8), 1e160)), 500.0, SCHED)
+            posterior_at(bank, LatentGrid(np.full((3, 8, 8), 1e150)), 500.0, SCHED)
 
     def test_flow_velocity_consistent_with_kernel(self, rng):
         bank = small_bank(rng, n_items=4, channels=1, side=4)
@@ -244,7 +255,8 @@ class TestPredict:
         grid = np.linspace(t0, 0.0, 9)
         for t, t_next in zip(grid[:-1], grid[1:]):
             eps, _ = predict(bank, z, t, None, SCHED)
-            z = ddim_step(z, eps, t, t_next, SCHED)
+            z = LatentGrid(ddim_step(z.data, eps.data, forward_model(SCHED, t),
+                                     forward_model(SCHED, t_next)))
         dists = ((stack - z.data[None]) ** 2).sum(axis=(1, 2, 3))
         assert dists.argmin() == target
         np.testing.assert_allclose(z.data, stack[target], atol=1e-3)
@@ -290,20 +302,21 @@ def direct_field(bank, z, t, condition, sched):
     return (z.data - z0) / t
 
 
-def indexed_field(post, condition):
+def indexed_field(post, condition, t, sched):
     """A plain prediction in its index form: the admissible items are copied
     out of the bank and weighted alone."""
     bank = post.bank
     adm = (np.arange(bank.size) if condition is None
            else np.flatnonzero(bank.class_ids == condition))
-    lw = np.log(bank.weights)[adm] - post.d_full[adm] / (2.0 * post.var)
+    lw = np.log(bank.weights)[adm] - post.d_full[adm] / (2.0 * post.fwd.var)
     lw -= lw.max()
     p = np.exp(lw)
     p /= p.sum()
     z0 = np.tensordot(p, bank_stack(bank)[adm], axes=1)
-    if post.sched.kind is ScheduleKind.VARIANCE_PRESERVING:
-        return (post.z_t.data - post.scale * z0) / np.sqrt(post.var)
-    return (post.z_t.data - z0) / post.t
+    z_t = bank.unblock(post.z_blocks)
+    if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
+        return (z_t - post.fwd.scale * z0) / np.sqrt(post.fwd.var)
+    return (z_t - z0) / t
 
 
 class TestPosterior:
@@ -315,10 +328,10 @@ class TestPosterior:
         noise = LatentGrid(rng.standard_normal((3, 16, 16)))
         between = LatentGrid(0.5 * (bank.item(2).data + bank.item(3).data))
         for z in (diffuse(bank.item(1), t, noise, sched), diffuse(between, t, noise, sched)):
-            post = posterior(bank, z, t, sched)
+            post = posterior_at(bank, z, t, sched)
             for condition in (None, 0, 1, 2, 3):
                 np.testing.assert_allclose(
-                    post.field(condition).data, direct_field(bank, z, t, condition, sched),
+                    field_grid(post, condition), direct_field(bank, z, t, condition, sched),
                     rtol=1e-9, atol=1e-9,
                 )
 
@@ -345,9 +358,9 @@ class TestPosterior:
             # eps * (||z||^2 + s^2 ||x||^2), and the posterior divides it by 2 var
             budget = np.finfo(float).eps * (
                 np.sum(z.data**2) + scale**2 * np.sum(stack[2] ** 2)) / (2.0 * var)
-            post = posterior(bank, z, t, sched)
+            post = posterior_at(bank, z, t, sched)
             for condition in (None, 0, 1, 2, 3):
-                err = np.max(np.abs(post.field(condition).data
+                err = np.max(np.abs(field_grid(post, condition)
                                     - direct_field(bank, z, t, condition, sched)))
                 assert err <= budget * field_scale
 
@@ -357,8 +370,8 @@ class TestPosterior:
         # at the smallest timestep and flow time, where the kernel is sharpest
         stack = rng.standard_normal((12, channels, 64, 64))
         bank = LatentBank(stack, np.arange(12) % 4, np.full(12, 1.0 / 12))
-        post0 = posterior(bank, bank.item(0), t, sched)
-        scale, var = post0.scale, post0.var
+        post0 = posterior_at(bank, bank.item(0), t, sched)
+        scale, var = post0.fwd.scale, post0.fwd.var
         noise = LatentGrid(rng.standard_normal((channels, 64, 64)))
         # items 1 and 5 share class 1; this point gives them log-weights
         # one apart, so that class's posterior is spread over two items
@@ -366,11 +379,12 @@ class TestPosterior:
         tau = var / (scale**2 * np.sum(delta**2))
         spread = LatentGrid(scale * (0.5 * (stack[1] + stack[5]) + tau * delta))
         for z in (diffuse(bank.item(1), t, noise, sched), noise, spread):
-            post = posterior(bank, z, t, sched)
-            np.testing.assert_array_equal(post.field(None).data, indexed_field(post, None))
+            post = posterior_at(bank, z, t, sched)
+            np.testing.assert_array_equal(field_grid(post, None),
+                                          indexed_field(post, None, t, sched))
             for condition in range(4):
-                ref = indexed_field(post, condition)
-                err = np.linalg.norm(post.field(condition).data - ref)
+                ref = indexed_field(post, condition, t, sched)
+                err = np.linalg.norm(field_grid(post, condition) - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref)
 
     def test_plain_fields_read_the_bank_in_place(self, rng):
@@ -378,7 +392,7 @@ class TestPosterior:
         # whole bank) would allocate more than half of the bank
         stack = rng.standard_normal((24, 3, 32, 32))
         bank = LatentBank(stack, np.array([0] * 20 + [1] * 4), np.full(24, 1.0 / 24))
-        post = posterior(bank, rand_grid(rng, side=32), 500.0, SCHED)
+        post = posterior_at(bank, rand_grid(rng, side=32), 500.0, SCHED)
         for condition in (None, 0):
             tracemalloc.start()
             try:
@@ -395,8 +409,8 @@ class TestPosterior:
         bank = LatentBank(items, np.arange(100) % 4, np.full(100, 0.01))
         tracemalloc.start()
         try:
-            post = posterior(bank, rand_grid(rng, side=64), 500.0, SCHED)
-            post.fields(1)
+            post = posterior_at(bank, rand_grid(rng, side=64), 500.0, SCHED)
+            post.field_blocks(1)
             post.field(1, post.ca)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -405,22 +419,22 @@ class TestPosterior:
 
     def test_fields_pair_matches_single_fields(self, rng):
         bank = small_bank(rng, n_items=8, channels=3, side=16, n_classes=4)
-        post = posterior(bank, rand_grid(rng, side=16), 300.0, SCHED)
+        post = posterior_at(bank, rand_grid(rng, side=16), 300.0, SCHED)
         for condition, mixture in ((2, None), (1, post.ca)):
-            unc, cond = post.fields(condition, mixture)
+            unc, cond = post.field_blocks(condition, mixture)
             for got, ref in ((unc, post.field(None)), (cond, post.field(condition, mixture))):
-                err = np.linalg.norm(got.data - ref.data)
-                assert err <= 1e-12 * np.linalg.norm(ref.data)
+                err = np.linalg.norm(got - ref)
+                assert err <= 1e-12 * np.linalg.norm(ref)
 
     def test_predict_is_field_and_map_of_one_posterior(self, rng):
         bank = small_bank(rng)
         z = rand_grid(rng, channels=2, side=8)
-        post = posterior(bank, z, 300.0, SCHED)
+        post = posterior_at(bank, z, 300.0, SCHED)
         mix = CAMap(np.tile([0.2, 0.5, 0.3], (post.ca.values.shape[0], 1)),
                     post.ca.rows_h, post.ca.rows_w, post.ca.classes)
         for condition, mixture in ((None, None), (2, None), (1, mix)):
             field, ca = predict(bank, z, 300.0, condition, SCHED, ca_mixture=mixture)
-            np.testing.assert_array_equal(field.data, post.field(condition, mixture).data)
+            np.testing.assert_array_equal(field.data, field_grid(post, condition, mixture))
             np.testing.assert_array_equal(ca.values, post.ca.values)
 
 
@@ -474,15 +488,15 @@ class TestCaMaps:
         bank = LatentBank(stack, np.tile([12, -3, 7], 3), w / w.sum())
         assert bank.classes == (-3, 7, 12)
         z = rand_grid(rng, channels=1, side=8)
-        post = posterior(bank, z, 400, SCHED)
+        post = posterior_at(bank, z, 400, SCHED)
         assert post.ca.classes == bank.classes
         for condition in (None, -3, 7, 12):
-            np.testing.assert_allclose(post.field(condition).data,
+            np.testing.assert_allclose(field_grid(post, condition),
                                        direct_field(bank, z, 400, condition, SCHED),
                                        rtol=1e-9, atol=1e-9)
         onehot = np.zeros((64, 3))
         onehot[:, 2] = 1.0  # class 12's column
-        eps = post.field(12, ca_mixture=CAMap(onehot, 8, 8, bank.classes))
+        eps = field_grid(post, 12, ca_mixture=CAMap(onehot, 8, 8, bank.classes))
         # oracle: per-pixel posterior over the class-12 items
         a = alpha_at(SCHED, 400)
         members = np.flatnonzero(bank.class_ids == 12)
@@ -493,7 +507,7 @@ class TestCaMaps:
         p = np.exp(logw - logw.max(axis=0))
         p /= p.sum(axis=0)
         expected = (z.data[0] - np.sqrt(a) * (p * items).sum(axis=0)) / np.sqrt(1 - a)
-        np.testing.assert_allclose(eps.data[0], expected, rtol=1e-9)
+        np.testing.assert_allclose(eps[0], expected, rtol=1e-9)
 
     def test_mixture_changes_prediction(self, rng):
         bank = small_bank(rng, n_items=6, channels=1, side=8, n_classes=2)

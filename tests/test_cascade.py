@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frecas import _kernels
-from frecas.bank import CAMap, LatentBank, bank_resample, posterior, predict
+from frecas.bank import CAMap, LatentBank, bank_resample, blocked_posterior, predict
 from frecas.cascade import (
     PRESETS,
     StagePlan,
@@ -25,8 +25,11 @@ from frecas.cascade import (
 )
 from frecas.codec import HAAR1, IDENTITY, decode, encode
 from frecas.config import (
+    ConfigError,
     RunConfig,
     ablation_plan,
+    build_bank,
+    build_codec,
     build_direct_plan,
     build_plan,
     build_schedule,
@@ -45,12 +48,21 @@ from frecas.schedule import (
     alpha_at,
     diffuse,
     flow_schedule,
+    forward_model,
     shift_timestep_vp,
     snr,
     vp_default,
 )
 
+from conftest import as_is
+
 SCHED = vp_default()
+
+
+def ddim_grid(z: LatentGrid, eps_hat: np.ndarray, t, t_next) -> LatentGrid:
+    """ddim_step of a grid latent from t down to t_next on the VP schedule."""
+    return LatentGrid(ddim_step(z.data, eps_hat, forward_model(SCHED, t),
+                                forward_model(SCHED, t_next)))
 
 
 def toy_bank(rng, side=16, channels=2, n_items=8, n_classes=3) -> LatentBank:
@@ -224,7 +236,7 @@ class TestRunStage:
         manual = z
         for t, t_next in zip(grid[:-1], grid[1:]):
             eps_c, _ = predict(bank, manual, t, 1, SCHED)
-            manual = ddim_step(manual, eps_c, t, t_next, SCHED)
+            manual = ddim_grid(manual, eps_c.data, t, t_next)
         # the stage takes both plain fields from one product over the bank,
         # predict the conditional one alone, so they agree to rounding
         assert np.linalg.norm(out.data - manual.data) <= 1e-12 * np.linalg.norm(manual.data)
@@ -273,25 +285,27 @@ class TestRunStage:
 
 
 def reference_stage(spec, z, bank, condition, plan, reused_maps=None):
-    """run_stage's loop written with the public per-step grid functions."""
+    """run_stage's loop written with the step functions on (C, H, W) arrays:
+    the latent is blocked for each posterior and its fields unblocked."""
     sched = plan.schedule
     grid = plan.time_grid(spec)
     gw = plan.guidance(spec)
+    z = z.data
     maps = []
     for t, t_next in zip(grid[:-1].tolist(), grid[1:].tolist()):
-        post = posterior(bank, z, t, sched)
+        post = blocked_posterior(bank, bank.block(z), t, sched)
         fused = None
         if reused_maps is not None:
             reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
             fused = fuse_ca_maps(post.ca, reused_maps, plan.w_c)
-        eps_unc, eps_c = post.fields(condition, ca_mixture=fused)
+        eps_unc, eps_c = (bank.unblock(f) for f in post.field_blocks(condition, fused))
         maps.append(post.ca if fused is None else fused)
-        eps_hat = facfg_combine(eps_unc, eps_c, gw)
+        eps_hat = facfg_combine(eps_unc, eps_c, gw, spec.resolution.side, as_is, as_is)
         if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
-            z = ddim_step(z, eps_hat, t, t_next, sched)
+            z = ddim_step(z, eps_hat, forward_model(sched, t), forward_model(sched, t_next))
         else:
             z = euler_flow_step(z, eps_hat, t, t_next)
-    return z, average_ca_maps(maps)
+    return LatentGrid(z), average_ca_maps(maps)
 
 
 class TestBlockedStage:
@@ -361,7 +375,7 @@ class TestRunCascade:
         for t, t_next in zip(grid[:-1], grid[1:]):
             eps_unc, _ = predict(bank, z, t, None, SCHED)
             eps_c, _ = predict(bank, z, t, 2, SCHED)
-            z = ddim_step(z, cfg_combine(eps_unc, eps_c, w), t, t_next, SCHED)
+            z = ddim_grid(z, cfg_combine(eps_unc.data, eps_c.data, w), t, t_next)
         assert np.abs(image.data - z.data).max() <= 1e-6
         assert report.cost_units == 6.0
 
@@ -392,7 +406,7 @@ class TestRunCascade:
             eps_unc, m = predict(banks[0], z, t, None, SCHED)
             eps_c, _ = predict(banks[0], z, t, 1, SCHED)
             maps.append(m)
-            z = ddim_step(z, cfg_combine(eps_unc, eps_c, w), t, t_next, SCHED)
+            z = ddim_grid(z, cfg_combine(eps_unc.data, eps_c.data, w), t, t_next)
         avg = average_ca_maps(maps)
         z, F = transition(z, plan.stages[0], plan.stages[1], plan, IDENTITY,
                           banks[0], 1, subseed(3, 1, 0))
@@ -401,7 +415,7 @@ class TestRunCascade:
             eps_unc, m = predict(banks[1], z, t, None, SCHED)
             fused = fuse(m, avg, 0.4)
             eps_c, _ = predict(banks[1], z, t, 1, SCHED, ca_mixture=fused)
-            z = ddim_step(z, cfg_combine(eps_unc, eps_c, w), t, t_next, SCHED)
+            z = ddim_grid(z, cfg_combine(eps_unc.data, eps_c.data, w), t, t_next)
         np.testing.assert_allclose(image.data, z.data, atol=1e-9)
 
     def test_clean_run_passes_row_and_snr_checks(self, rng):
@@ -626,6 +640,35 @@ class TestPlansAndCost:
             ladder(sides, [2, 2], [L], w_l=7.5, w_h=35.0, w_c=0.6, gamma=gamma, sched=SCHED)
         except ValueError as e:
             assert "no entry timestep" in str(e) or "not above its L" in str(e)
+
+    @pytest.mark.parametrize("sched,L,reason", [
+        # stage 1 enters near 3e-12 and steps down in tenths; its last step's
+        # 1 - alpha rounds to 0
+        (SCHED, 1e-12, r"stage 1 \(side 16\) runs the denoiser at zero noise level, "
+                       r"t = 3\.33067e-13$"),
+        # the transition denoises at L, where var = L**2 is subnormal
+        (flow_schedule(), 1e-160, r"stage 0 \(side 8\) runs the denoiser at zero noise "
+                                  r"level, t = 1e-160$"),
+    ], ids=["vp-last-step", "flow-transition"])
+    def test_plan_rejects_denoiser_times_at_zero_noise(self, sched, L, reason):
+        with pytest.raises(ValueError, match=reason):
+            ladder([8, 16], [40, 10], [L], w_l=7.5, w_h=35.0, w_c=0.6, gamma=1.5,
+                   sched=sched)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["sdxl-x4", "sd3-x4"]), log_L=st.floats(-14.0, -6.0))
+    def test_every_plan_accepted_down_to_small_L_runs(self, name, log_L):
+        # an L sweep down to 1e-14: the plan is a config error when it is
+        # built, or the run completes; it never stops mid-run at zero noise
+        cfg = RunConfig(preset=name, base_side=8, bank_items=8)
+        try:
+            plan = ablation_plan(cfg, "L", 10.0**log_L, build_schedule(cfg))
+        except ConfigError as e:
+            assert "no entry timestep" in str(e) or "zero noise level" in str(e)
+            return
+        codec = build_codec(cfg)
+        image, _ = run_cascade(plan, codec, build_bank(cfg, plan, codec), 1, seed=3)
+        assert np.all(np.isfinite(image.data))
 
     def test_perturbed_entry_still_fails_the_snr_check(self, monkeypatch):
         shift = shift_timestep_vp

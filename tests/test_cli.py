@@ -192,6 +192,19 @@ class TestExitCodes:
         assert err == f"frecas: config error: {reason}\n"
         assert not (tmp_path / "r").exists()
 
+    def test_plan_reaching_zero_noise_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # at L = 1e-12 the final stage's last step has 1 - alpha rounding to
+        # 0: rejected with the plan, before a bank is built or a stage sampled
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        code = main(["ablate", "--preset", "sdxl-x4", "--param", "L", "--values", "1e-12",
+                     "--base-side", "8", "--bank-items", "8", "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("frecas: config error: stage 1 (side 16) runs the denoiser at zero "
+                       "noise level, t = 3.33067e-13\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", [
         ["sample"], ["ablate", "--param", "w_c", "--values", "0.5"], ["bench"],
     ])

@@ -29,55 +29,68 @@ class TestNyquist:
 
 class TestBandSplit:
     def test_constant_has_zero_high_band(self):
-        g = LatentGrid(np.full((3, 16, 16), 2.5))
-        bs = band_split(g, Resolution(8))
-        np.testing.assert_array_equal(bs.high.data, 0.0)
-        np.testing.assert_array_equal(bs.low.data, g.data)
+        x = np.full((3, 16, 16), 2.5)
+        low, high = band_split(x, 8)
+        np.testing.assert_array_equal(high, 0.0)
+        np.testing.assert_array_equal(low, x)
 
     def test_reconstruction_is_elementwise_exact(self, rng):
         # exact up to the one floating addition that rebuilds the grid
         for _ in range(50):
-            g = rand_grid(rng, side=16)
-            bs = band_split(g, Resolution(8))
-            err = np.abs(bs.low.data + bs.high.data - g.data)
-            assert err.max() <= 1e-6 * (1.0 + np.abs(g.data).max())
+            x = rand_grid(rng, side=16).data
+            low, high = band_split(x, 8)
+            err = np.abs(low + high - x)
+            assert err.max() <= 1e-6 * (1.0 + np.abs(x).max())
 
     @settings(max_examples=60, deadline=None)
     @given(channels=st.integers(1, 4), side=st.integers(2, 24), base_frac=st.floats(0.0, 1.0),
            scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
     def test_bands_rebuild_the_grid(self, channels, side, base_frac, scale, seed):
-        g = LatentGrid(scale * np.random.default_rng(seed).standard_normal((channels, side, side)))
+        x = scale * np.random.default_rng(seed).standard_normal((channels, side, side))
         base = 2 + round(base_frac * (side - 2))
-        bs = band_split(g, Resolution(base))
-        # high = g - low is one rounding, low + high one more
-        err = np.abs(bs.low.data + bs.high.data - g.data)
-        assert np.all(err <= 2 * np.finfo(float).eps * (np.abs(g.data) + np.abs(bs.low.data)))
+        low, high = band_split(x, base)
+        # high = x - low is one rounding, low + high one more
+        err = np.abs(low + high - x)
+        assert np.all(err <= 2 * np.finfo(float).eps * (np.abs(x) + np.abs(low)))
         if base == side:  # a cut at the grid's own side leaves no high band
-            assert bs.low is g
-            assert not bs.high.data.any()
+            assert low is x
+            assert not high.any()
+
+    def test_high_band_written_into_out(self, rng):
+        # facfg_combine takes the band in place: out may be the input itself
+        x = rand_grid(rng, side=16).data
+        low, high = band_split(x, 8)
+        buf = np.empty_like(x)
+        assert band_split(x, 8, out=buf)[1] is buf
+        np.testing.assert_array_equal(buf, high)
+        same = x.copy()
+        low_in_place, high_in_place = band_split(same, 8, out=same)
+        assert high_in_place is same
+        np.testing.assert_array_equal(same, high)
+        np.testing.assert_array_equal(low_in_place, low)
 
     def test_nyquist_checkerboard_low_energy(self):
         # Oracle-derived: corner-aligned down/up of the +-1 checkerboard
         # leaves ~11.8% of the energy in the low band (edge samples land on
         # grid corners); re-derived here and frozen with headroom.
         yy, xx = np.mgrid[0:64, 0:64]
-        cb = LatentGrid((((yy + xx) % 2) * 2.0 - 1.0)[None])
-        bs = band_split(cb, Resolution(32))
-        frac = float((bs.low.data**2).sum() / (cb.data**2).sum())
+        cb = (((yy + xx) % 2) * 2.0 - 1.0)[None]
+        low, _ = band_split(cb, 32)
+        frac = float((low**2).sum() / (cb**2).sum())
         assert frac <= 0.13
 
     def test_high_band_has_little_low_content(self, rng):
         # bilinear is approximately, not exactly, a projection
         for _ in range(10):
-            g = rand_grid(rng, side=64)
-            high = band_split(g, Resolution(32)).high
-            again = band_split(high, Resolution(32)).low
-            ratio = float((again.data**2).sum() / (high.data**2).sum())
+            _, high = band_split(rand_grid(rng, side=64).data, 32)
+            again, _ = band_split(high, 32)
+            ratio = float((again**2).sum() / (high**2).sum())
             assert ratio <= 0.02
 
     def test_base_above_current_rejected(self, rng):
         with pytest.raises(ValueError):
-            band_split(rand_grid(rng, side=8), Resolution(16))
+            band_split(rand_grid(rng, side=8).data, 16)
+
 
 
 class TestRadialPsd:

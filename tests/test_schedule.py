@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frecas.bank import LatentBank, posterior
+from frecas.bank import LatentBank, blocked_posterior
 from frecas.grid import LatentGrid
 from frecas.sampler import predict_z0
 from frecas.schedule import (
@@ -293,11 +293,12 @@ class TestForwardModel:
         fwd = forward_model(sched, t)
         bank = LatentBank(x.data[None], [5], [1.0])
         z_t = diffuse(x, t, eps, sched)
+        z_blocks = bank.block(z_t.data)
         if fwd.var < np.finfo(float).tiny:
             with pytest.raises(ValueError, match="zero noise level"):
-                posterior(bank, z_t, t, sched)
+                blocked_posterior(bank, z_blocks, t, sched)
             return
-        field = posterior(bank, z_t, t, sched).field(None).data
+        field = bank.unblock(blocked_posterior(bank, z_blocks, t, sched).field(None))
         # the posterior mean is x exactly; z_t - c x cancels, then / sigma
         budget = 8 * EPS * (np.abs(z_t.data) + fwd.c * np.abs(x.data)
                             + fwd.sigma * np.abs(f)) / fwd.sigma
