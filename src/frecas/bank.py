@@ -29,9 +29,12 @@ patch size p of its side, so each of these is a BLAS product over the bank
 in place: the pass's cross terms are one batched matrix-vector product, in
 the norm expansion ||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2 with the
 per-patch bank norms computed once per bank (:attr:`LatentBank.patch_norms`);
-the unconditional and conditional predictions are one (2, K) @ (K, P*C*p*p)
-product, weighting all K items with the condition masking the other
-classes; the mixture is one (P, 1, K) @ (P, K, C*p*p) product. The
+the unconditional and conditional predictions are one (2, k) @ (k, P*C*p*p)
+product over the contiguous range of k items that carry weight: the
+condition masks the other classes, and weights below :data:`SUPPORT_FLOOR`
+of a row's max are dropped, so once the exact empirical denoiser collapses
+onto one memorized item, k is often 1. The mixture is one
+(P, 1, K) @ (P, K, C*p*p) product over all K items. The
 whole-latent distances are the row sums of the patch distances.
 The posterior takes the latent in the bank's layout and returns its fields
 in it, so a cascade stage keeps its latent blocked from step to step;
@@ -54,6 +57,18 @@ from . import _kernels
 from .codec import IDENTITY, LatentCodec, encode
 from .grid import LatentGrid, Resolution, read_grid, write_grid
 from .schedule import ForwardModel, NoiseSchedule, forward_model
+
+SUPPORT_FLOOR = 2.0**-60
+"""Relative weight below which a plain prediction drops an item.
+
+A posterior row is shifted so its max weight is 1 before ``exp``, so the
+floor is relative to the max. The kept mass is at least 1 and each of the
+at most K dropped items weighs under the floor, so the dropped mass is at
+most K * 2^-60 of the kept mass. The posterior mean moves by at most that
+fraction of the largest distance between two items, which is below the
+float64 epsilon 2^-52 for any bank of fewer than 256 items. Subnormal
+weights, which make the bank product slow, never reach it.
+"""
 
 
 @dataclass(frozen=True)
@@ -249,9 +264,11 @@ class Posterior:
         if ca_mixture is not None and ca_mixture.values.shape != self.ca.values.shape:
             raise ValueError("mixture map does not match the patch grid and classes")
 
-    def _plain_z0(self, conditions) -> np.ndarray:
-        """Posterior means weighting all K items, a condition masking the
-        other classes; (len(conditions), P, D) blocks from one product."""
+    def _plain_weights(self, conditions):
+        """(weights, lo, hi): the (len(conditions), K) posterior weights, a
+        condition masking the other classes and each row's weights below
+        :data:`SUPPORT_FLOOR` of its max set to 0, and the contiguous item
+        range ``[lo, hi)`` that holds every kept weight of every row."""
         bank = self.bank
         lw = bank.log_weights - self.d_full / (2.0 * self.fwd.var)
         post = np.empty((len(conditions), bank.size))
@@ -261,9 +278,19 @@ class Posterior:
                 row[bank.class_ids != int(condition)] = -np.inf
             row -= row.max()
             np.exp(row, out=row)
+            row[row < SUPPORT_FLOOR] = 0.0
             row /= row.sum()
-        z0 = post @ bank.blocks.reshape(bank.size, -1)
-        return z0.reshape(len(conditions), *bank.blocks.shape[1:])
+        kept = np.flatnonzero(post.any(axis=0))
+        return post, kept[0], kept[-1] + 1
+
+    def _plain_z0(self, conditions) -> np.ndarray:
+        """Posterior means from :meth:`_plain_weights`, (len(conditions), P, D)
+        blocks from one product over the kept item range, a view of the bank:
+        (n, hi - lo) @ (hi - lo, P*D)."""
+        post, lo, hi = self._plain_weights(conditions)
+        blocks = self.bank.blocks
+        z0 = post[:, lo:hi] @ blocks[lo:hi].reshape(hi - lo, -1)
+        return z0.reshape(len(conditions), *blocks.shape[1:])
 
     def _mixture_z0(self, ca_mixture: CAMap) -> np.ndarray:
         """Within-class patch posteriors times the mixture weight of each
@@ -440,6 +467,6 @@ def load_bank(directory) -> LatentBank:
     if not entries:
         raise ValueError(f"{manifest}: no bank items")
     names, ids, w = zip(*entries)
-    w = np.asarray(w)
+    w = np.asarray(w) / max(w)  # so the sum cannot overflow near the float max
     items = (read_grid(os.path.join(directory, name)).data for name in names)
     return LatentBank(items, ids, w / w.sum())

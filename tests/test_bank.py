@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frecas.bank import (
+    SUPPORT_FLOOR,
     CAMap,
     LatentBank,
     bank_resample,
@@ -438,6 +441,99 @@ class TestPosterior:
             np.testing.assert_array_equal(ca.values, post.ca.values)
 
 
+def dense_weights(post, conditions) -> np.ndarray:
+    """Plain posterior weights in their dense, unfloored form: a condition
+    masks the other classes, each row shifted so its max is 1, not normalized."""
+    bank = post.bank
+    lw = np.log(bank.weights) - post.d_full / (2.0 * post.fwd.var)
+    rows = np.tile(lw, (len(conditions), 1))
+    for row, condition in zip(rows, conditions):
+        if condition is not None:
+            row[bank.class_ids != condition] = -np.inf
+    return np.exp(rows - rows.max(axis=1, keepdims=True))
+
+
+def dense_z0(post, conditions) -> np.ndarray:
+    """Plain posterior means weighting every item, one product over all K."""
+    bank = post.bank
+    w = dense_weights(post, conditions)
+    z0 = (w / w.sum(axis=1, keepdims=True)) @ bank.blocks.reshape(bank.size, -1)
+    return z0.reshape(len(conditions), *bank.blocks.shape[1:])
+
+
+def z0_budget(bank) -> float:
+    """The floor's bound, at most K * 2^-60 of the largest distance between
+    two items, plus rounding of a product over K items."""
+    x = np.abs(bank.blocks).max()
+    return bank.size * (2.0**-60 * 2.0 * x + 2.0 * np.finfo(float).eps * x)
+
+
+class TestSparsePosterior:
+    @pytest.mark.parametrize("sched", [SCHED, FLOW], ids=["vp", "flow"])
+    def test_floored_product_matches_dense_form_at_smallest_preset_t(self, rng, sched):
+        t = smallest_preset_t(sched)
+        fwd = forward_model(sched, t)
+        stack = rng.standard_normal((8, 3, 16, 16))
+        bank = LatentBank(stack, np.arange(8) % 4, np.full(8, 1.0 / 8))
+        noise = LatentGrid(rng.standard_normal((3, 16, 16)))
+        conditions = [None, 0, 1, 2, 3]
+        # items 2 and 3 tie at their balanced point, as do items 1 and 6,
+        # whose range also holds the four dropped items between them
+        for z, pair in ((diffuse(bank.item(1), t, noise, sched), None),
+                        (LatentGrid(fwd.scale * 0.5 * (stack[2] + stack[3])), (2, 3)),
+                        (LatentGrid(fwd.scale * 0.5 * (stack[1] + stack[6])), (1, 6))):
+            post = posterior_at(bank, z, t, sched)
+            err = np.abs(post._plain_z0(conditions) - dense_z0(post, conditions))
+            assert err.max() <= z0_budget(bank)
+            if pair is not None:
+                weights, lo, hi = post._plain_weights([None])
+                np.testing.assert_array_equal(np.flatnonzero(weights[0]), pair)
+                assert (lo, hi) == (pair[0], pair[1] + 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 12),
+           n_classes=st.integers(1, 4), flow=st.booleans(), log_t=st.floats(-3.0, 0.0),
+           on_item=st.booleans())
+    def test_kept_range_holds_every_weight_above_the_floor(
+            self, seed, n_items, n_classes, flow, log_t, on_item):
+        rng = np.random.default_rng(seed)
+        sched = FLOW if flow else SCHED
+        t = 10.0**log_t * (1.0 if flow else sched.T)
+        bank = small_bank(rng, n_items=n_items, channels=2, side=4, n_classes=n_classes)
+        noise = LatentGrid(rng.standard_normal((2, 4, 4)))
+        z = diffuse(bank.item(int(rng.integers(n_items))), t, noise, sched) if on_item else noise
+        post = posterior_at(bank, z, t, sched)
+        conditions = [None, *bank.classes]
+        weights, lo, hi = post._plain_weights(conditions)
+        dense = dense_weights(post, conditions)
+        np.testing.assert_array_equal(weights > 0, dense >= SUPPORT_FLOOR)
+        outside = np.ones(bank.size, dtype=bool)
+        outside[lo:hi] = False
+        assert np.all(dense[:, outside] < SUPPORT_FLOOR)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=4e-16 * bank.size)
+        err = np.abs(post._plain_z0(conditions) - dense_z0(post, conditions))
+        assert err.max() <= z0_budget(bank)
+
+    @pytest.mark.parametrize("sched,t", [(SCHED, 300.0), (FLOW, 0.3)], ids=["vp", "flow"])
+    def test_dropped_item_leaves_the_kept_items_zeros_exact(self, sched, t):
+        # item 0 differs from item 1 only in channel 0, where item 1 is 0;
+        # at item 1's noiseless latent, item 0 weighs 2^-70 of item 1, below
+        # the floor, so z0 and the field are exactly 0 in channel 0
+        fwd = forward_model(sched, t)
+        kept = np.zeros((2, 4, 4))
+        kept[1] = 1.0
+        dropped = kept.copy()
+        dropped[0] = math.sqrt(70.0 * math.log(2.0) * 2.0 * fwd.var / (16 * fwd.scale**2))
+        bank = LatentBank(np.stack([dropped, kept]), np.array([0, 1]), np.full(2, 0.5))
+        z = LatentGrid(fwd.scale * kept)
+        post = posterior_at(bank, z, t, sched)
+        log_ratio = (post.d_full[1] - post.d_full[0]) / (2.0 * fwd.var) / math.log(2.0)
+        assert -70.5 < log_ratio < -69.5
+        np.testing.assert_array_equal(post._plain_z0([None])[0], bank.blocks[1])
+        field, _ = predict(bank, z, t, None, sched)
+        np.testing.assert_array_equal(field.data[0], 0.0)
+
+
 class TestCaMaps:
     def test_rows_sum_to_one_tightly(self, rng):
         bank = small_bank(rng, n_items=6, channels=2, side=8, n_classes=3)
@@ -626,6 +722,17 @@ class TestSerialization:
             tracemalloc.stop()
         assert bank.size == 100 and bank.side == 64
         assert peak < 1.5 * bank.blocks.nbytes
+
+    def test_load_bank_weights_near_the_float_max(self, rng, tmp_path):
+        # 1e308 + 1e308 overflows; the weights are divided by their max first
+        for k in range(2):
+            write_grid(tmp_path / f"item_{k}.frcg", rand_grid(rng, channels=1, side=4))
+        (tmp_path / "manifest.txt").write_text(
+            "".join(f"item_{k}.frcg {k} 1e308\n" for k in range(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bank = load_bank(tmp_path)
+        np.testing.assert_array_equal(bank.weights, [0.5, 0.5])
 
     def test_empty_manifest_rejected(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("\n")
