@@ -39,8 +39,12 @@ def backend() -> str:
 # corners land exactly on corners. The lerp form below keeps constant fields
 # bit-exact: for equal neighbours the deltas are exactly zero. It lerps along
 # x on every source row, then along y between the two rows each output row
-# needs: the same float operations on the same values as lerping four
-# gathered corners per output sample, so the two forms are bitwise equal.
+# needs. Each pass gathers its two taps with np.take, which copies, so the
+# lerp runs in place on the gathered upper tap: d = upper; d -= lower;
+# d *= f; d += lower. That is the same float operations, in the same order,
+# on the same values as lerping four gathered corners per output sample
+# (lower + f * (upper - lower)), so the two forms are bitwise equal, and the
+# input is only read.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache
@@ -57,12 +61,23 @@ def _taps(n_in: int, n_out: int):
 
 
 def bilinear_resample(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """(C, H, W) float64 -> a new C-contiguous (C, out_h, out_w) array; any
+    strided view is read as it is and left unchanged."""
     y0, y1, fy = _taps(src.shape[1], out_h)
     x0, x1, fx = _taps(src.shape[2], out_w)
-    left = src[:, :, x0]
-    rows = left + fx * (src[:, :, x1] - left)
-    top = rows[:, y0]
-    return top + fy[:, None] * (rows[:, y1] - top)
+    left = np.take(src, x0, axis=2)
+    rows = np.take(src, x1, axis=2)
+    rows -= left
+    rows *= fx
+    rows += left
+    del left
+    top = np.take(rows, y0, axis=1)
+    out = np.take(rows, y1, axis=1)
+    del rows
+    out -= top
+    out *= fy[:, None]
+    out += top
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ resampling kernel, so no build holds a second bank or a list of grids.
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -370,22 +370,43 @@ _OCTAVE_GAINS = {16: 3.534, 8: 4.957, 4: 3.833, 2: 11.317, 1: 12.333}
 _SHAPE_AMPLITUDE = 0.2
 
 
-def _value_noise(rng, side: int) -> np.ndarray:
-    acc = np.zeros((side, side))
-    for factor, gain in sorted(_OCTAVE_GAINS.items(), reverse=True):
-        octave = side // factor
-        if octave < 2:
-            continue
-        coarse = rng.standard_normal((octave, octave))
-        layer = _kernels.bilinear_resample(coarse[None], side, side)[0]
-        acc += gain * layer
+def _value_noise(rng, side: int, channels: int) -> np.ndarray:
+    """(channels, side, side) sum of bilinear-upsampled white octaves, each
+    scaled by its ``_OCTAVE_GAINS`` gain. The coarse grids are drawn channel
+    by channel, each channel's octaves coarse to fine, straight into one
+    (channels, o, o) array per octave; each octave is then upsampled for
+    all channels in one kernel call and freed."""
+    octaves = [(side // factor, gain)
+               for factor, gain in sorted(_OCTAVE_GAINS.items(), reverse=True)
+               if side // factor >= 2]
+    coarse = [np.empty((channels, o, o)) for o, _ in octaves]
+    for c in range(channels):
+        for octave in coarse:
+            rng.standard_normal(out=octave[c])
+    acc = np.zeros((channels, side, side))
+    for _, gain in octaves:
+        layer = _kernels.bilinear_resample(coarse.pop(0), side, side)
+        layer *= gain
+        acc += layer
     return acc
 
 
+@lru_cache
+def _mask_coords(side: int):
+    """Row and column coordinates of a side x side grid as (side, 1) and
+    (1, side) vectors that broadcast against each other; memoized per side,
+    so they are read-only."""
+    yy = np.arange(side).reshape(side, 1)
+    xx = np.arange(side).reshape(1, side)
+    for a in (yy, xx):
+        a.setflags(write=False)
+    return yy, xx
+
+
 def _shape_mask(rng, side: int, kind: int) -> np.ndarray:
-    yy, xx = np.mgrid[0:side, 0:side]
+    yy, xx = _mask_coords(side)
     cy, cx = rng.integers(side // 4, 3 * side // 4, 2)
-    r = int(rng.integers(side // 8, side // 3))
+    r = int(rng.integers(side // 8, max(side // 3, side // 8 + 1)))
     if kind == 0:  # disk
         return ((yy - cy) ** 2 + (xx - cx) ** 2 < r * r).astype(float)
     if kind == 1:  # rectangle
@@ -400,7 +421,7 @@ def _value_noise_items(rng, side, channels, ids):
     """Multi-octave value-noise textures plus geometric shapes, one item per
     class id; classes differ by shape vocabulary."""
     for cls in ids:
-        item = np.stack([_value_noise(rng, side) for _ in range(channels)])
+        item = _value_noise(rng, side, channels)
         item -= item.mean()
         item /= item.std()
         for _ in range(2):

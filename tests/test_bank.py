@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frecas import bank as bank_module
 from frecas.bank import (
     SUPPORT_FLOOR,
     CAMap,
@@ -19,7 +20,7 @@ from frecas.bank import (
     predict,
     save_bank,
 )
-from frecas.codec import HAAR1, encode
+from frecas.codec import HAAR1, IDENTITY, encode
 from frecas.freq import radial_psd
 from frecas.cascade import PRESETS, plan_from_preset
 from frecas.grid import LatentGrid, Resolution, write_grid
@@ -37,6 +38,7 @@ from frecas.schedule import (
 )
 
 from conftest import bank_stack, rand_grid
+from test_kernels import bilinear_four_gather
 
 SCHED = vp_default()
 FLOW = flow_schedule()
@@ -665,6 +667,75 @@ class TestProceduralBanks:
                                           encode(HAAR1, images.item(k)).data)
         np.testing.assert_array_equal(latents.class_ids, images.class_ids)
         np.testing.assert_array_equal(latents.weights, images.weights)
+
+
+def reference_value_noise_bank(side, channels, n_items, n_classes, seed, codec):
+    """The value-noise bank build's earlier form, kept as the reference: one
+    four-gather kernel call per channel and octave, the channels stacked,
+    and each shape mask on np.mgrid coordinates."""
+    rng = np.random.default_rng(seed)
+
+    def value_noise():
+        acc = np.zeros((side, side))
+        for factor, gain in sorted(bank_module._OCTAVE_GAINS.items(), reverse=True):
+            octave = side // factor
+            if octave < 2:
+                continue
+            coarse = rng.standard_normal((octave, octave))
+            acc += gain * bilinear_four_gather(coarse[None], side, side)[0]
+        return acc
+
+    def shape_mask(kind):
+        yy, xx = np.mgrid[0:side, 0:side]
+        cy, cx = rng.integers(side // 4, 3 * side // 4, 2)
+        r = int(rng.integers(side // 8, side // 3))
+        if kind == 0:
+            return ((yy - cy) ** 2 + (xx - cx) ** 2 < r * r).astype(float)
+        if kind == 1:
+            return ((np.abs(yy - cy) < r) & (np.abs(xx - cx) < r // 2 + 1)).astype(float)
+        if kind == 2:
+            d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+            return ((d2 < r * r) & (d2 > (r // 2) ** 2)).astype(float)
+        return (np.abs((yy - cy) + (xx - cx)) < r // 2 + 1).astype(float)
+
+    ids = np.arange(n_items, dtype=np.int64) % n_classes
+    items = []
+    for cls in ids:
+        item = np.stack([value_noise() for _ in range(channels)])
+        item -= item.mean()
+        item /= item.std()
+        for _ in range(2):
+            mask = shape_mask(cls % 4)
+            item += bank_module._SHAPE_AMPLITUDE * float(rng.normal()) * mask[None]
+        items.append(encode(codec, LatentGrid(item / item.std())).data)
+    return LatentBank(items, ids, np.full(n_items, 1.0 / n_items))
+
+
+class TestValueNoiseBuild:
+    @pytest.mark.parametrize("side, codec", [
+        (3, IDENTITY), (13, IDENTITY), (37, IDENTITY), (64, IDENTITY),
+        (14, HAAR1), (38, HAAR1), (64, HAAR1),  # the Haar codec needs an even side
+    ], ids=lambda v: getattr(getattr(v, "kind", None), "value", None))
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_bank_is_the_per_channel_build_bytewise(self, side, codec, channels):
+        bank = make_bank("value_noise", side, channels=channels, n_items=6, n_classes=4,
+                         seed=11, codec=codec)
+        ref = reference_value_noise_bank(side, channels, 6, 4, 11, codec)
+        assert bank.blocks.tobytes() == ref.blocks.tobytes()
+        np.testing.assert_array_equal(bank.class_ids, ref.class_ids)
+        assert bank.weights.tobytes() == ref.weights.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_side_two_bank_builds(self, channels):
+        bank = make_bank("value_noise", 2, channels=channels, n_items=5, seed=3)
+        assert bank.item_shape == (channels, 2, 2)
+        assert np.isfinite(bank.blocks).all()
+
+    def test_mask_coordinates_are_memoized_read_only(self):
+        yy, xx = bank_module._mask_coords(13)
+        assert bank_module._mask_coords(13)[0] is yy
+        assert (yy.shape, xx.shape) == ((13, 1), (1, 13))
+        assert not yy.flags.writeable and not xx.flags.writeable
 
 
 class TestSerialization:

@@ -77,6 +77,11 @@ class TestSample:
         assert "seed = 2" in manifest
 
 
+@pytest.mark.parametrize("command", ["sample", "psd"])
+def test_side_two_value_noise_bank_runs(tmp_path, command):
+    assert main([command, "--stages", "2:2:0", "--out", str(tmp_path / "r")]) == EXIT_OK
+
+
 class TestExitCodes:
     def test_unknown_preset_is_usage_error(self, tmp_path, capsys):
         code = main(["sample", "--preset", "bogus", "--out", str(tmp_path / "r")])

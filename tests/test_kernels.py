@@ -4,6 +4,7 @@ read patch-blocked banks; their earlier einsum forms over (K, C, H, W)
 stacks are kept here too, as references for the blocked products."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,28 @@ def test_taps_are_memoized_read_only_and_leave_the_kernel_unchanged(rng):
         assert not a.flags.writeable
     again = K.bilinear_resample(src, 17, 5)  # reads the cached taps
     assert first.tobytes() == again.tobytes() == bilinear_four_gather(src, 17, 5).tobytes()
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("base, view", [
+    ((3, 9, 13), _read_only),
+    ((3, 13, 9), lambda a: a.transpose(0, 2, 1)),
+    ((9, 13), lambda a: a[None]),
+])
+def test_bilinear_only_reads_its_input_and_returns_a_fresh_array(rng, base, view):
+    a = rng.standard_normal(base)
+    before = a.tobytes()
+    src = view(a)
+    out = K.bilinear_resample(src, 17, 5)
+    assert a.tobytes() == before
+    assert out.dtype == np.float64 and out.shape == (src.shape[0], 17, 5)
+    assert out.flags.c_contiguous and out.flags.writeable and out.flags.owndata
+    assert not np.shares_memory(out, a)
+    assert out.tobytes() == bilinear_four_gather(src, 17, 5).tobytes()
 
 
 def test_sq_dists_twins_agree(rng):
