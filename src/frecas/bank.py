@@ -18,8 +18,10 @@ Attention maps: the latent is tiled into p x p patches and each patch gets
 its own posterior over class ids from patch-restricted distances. These
 row-stochastic maps are the analytic analogue of cross-attention weights;
 the cascade fuses them across stages and feeds them back via the
-``ca_mixture`` argument of :meth:`Posterior.field_blocks`, which turns the
-prediction into a patchwise mixture of class-conditional posterior means.
+``ca_mixture`` argument of :meth:`Posterior.field_blocks`, the one
+prediction, which turns its conditional field into a patchwise mixture of
+class-conditional posterior means. :meth:`CAMap.check_fit` is the one rule
+for whether two maps fit.
 
 One posterior per (latent, t) serves all four uses: :func:`blocked_posterior`
 makes one patch-distance pass over the whole bank, and the unconditional,
@@ -38,7 +40,8 @@ onto one memorized item, k is often 1. The mixture is one
 whole-latent distances are the row sums of the patch distances.
 The posterior takes the latent in the bank's layout and returns its fields
 in it, so a cascade stage keeps its latent blocked from step to step;
-:func:`predict` is the one entry for a (C, H, W) grid latent.
+:func:`predict`, the grid form of the conditional field, is the one entry
+for a (C, H, W) grid latent.
 
 Every bank is built as ``LatentBank(items, class_ids, weights)`` from a
 stream of items, each blocked as it arrives: :func:`make_bank` encodes each
@@ -98,6 +101,13 @@ class CAMap:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
+
+    def check_fit(self, other: "CAMap") -> None:
+        """ValueError unless ``other`` has this map's patch grid and class ids."""
+        mine = (self.rows_h, self.rows_w, self.classes)
+        theirs = (other.rows_h, other.rows_w, other.classes)
+        if theirs != mine:
+            raise ValueError(f"attention map (rows_h, rows_w, classes) {theirs} does not fit {mine}")
 
 
 class LatentBank:
@@ -222,8 +232,8 @@ class Posterior:
     all K items; the unconditional, conditional and mixture fields and the
     attention map ``ca`` all derive from it without touching the bank
     distances again. The latent is held as ``z_blocks`` in the bank's
-    layout, and :meth:`field` and :meth:`field_blocks` give the fields in
-    that layout.
+    layout, and :meth:`field_blocks`, the one prediction, gives the fields
+    in that layout.
     """
 
     bank: LatentBank
@@ -234,35 +244,25 @@ class Posterior:
     d_full: np.ndarray  # (K,) whole-latent squared distances, row sums of the patch ones
     ca: CAMap
 
-    def field(self, condition: int | None, ca_mixture: CAMap | None = None) -> np.ndarray:
-        """Predicted noise (VP) or velocity (flow) under ``condition``, as
-        (P, C*p*p) blocks in the bank's layout.
-
-        With ``ca_mixture`` the clean-signal estimate becomes a patchwise
-        mixture: each patch mixes the class-conditional posterior means with
-        the supplied row-stochastic weights, which is how fused attention
-        maps from an earlier stage steer the layout.
-        """
-        self._check(condition, ca_mixture)
-        z0 = self._plain_z0([condition])[0] if ca_mixture is None else self._mixture_z0(ca_mixture)
-        return self.fwd.field(self.z_blocks, z0)
-
     def field_blocks(self, condition: int | None, ca_mixture: CAMap | None = None):
-        """(unconditional field, ``field(condition, ca_mixture)``), the pair
-        guidance combines. Without a mixture both plain predictions are one
-        product over the bank."""
-        self._check(condition, ca_mixture)
+        """The predicted noise (VP) or velocity (flow) without and with
+        ``condition``, the pair guidance combines, as (P, C*p*p) blocks in
+        the bank's layout; both plain fields are one product over the bank.
+
+        A ``ca_mixture`` that fits ``ca`` (:meth:`CAMap.check_fit`) makes the
+        conditional clean-signal estimate a patchwise mixture: each patch
+        mixes the class-conditional posterior means with the map's weights,
+        which is how fused attention maps from an earlier stage steer the
+        layout.
+        """
+        if condition is not None and int(condition) not in self.ca.classes:
+            raise ValueError(f"unknown class id {condition}")
         if ca_mixture is None:
             z0s = self._plain_z0([None, condition])
         else:
+            self.ca.check_fit(ca_mixture)
             z0s = self._plain_z0([None])[0], self._mixture_z0(ca_mixture)
         return tuple(self.fwd.field(self.z_blocks, z0) for z0 in z0s)
-
-    def _check(self, condition, ca_mixture):
-        if condition is not None and int(condition) not in self.ca.classes:
-            raise ValueError(f"unknown class id {condition}")
-        if ca_mixture is not None and ca_mixture.values.shape != self.ca.values.shape:
-            raise ValueError("mixture map does not match the patch grid and classes")
 
     def _plain_weights(self, conditions):
         """(weights, lo, hi): the (len(conditions), K) posterior weights, a
@@ -345,12 +345,13 @@ def predict(
     ca_mixture: CAMap | None = None,
 ):
     """(field, ca) at a grid latent z_t of the bank's shape: the
-    :func:`blocked_posterior` of its blocks, :meth:`Posterior.field` as a
-    grid and the posterior's attention map; see :class:`Posterior`."""
+    :func:`blocked_posterior` of its blocks, the conditional field of
+    :meth:`Posterior.field_blocks` as a grid and the posterior's attention
+    map; see :class:`Posterior`."""
     if bank.item_shape != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
     post = blocked_posterior(bank, bank.block(z_t.data), t, sched)
-    return LatentGrid(bank.unblock(post.field(condition, ca_mixture))), post.ca
+    return LatentGrid(bank.unblock(post.field_blocks(condition, ca_mixture)[1])), post.ca
 
 
 # ---------------------------------------------------------------------------

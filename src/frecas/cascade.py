@@ -172,24 +172,24 @@ def compute_cost(plan: StagePlan) -> float:
 # ---------------------------------------------------------------------------
 
 def average_ca_maps(maps) -> CAMap:
-    """Elementwise arithmetic mean of same-shape row-stochastic maps."""
+    """Elementwise arithmetic mean of row-stochastic maps that fit the
+    first (`CAMap.check_fit`)."""
     maps = list(maps)
     if not maps:
         raise ValueError("cannot average zero maps")
     first = maps[0]
     for m in maps[1:]:
-        if m.values.shape != first.values.shape or m.classes != first.classes:
-            raise ValueError("maps must share shape and classes")
+        first.check_fit(m)
     mean = np.mean([m.values for m in maps], axis=0)
     return CAMap(mean, first.rows_h, first.rows_w, first.classes)
 
 
 def fuse_ca_maps(current: CAMap, averaged: CAMap, w_c: float) -> CAMap:
-    """Convex combination (1 - w_c) * current + w_c * averaged."""
+    """Convex combination (1 - w_c) * current + w_c * averaged, of maps
+    that fit (`CAMap.check_fit`)."""
     if not 0.0 <= w_c <= 1.0:
         raise ValueError(f"w_c must lie in [0, 1], got {w_c}")
-    if current.values.shape != averaged.values.shape or current.classes != averaged.classes:
-        raise ValueError("maps must share shape and classes")
+    current.check_fit(averaged)
     fused = (1.0 - w_c) * current.values + w_c * averaged.values
     return CAMap(fused, current.rows_h, current.rows_w, current.classes)
 

@@ -307,7 +307,9 @@ def _add_common(p):
     for f in fields(RunConfig):
         # argparse only collects strings; config._coerce types them
         switch = {"action": "store_true", "default": None} if f.type is bool else {}
-        p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata.get("help"), **switch)
+        default = "" if f.default is None else f" (default {f.default})"
+        p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"] + default,
+                       **switch)
 
 
 def _build_parser():

@@ -3,35 +3,15 @@ a config into a stage plan, codec, and latent bank.
 
 Config files hold one ``key = value`` pair per line; ``#`` starts a comment.
 Dotted keys group related settings (``bank.kind = value_noise``). Command
-line flags override file values, which override the defaults below.
+line flags override file values, which override the defaults of `RunConfig`.
 
 The fields of `RunConfig` are the only list of settings. A field's key is its
 name in lower case with ``bank_`` written ``bank.``, its flag is ``--`` plus
 the name with ``_`` written ``-`` (``bank.items`` is ``--bank-items``, ``T``
 is ``--T``), and its annotation types the values of both routes.
 
-Recognized keys:
-
-    preset          one of the shipped cascade presets (see `frecas presets`)
-    stages          explicit plan: comma list of side:steps:L triples
-                    (final L must be 0); overrides the preset ladder
-    base_side       latent side of stage 0 when materializing a preset (32)
-    schedule        vp | flow (presets pick their own)
-    T               training timesteps of the schedule (1000)
-    gamma           SNR exponent of VP transition shifts (no effect on flow)
-    w_l, w_h        guidance strengths for the low/high frequency bands
-    w_c             attention-map fusion weight in [0, 1]
-    condition       class id to condition on (0)
-    codec           identity | haar1
-    seed            run seed (0)
-    out             output directory
-    dump_stages     true/false: dump each stage's final latent
-    bank.path       directory with a serialized bank (wins over procedural)
-    bank.kind       value_noise | white
-    bank.seed       procedural generator seed (0)
-    bank.items      item count (100)
-    bank.classes    class count, at most bank.items (4)
-    bank.channels   image channels, 1 or 3 (3)
+Each field's ``help`` metadata describes its setting; ``frecas <command>
+--help`` prints them with their defaults.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -42,36 +22,43 @@ from .bank import LatentBank, load_bank, make_bank
 from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset, stage_timesteps
 from .codec import HAAR1, IDENTITY, LatentCodec
 from .grid import Resolution
-from .schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
+from .schedule import MAX_T, NoiseSchedule, ScheduleKind, flow_schedule, vp_default
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _setting(default, text: str):
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    preset: str | None = field(default="sdxl-x4", metadata={"help": "named cascade preset"})
-    stages: str | None = field(default=None,
-                               metadata={"help": "explicit plan: side:steps:L,..."})
-    base_side: int = 32
-    schedule: str | None = None
-    T: int = 1000
-    gamma: float | None = None
-    w_l: float | None = None
-    w_h: float | None = None
-    w_c: float | None = None
-    condition: int = 0
-    codec: str = "identity"
-    seed: int = 0
-    out: str = "out"
-    dump_stages: bool = False
-    bank_path: str | None = None
-    bank_kind: str = "value_noise"
-    bank_seed: int = 0
-    bank_items: int = 100
-    bank_classes: int = 4
-    bank_channels: int = 3
+    preset: str | None = _setting("sdxl-x4", "a shipped cascade preset, listed by frecas presets")
+    stages: str | None = _setting(None, "explicit plan: comma list of side:steps:L triples, "
+                                        "the final L 0; overrides the preset ladder")
+    base_side: int = _setting(32, "latent side of stage 0 when materializing a preset")
+    schedule: str | None = _setting(None, "vp | flow; a preset picks its own, a stage list vp")
+    T: int = _setting(1000, f"training timesteps of the schedule, 1 to {MAX_T}")
+    gamma: float | None = _setting(None, "SNR exponent of VP transition shifts, no effect on "
+                                         "flow; a preset sets its own")
+    w_l: float | None = _setting(None, "low-band guidance strength; a preset sets its own")
+    w_h: float | None = _setting(None, "high-band guidance strength; a preset sets its own")
+    w_c: float | None = _setting(None, "attention-map fusion weight in [0, 1]; a preset sets "
+                                       "its own")
+    condition: int = _setting(0, "class id to condition on")
+    codec: str = _setting("identity", "identity | haar1")
+    seed: int = _setting(0, "run seed")
+    out: str = _setting("out", "output directory")
+    dump_stages: bool = _setting(False, "dump each stage's final latent")
+    bank_path: str | None = _setting(None, "directory of a saved bank, used in place of a "
+                                           "procedural one")
+    bank_kind: str = _setting("value_noise", "procedural bank kind: value_noise | white")
+    bank_seed: int = _setting(0, "procedural generator seed")
+    bank_items: int = _setting(100, "procedural item count")
+    bank_classes: int = _setting(4, "procedural class count, at most bank.items")
+    bank_channels: int = _setting(3, "procedural image channels, 1 or 3")
 
 
 # config-file key -> field: the name in lower case, ``bank_*`` written ``bank.*``
@@ -128,6 +115,21 @@ def merge_config(base: RunConfig, overrides: dict) -> RunConfig:
     return replace(base, **overrides)
 
 
+def _builder(build):
+    """A public builder: a schedule or plan check's ValueError becomes a
+    ConfigError with the same message, since the settings asked for it."""
+    @wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ConfigError:
+            raise
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+    return checked
+
+
+@_builder
 def build_schedule(cfg: RunConfig) -> NoiseSchedule:
     kind = cfg.schedule
     if kind is None:
@@ -170,21 +172,7 @@ def _stage_triples(cfg: RunConfig) -> list:
     return triples
 
 
-def _plan_builder(build):
-    """A public plan builder: a plan check's ValueError becomes a ConfigError
-    with the same message, since the settings asked for that plan."""
-    @wraps(build)
-    def checked(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    return checked
-
-
-@_plan_builder
+@_builder
 def build_plan(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
     if cfg.stages is None:
         return plan_from_preset(_preset_with_overrides(cfg), cfg.base_side, sched)
@@ -212,7 +200,7 @@ def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> 
     )
 
 
-@_plan_builder
+@_builder
 def ablation_plan(cfg: RunConfig, param: str, value: float, sched: NoiseSchedule) -> StagePlan:
     """The plan `frecas ablate` runs at one value of `param`: the settings'
     plan with a guidance weight (w_l, w_h, w_c) replaced, with every non-final
@@ -287,9 +275,10 @@ def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBan
 def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> LatentBank:
     """Latent bank at one latent side.
 
-    Procedural banks are drawn as image-space textures at the matching
-    pixel resolution and encoded item by item on their way into the bank
-    (`make_bank`), so they are valid latents for any codec.
+    A saved bank must have that side and a channel count the codec can
+    decode. Procedural banks are drawn as image-space textures at the
+    matching pixel resolution and encoded item by item on their way into the
+    bank (`make_bank`), so they are valid latents for any codec.
     """
     if cfg.bank_path:
         bank = load_bank(cfg.bank_path)
@@ -298,6 +287,9 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> Laten
                 f"bank resolution {bank.side} does not match the "
                 f"plan's target side {latent_side}"
             )
+        if bank.channels % codec.channel_factor:
+            raise ConfigError(f"bank channels {bank.channels} are not a multiple of the "
+                              f"{codec.kind.value} codec's {codec.channel_factor}")
         return bank
     for key, count in (("bank.items", cfg.bank_items), ("bank.classes", cfg.bank_classes),
                        ("bank.channels", cfg.bank_channels)):

@@ -31,6 +31,7 @@ class ScheduleKind(enum.Enum):
 DEFAULT_T = 1000
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
+MAX_T = 10**6  # 1000 times every preset's T; keeps the VP alpha table at 8 MB
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +43,8 @@ class NoiseSchedule:
     alpha: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("schedule needs at least one timestep")
+        if not 1 <= self.T <= MAX_T:  # before any table is built
+            raise ValueError(f"schedule T must lie in [1, {MAX_T}], got {self.T}")
         if self.kind is ScheduleKind.VARIANCE_PRESERVING:
             if self.alpha is None:
                 betas = np.linspace(DEFAULT_BETA_START, DEFAULT_BETA_END, self.T)

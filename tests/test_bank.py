@@ -50,8 +50,8 @@ def posterior_at(bank, z: LatentGrid, t, sched):
 
 
 def field_grid(post, condition, ca_mixture=None) -> np.ndarray:
-    """A posterior's field as a (C, H, W) array."""
-    return post.bank.unblock(post.field(condition, ca_mixture))
+    """A posterior's conditional field as a (C, H, W) array."""
+    return post.bank.unblock(post.field_blocks(condition, ca_mixture)[1])
 
 
 def small_bank(rng, n_items=6, channels=2, side=8, n_classes=3) -> LatentBank:
@@ -222,7 +222,7 @@ class TestPredict:
                 posterior_at(bank, z, 2e-154, FLOW)
             post = posterior_at(bank, z, 1e-150, FLOW)
             for condition in (None, 1):
-                assert np.all(np.isfinite(post.field(condition)))
+                assert all(np.all(np.isfinite(f)) for f in post.field_blocks(condition))
 
     def test_overflowing_distances_are_not_a_zero_noise_level(self):
         # at t = 500 var is about 0.99, but a 1e160 latent's squared norm
@@ -309,7 +309,9 @@ def direct_field(bank, z, t, condition, sched):
 
 def indexed_field(post, condition, t, sched):
     """A plain prediction in its index form: the admissible items are copied
-    out of the bank and weighted alone."""
+    out of the bank and weighted alone. The weights are one row of a
+    two-row product, the shape of the posterior's (unconditional,
+    conditional) product, so that an unmasked row rounds alike."""
     bank = post.bank
     adm = (np.arange(bank.size) if condition is None
            else np.flatnonzero(bank.class_ids == condition))
@@ -317,7 +319,8 @@ def indexed_field(post, condition, t, sched):
     lw -= lw.max()
     p = np.exp(lw)
     p /= p.sum()
-    z0 = np.tensordot(p, bank_stack(bank)[adm], axes=1)
+    items = bank_stack(bank)[adm]
+    z0 = (np.stack([p, p]) @ items.reshape(adm.size, -1))[1].reshape(items.shape[1:])
     z_t = bank.unblock(post.z_blocks)
     if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
         return (z_t - post.fwd.scale * z0) / np.sqrt(post.fwd.var)
@@ -401,7 +404,7 @@ class TestPosterior:
         for condition in (None, 0):
             tracemalloc.start()
             try:
-                post.field(condition)
+                post.field_blocks(condition)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -416,20 +419,11 @@ class TestPosterior:
         try:
             post = posterior_at(bank, rand_grid(rng, side=64), 500.0, SCHED)
             post.field_blocks(1)
-            post.field(1, post.ca)
+            post.field_blocks(1, post.ca)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bank.blocks.nbytes / 4
-
-    def test_fields_pair_matches_single_fields(self, rng):
-        bank = small_bank(rng, n_items=8, channels=3, side=16, n_classes=4)
-        post = posterior_at(bank, rand_grid(rng, side=16), 300.0, SCHED)
-        for condition, mixture in ((2, None), (1, post.ca)):
-            unc, cond = post.field_blocks(condition, mixture)
-            for got, ref in ((unc, post.field(None)), (cond, post.field(condition, mixture))):
-                err = np.linalg.norm(got - ref)
-                assert err <= 1e-12 * np.linalg.norm(ref)
 
     def test_predict_is_field_and_map_of_one_posterior(self, rng):
         bank = small_bank(rng)
@@ -441,6 +435,22 @@ class TestPosterior:
             field, ca = predict(bank, z, 300.0, condition, SCHED, ca_mixture=mixture)
             np.testing.assert_array_equal(field.data, field_grid(post, condition, mixture))
             np.testing.assert_array_equal(ca.values, post.ca.values)
+
+    def test_mixture_map_must_fit_the_posteriors_own(self, rng):
+        # the posterior's own map relabelled (1, 0) with its columns
+        # swapped, labelled (5, 9), and laid on a 4 x 16 grid of as many rows
+        bank = small_bank(rng, n_items=8, channels=2, side=16, n_classes=2)
+        z = rand_grid(rng, channels=2, side=16)
+        post = posterior_at(bank, z, 300.0, SCHED)
+        own = post.ca
+        assert (own.rows_h, own.rows_w, own.classes) == (8, 8, (0, 1))
+        post.field_blocks(1, own)
+        for m in (CAMap(own.values[:, ::-1], 8, 8, (1, 0)), CAMap(own.values, 8, 8, (5, 9)),
+                  CAMap(own.values, 4, 16, (0, 1))):
+            with pytest.raises(ValueError, match="does not fit"):
+                post.field_blocks(1, m)
+            with pytest.raises(ValueError, match="does not fit"):
+                predict(bank, z, 300.0, 1, SCHED, ca_mixture=m)
 
 
 def dense_weights(post, conditions) -> np.ndarray:

@@ -142,6 +142,69 @@ def _random_map(rng, rows_h, rows_w, classes) -> CAMap:
     return CAMap(raw / raw.sum(axis=1, keepdims=True), rows_h, rows_w, classes)
 
 
+@st.composite
+def stochastic_maps(draw, count=1):
+    """``count`` random row-stochastic maps on one square patch grid of side
+    1-16 over 1-6 sorted class ids; some entries are 0, some rows one-hot."""
+    side = draw(st.integers(1, 16))
+    classes = tuple(sorted(draw(st.lists(st.integers(-3, 20), min_size=1, max_size=6,
+                                         unique=True))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    maps = []
+    for _ in range(count):
+        raw = rng.exponential(size=(side * side, len(classes)))
+        raw[rng.random(raw.shape) < zeros] = 0.0
+        raw[np.arange(side * side), rng.integers(0, len(classes), side * side)] += 1e-3
+        maps.append(CAMap(raw / raw.sum(axis=1, keepdims=True), side, side, classes))
+    return maps
+
+
+def misfits(m: CAMap):
+    """Maps that do not fit m: another patch grid (with the same row count
+    where one exists) and other class ids (reordered where there are two)."""
+    n_rows = m.rows_h * m.rows_w
+    grid = (1, n_rows) if n_rows > 1 else (2, 1)
+    other = m.classes[::-1] if len(m.classes) > 1 else (m.classes[0] + 1,)
+    values = np.resize(m.values, (grid[0] * grid[1], len(m.classes)))
+    return [CAMap(values, *grid, m.classes), CAMap(m.values[:, ::-1], m.rows_h, m.rows_w, other)]
+
+
+class TestCaMapProperties:
+    @settings(deadline=None)
+    @given(maps=stochastic_maps(count=2), w_c=st.floats(0.0, 1.0))
+    def test_fuse_rows_sum_to_one_and_endpoints_are_exact(self, maps, w_c):
+        a, b = maps
+        rows = fuse_ca_maps(a, b, w_c).values.sum(axis=1)
+        assert np.max(np.abs(rows - 1.0)) <= 1e-12
+        assert fuse_ca_maps(a, b, 0.0).values.tobytes() == a.values.tobytes()
+        assert fuse_ca_maps(a, b, 1.0).values.tobytes() == b.values.tobytes()
+
+    @settings(deadline=None)
+    @given(maps=stochastic_maps(count=5), n=st.integers(1, 5))
+    def test_average_rows_sum_to_one(self, maps, n):
+        rows = average_ca_maps(maps[:n]).values.sum(axis=1)
+        assert np.max(np.abs(rows - 1.0)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(maps=stochastic_maps(), rows_h=st.integers(1, 16), rows_w=st.integers(1, 16))
+    def test_resample_rows_sum_to_one(self, maps, rows_h, rows_w):
+        out = resample_ca_map(maps[0], rows_h, rows_w)
+        assert (out.rows_h, out.rows_w, out.classes) == (rows_h, rows_w, maps[0].classes)
+        assert np.max(np.abs(out.values.sum(axis=1) - 1.0)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(maps=stochastic_maps())
+    def test_fit_rule_rejects_another_grid_or_other_class_ids(self, maps):
+        m, = maps
+        m.check_fit(m)
+        for bad in misfits(m):
+            for check in (lambda: m.check_fit(bad), lambda: fuse_ca_maps(m, bad, 0.5),
+                          lambda: average_ca_maps([m, bad])):
+                with pytest.raises(ValueError, match="does not fit"):
+                    check()
+
+
 class TestTransition:
     def test_equal_resolution_identity_codec_is_pure_renoise(self, rng):
         bank = toy_bank(rng, side=8)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from frecas.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from frecas.config import ConfigError, RunConfig, build_plan, build_schedule
-from frecas.bank import LatentBank, save_bank
+from frecas.bank import LatentBank, make_bank, save_bank
 from frecas.freq import band_energy_fractions, radial_psd
 from frecas.grid import LatentGrid, read_grid, write_grid
 
@@ -325,6 +327,51 @@ class TestExitCodes:
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err == f"frecas: error: non-finite latent after the step at t = {t}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--T", "0"],
+        ["sample", "--T", "-3"],
+        ["presets", "--T", "0"],
+        ["psd", "--T", "0"],
+        ["sample", "--T", "1000000000000"],
+    ])
+    def test_timestep_count_out_of_range_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        argv):
+        # T is checked before the schedule's table is built: T = 10^12 would
+        # ask for three 8 TB arrays, and nothing near that is allocated
+        for builder in ("build_bank", "build_bank_at"):
+            monkeypatch.setattr(f"frecas.cli.{builder}", pytest.fail)
+        tracemalloc.start()
+        try:
+            code = main([*argv, *FAST, "--out", str(tmp_path / "r")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert peak < 2**20
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"frecas: config error: schedule T must lie in [1, 1000000], "
+                       f"got {argv[-1]}\n")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sample"],
+        ["ablate", "--param", "w_h", "--values", "1,7.5"],
+    ])
+    def test_bank_the_codec_cannot_decode_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        # a saved 3-channel bank with the Haar codec: rejected as the bank is
+        # built, before any sampling and before the output directory exists
+        save_bank(tmp_path / "bank16", make_bank("value_noise", 16, n_items=8))
+        monkeypatch.setattr("frecas.cli.run_cascade", pytest.fail)
+        code = main([*command, "--stages", "8:2:100,16:2:0", "--codec", "haar1",
+                     "--bank-path", str(tmp_path / "bank16"), "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("frecas: config error: bank channels 3 are not a multiple of "
+                       "the haar1 codec's 4\n")
+        assert not (tmp_path / "r").exists()
 
     def test_ablate_L_near_t0_passes_the_entry_check(self, tmp_path, capsys):
         code = main(["ablate", "--preset", "sdxl-x4", "--param", "L", "--values", "1e-8",

@@ -9,6 +9,7 @@ from frecas.bank import LatentBank, blocked_posterior
 from frecas.grid import LatentGrid
 from frecas.sampler import predict_z0
 from frecas.schedule import (
+    MAX_T,
     NoiseSchedule,
     ScheduleKind,
     alpha_at,
@@ -62,6 +63,17 @@ class TestAlpha:
             NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 3, alpha=np.array([1.0, 0.5, 0.6, 0.1]))
         with pytest.raises(ValueError):
             NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 2, alpha=np.array([0.9, 0.5, 0.1]))
+
+
+def test_timestep_count_is_bounded():
+    for make, T in ((vp_default, 0), (vp_default, MAX_T + 1), (flow_schedule, -3),
+                    (flow_schedule, 10**12)):
+        with pytest.raises(ValueError, match=f"T must lie in \\[1, {MAX_T}\\], got {T}"):
+            make(T)
+    assert flow_schedule(MAX_T).T == MAX_T
+    # a VP table this long underflows to 0: the table check refuses it
+    with pytest.raises(ValueError, match="stay positive"):
+        vp_default(MAX_T)
 
 
 class TestEquality:
@@ -298,7 +310,7 @@ class TestForwardModel:
             with pytest.raises(ValueError, match="zero noise level"):
                 blocked_posterior(bank, z_blocks, t, sched)
             return
-        field = bank.unblock(blocked_posterior(bank, z_blocks, t, sched).field(None))
+        field = bank.unblock(blocked_posterior(bank, z_blocks, t, sched).field_blocks(None)[0])
         # the posterior mean is x exactly; z_t - c x cancels, then / sigma
         budget = 8 * EPS * (np.abs(z_t.data) + fwd.c * np.abs(x.data)
                             + fwd.sigma * np.abs(f)) / fwd.sigma
