@@ -16,7 +16,6 @@ from .cascade import (
     compute_cost,
     fuse_ca_maps,
     ladder,
-    plan_from_preset,
     run_cascade,
     transition,
 )

@@ -151,9 +151,8 @@ class StagePlan:
 
 @dataclass(frozen=True)
 class RunReport:
-    """A run's seed and cost units; its stages' F, L and costs are the plan's."""
+    """A run's cost units; its stages' F, L and costs are the plan's."""
 
-    seed: int
     cost_units: float
 
 
@@ -329,7 +328,7 @@ def run_cascade(
         del stage_bank
 
     image = decode(codec, z)
-    return image, RunReport(seed=int(seed), cost_units=compute_cost(plan))
+    return image, RunReport(cost_units=compute_cost(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +393,4 @@ def ladder(sides, steps, last_timesteps, *, w_l, w_h, w_c, gamma, sched,
     stages = tuple(StageSpec(Resolution(side), n, last)
                    for side, n, last in zip(sides, steps, lasts))
     return StagePlan(stages, gamma, sched, w_l, w_h, w_c, train_side)
-
-
-def plan_from_preset(preset: Preset, base_side: int, sched: NoiseSchedule) -> StagePlan:
-    """Materialize a preset at a concrete base latent side."""
-    if sched.kind is not preset.schedule_kind:
-        raise ValueError(f"preset {preset.name} needs a {preset.schedule_kind.value} schedule")
-    return ladder(
-        [base_side * m for m in preset.scale_per_stage],
-        preset.steps,
-        stage_timesteps(preset.last_timesteps, sched),
-        w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
-    )
 

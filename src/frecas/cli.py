@@ -115,19 +115,11 @@ def _manifest_entries(cfg: RunConfig, plan, report, direct_cost, outputs):
 # commands
 # ---------------------------------------------------------------------------
 
-def _check_condition(cfg: RunConfig, bank: LatentBank) -> None:
-    """Reject a condition with no bank items before any sampling starts."""
-    if cfg.condition not in bank.classes:
-        raise ConfigError(f"condition {cfg.condition} is not a class of the bank; "
-                          f"available: {', '.join(str(c) for c in bank.classes)}")
-
-
 def cmd_sample(cfg: RunConfig) -> int:
     sched = build_schedule(cfg)
     plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, plan, codec)
-    _check_condition(cfg, bank)
     os.makedirs(cfg.out, exist_ok=True)
 
     dumps = []
@@ -211,7 +203,6 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
     base_plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, base_plan, codec)
-    _check_condition(cfg, bank)
     bank_psd = _bank_mean_psd(bank, codec)
     os.makedirs(cfg.out, exist_ok=True)
 
@@ -242,7 +233,6 @@ def cmd_bench(cfg: RunConfig) -> int:
     direct = build_direct_plan(cfg, plan, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, plan, codec)
-    _check_condition(cfg, bank)
 
     def one(p, i):
         start = time.perf_counter()

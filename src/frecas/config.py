@@ -19,10 +19,10 @@ from functools import wraps
 from typing import get_args
 
 from .bank import LatentBank, load_bank, make_bank
-from .cascade import PRESETS, Preset, StagePlan, ladder, plan_from_preset, stage_timesteps
+from .cascade import PRESETS, Preset, StagePlan, ladder, stage_timesteps
 from .codec import HAAR1, IDENTITY, LatentCodec
 from .grid import Resolution
-from .schedule import MAX_T, NoiseSchedule, ScheduleKind, flow_schedule, vp_default
+from .schedule import MAX_T, NoiseSchedule, flow_schedule, vp_default
 
 
 class ConfigError(ValueError):
@@ -133,11 +133,7 @@ def _builder(build):
 def build_schedule(cfg: RunConfig) -> NoiseSchedule:
     kind = cfg.schedule
     if kind is None:
-        if cfg.preset and cfg.stages is None:
-            preset = _preset(cfg)
-            kind = "flow" if preset.schedule_kind is ScheduleKind.FLOW_MATCHING else "vp"
-        else:
-            kind = "vp"
+        kind = _preset(cfg).schedule_kind.value if cfg.preset and cfg.stages is None else "vp"
     if kind == "vp":
         return vp_default(cfg.T)
     if kind == "flow":
@@ -153,10 +149,8 @@ def _preset(cfg: RunConfig) -> Preset:
     return PRESETS[cfg.preset]
 
 
-def _preset_with_overrides(cfg: RunConfig) -> Preset:
-    updates = {name: getattr(cfg, name) for name in ("gamma", "w_l", "w_h", "w_c")
-               if getattr(cfg, name) is not None}
-    return replace(_preset(cfg), **updates)
+# gamma and the guidance weights of a stage list; a preset sets its own
+_STAGE_LIST_SHARED = {"gamma": 2.0, "w_l": 7.5, "w_h": 35.0, "w_c": 0.6}
 
 
 def _stage_triples(cfg: RunConfig) -> list:
@@ -172,21 +166,31 @@ def _stage_triples(cfg: RunConfig) -> list:
     return triples
 
 
+def _read_ladder(cfg: RunConfig):
+    """The unchecked ladder of a preset (sides: multipliers times base_side)
+    or a stage list: (sides, steps, each L as written, the preset's schedule
+    kind or None, {gamma, w_l, w_h, w_c} with each set field overriding)."""
+    if cfg.stages is None:
+        p = _preset(cfg)
+        sides = [cfg.base_side * m for m in p.scale_per_stage]
+        steps, lasts, kind = p.steps, (*p.last_timesteps, 0.0), p.schedule_kind
+        shared = {name: getattr(p, name) for name in _STAGE_LIST_SHARED}
+    else:
+        sides, steps, lasts = zip(*_stage_triples(cfg))
+        kind, shared = None, _STAGE_LIST_SHARED
+    shared = {name: value if getattr(cfg, name) is None else getattr(cfg, name)
+              for name, value in shared.items()}
+    return sides, steps, lasts, kind, shared
+
+
 @_builder
 def build_plan(cfg: RunConfig, sched: NoiseSchedule) -> StagePlan:
-    if cfg.stages is None:
-        return plan_from_preset(_preset_with_overrides(cfg), cfg.base_side, sched)
-    sides, steps, lasts = zip(*_stage_triples(cfg))
+    sides, steps, lasts, kind, shared = _read_ladder(cfg)
+    if kind not in (None, sched.kind):
+        raise ConfigError(f"preset {cfg.preset} needs a {kind.value} schedule")
     if lasts[-1] != 0:
         raise ConfigError("final stage must run to timestep 0")
-    w_l = cfg.w_l if cfg.w_l is not None else 7.5
-    w_h = cfg.w_h if cfg.w_h is not None else 35.0
-    w_c = cfg.w_c if cfg.w_c is not None else 0.6
-    gamma = cfg.gamma if cfg.gamma is not None else 2.0
-    return ladder(
-        sides, steps, stage_timesteps(lasts[:-1], sched),
-        w_l=w_l, w_h=w_h, w_c=w_c, gamma=gamma, sched=sched,
-    )
+    return ladder(sides, steps, stage_timesteps(lasts[:-1], sched), sched=sched, **shared)
 
 
 def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> StagePlan:
@@ -202,48 +206,40 @@ def build_direct_plan(cfg: RunConfig, plan: StagePlan, sched: NoiseSchedule) -> 
 
 @_builder
 def ablation_plan(cfg: RunConfig, param: str, value: float, sched: NoiseSchedule) -> StagePlan:
-    """The plan `frecas ablate` runs at one value of `param`: the settings'
-    plan with a guidance weight (w_l, w_h, w_c) replaced, with every non-final
-    L replaced (read by `stage_timesteps`), or the preset's ladder re-cut into
-    N additional stages (N = 0 is the direct plan)."""
+    """The plan `frecas ablate` runs at one value of `param`, a transform of
+    the settings' plan: a guidance weight (w_l, w_h, w_c) replaced, every
+    non-final L replaced (read by `stage_timesteps`), or the ladder re-cut
+    into N stages after stage 0 (N = 0 is the direct plan)."""
+    plan = build_plan(cfg, sched)
     if param in ("w_l", "w_h", "w_c"):
-        return build_plan(replace(cfg, **{param: value}), sched)
+        return replace(plan, **{param: value})
     if param == "L":
-        plan = build_plan(cfg, sched)
         *head, last = plan.stages
         L, = stage_timesteps([value], sched)
         return replace(plan, stages=(*(replace(s, last_timestep=L) for s in head), last))
-    if param == "N":
-        if not (float(value).is_integer() and value >= 0):
-            raise ConfigError(f"N must be a non-negative integer, got {value}")
-        return _plan_for_n(cfg, int(value), sched)
-    raise ConfigError(f"unknown ablation parameter {param!r}; "
-                      "choose from w_h, w_l, w_c, N, L")
-
-
-def _plan_for_n(cfg: RunConfig, n: int, sched: NoiseSchedule) -> StagePlan:
-    """Cascade with n additional stages interpolating the preset's ladder."""
-    if cfg.stages is not None:
-        raise ConfigError("the N ablation needs a preset, not an explicit stage list")
+    if param != "N":
+        raise ConfigError(f"unknown ablation parameter {param!r}; "
+                          "choose from w_h, w_l, w_c, N, L")
+    if not (float(value).is_integer() and value >= 0):
+        raise ConfigError(f"N must be a non-negative integer, got {value}")
+    n = int(value)
     if n == 0:
-        return build_direct_plan(cfg, build_plan(cfg, sched), sched)
-    preset = _preset_with_overrides(cfg)
-    budget = sum(preset.steps[1:])
+        return build_direct_plan(cfg, plan, sched)
+    # n more sides, geometric up to the target, split the later steps and stop at stage 0's L
+    first, *later = plan.stages
+    budget = sum(s.steps for s in later)
     if budget < n:
-        raise ConfigError(f"preset step budget {budget} too small for N={n}")
-    target_mult = preset.scale_per_stage[-1]
-    sides = [
-        int(round(cfg.base_side * target_mult ** (i / n))) for i in range(n + 1)
-    ]
+        raise ConfigError(f"later stages' step budget {budget} too small for N={n}")
+    ratio = plan.stages[-1].resolution.side / first.resolution.side
+    sides = [int(round(first.resolution.side * ratio ** (i / n))) for i in range(n + 1)]
     if any(b <= a for a, b in zip(sides, sides[1:])):
         raise ConfigError(f"N={n} collapses the resolution ladder {sides}")
     extra = [budget // n] * n
     for i in range(budget % n):
         extra[-1 - i] += 1
-    return ladder(
-        sides, [preset.steps[0], *extra], stage_timesteps([preset.last_timesteps[0]] * n, sched),
-        w_l=preset.w_l, w_h=preset.w_h, w_c=preset.w_c, gamma=preset.gamma, sched=sched,
-    )
+    return ladder(sides, [first.steps, *extra], [first.last_timestep] * n,
+                  w_l=plan.w_l, w_h=plan.w_h, w_c=plan.w_c, gamma=plan.gamma, sched=sched,
+                  train_side=plan.train_side)
 
 
 def build_codec(cfg: RunConfig) -> LatentCodec:
@@ -255,12 +251,9 @@ def build_codec(cfg: RunConfig) -> LatentCodec:
 
 
 def target_side(cfg: RunConfig) -> int:
-    """The latent side of the plan's final stage, read from the preset or
-    the stage list without building (or checking) the whole plan."""
-    if cfg.stages is not None:
-        side = _stage_triples(cfg)[-1][0]
-    else:
-        side = cfg.base_side * _preset(cfg).scale_per_stage[-1]
+    """The latent side of the plan's final stage, the last side of
+    `_read_ladder`, without building (or checking) the whole plan."""
+    side = _read_ladder(cfg)[0][-1]
     try:
         return Resolution(side).side
     except ValueError as e:
@@ -268,8 +261,13 @@ def target_side(cfg: RunConfig) -> int:
 
 
 def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBank:
-    """Latent bank at the plan's highest stage resolution."""
-    return build_bank_at(cfg, plan.stages[-1].resolution.side, codec)
+    """Latent bank at the plan's highest stage resolution, which must hold
+    items of the run's condition."""
+    bank = build_bank_at(cfg, plan.stages[-1].resolution.side, codec)
+    if cfg.condition not in bank.classes:
+        raise ConfigError(f"condition {cfg.condition} is not a class of the bank; "
+                          f"available: {', '.join(str(c) for c in bank.classes)}")
+    return bank
 
 
 def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> LatentBank:

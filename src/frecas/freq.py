@@ -90,9 +90,10 @@ class PsdCurve:
 
 
 @functools.lru_cache
-def _radial_bin_index(side: int, n_bins: int) -> np.ndarray:
+def _radial_bin_index(side: int) -> np.ndarray:
     k = np.fft.fftfreq(side) * side  # wrapped integer frequencies
     r = np.hypot(*np.meshgrid(k, k, indexing="ij"))
+    n_bins = side // 2
     width = nyquist(Resolution(side)) / n_bins
     idx = np.minimum(np.rint(r / width).astype(np.intp), n_bins - 1)
     idx.setflags(write=False)
@@ -106,17 +107,14 @@ def mode_powers(g: LatentGrid) -> np.ndarray:
     return (f.real**2 + f.imag**2) / float(n) ** 2
 
 
-def radial_psd(g: LatentGrid, n_bins: int | None = None) -> PsdCurve:
-    """Radially binned PSD; defaults to unit-width bins up to Nyquist."""
+def radial_psd(g: LatentGrid) -> PsdCurve:
+    """Radially binned PSD in side // 2 equal-width bins up to Nyquist."""
     if g.height != g.width:
         raise ValueError(f"radial_psd needs a square grid, got {g.height}x{g.width}")
     side = g.height
     nyq = nyquist(Resolution(side))
-    if n_bins is None:
-        n_bins = side // 2
-    if not 1 <= n_bins <= nyq:
-        raise ValueError(f"n_bins must be in [1, {nyq}], got {n_bins}")
-    idx = _radial_bin_index(side, n_bins)
+    n_bins = side // 2
+    idx = _radial_bin_index(side)
     powers = mode_powers(g).mean(axis=0)
     sums = np.bincount(idx.ravel(), weights=powers.ravel(), minlength=n_bins)
     counts = np.bincount(idx.ravel(), minlength=n_bins)
@@ -133,7 +131,6 @@ def psd_decomposition(
     noise: LatentGrid,
     t: float,
     sched: NoiseSchedule,
-    n_bins: int | None = None,
 ):
     """PSD decomposition of a forward-diffused latent.
 
@@ -146,9 +143,9 @@ def psd_decomposition(
         raise ValueError(f"shape mismatch: {z0.shape} vs {noise.shape}")
     require_vp(sched)
     z_t = diffuse(z0, t, noise, sched)
-    psd_total = radial_psd(z_t, n_bins)
+    psd_total = radial_psd(z_t)
     noise_part = LatentGrid(forward_model(sched, t).sigma * noise.data)
-    psd_noise = radial_psd(noise_part, n_bins)
+    psd_noise = radial_psd(noise_part)
     signal = np.maximum(psd_total.power - psd_noise.power, 0.0)
     psd_signal = PsdCurve(psd_total.freqs, signal, psd_total.resolution)
     return psd_total, psd_noise, psd_signal

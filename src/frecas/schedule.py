@@ -54,6 +54,9 @@ class NoiseSchedule:
             if alpha.shape != (self.T + 1,):
                 raise ValueError(f"alpha must have length T+1={self.T + 1}")
             if alpha[0] != 1.0 or alpha[-1] <= 0.0 or np.any(np.diff(alpha) >= 0):
+                if self.alpha is None:  # the default table fails from T = 73253 on
+                    raise ValueError(f"schedule T = {self.T} is too large: the linear-beta "
+                                     "alpha table underflows to 0 and stops decreasing")
                 raise ValueError("alpha must start at 1, stay positive and strictly decrease")
             alpha.setflags(write=False)
             object.__setattr__(self, "alpha", alpha)

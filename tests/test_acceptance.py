@@ -21,14 +21,13 @@ from frecas.cascade import (
     average_ca_maps,
     compute_cost,
     fuse_ca_maps,
-    plan_from_preset,
     resample_ca_map,
     run_cascade,
     transition,
 )
 from frecas.cli import main
 from frecas.codec import HAAR1, IDENTITY, decode, encode
-from frecas.config import RunConfig, build_direct_plan
+from frecas.config import RunConfig, build_direct_plan, build_plan
 from frecas.freq import band_split, psd_decomposition
 from frecas.grid import LatentGrid, Resolution, seeded_gaussian, subseed
 from frecas.sampler import (
@@ -203,13 +202,13 @@ def test_criterion_6_coarse_to_fine_psd():
 
 def test_criterion_7_compute_proxy_speedups():
     with criterion(7, "preset cost units and proxy speedups (exact arithmetic)"):
-        x4 = plan_from_preset(PRESETS["sdxl-x4"], 32, SCHED)
+        x4 = build_plan(RunConfig(preset="sdxl-x4", base_side=32), SCHED)
         x4_direct = build_direct_plan(RunConfig(), x4, SCHED)
         assert compute_cost(x4) == 80.0
         assert compute_cost(x4_direct) == 200.0
         assert compute_cost(x4_direct) / compute_cost(x4) == 2.5
 
-        x16 = plan_from_preset(PRESETS["sdxl-x16"], 32, SCHED)
+        x16 = build_plan(RunConfig(preset="sdxl-x16", base_side=32), SCHED)
         x16_direct = build_direct_plan(RunConfig(), x16, SCHED)
         assert compute_cost(x16) == 290.0
         assert compute_cost(x16_direct) == 800.0

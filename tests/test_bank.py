@@ -22,7 +22,8 @@ from frecas.bank import (
 )
 from frecas.codec import HAAR1, IDENTITY, encode
 from frecas.freq import radial_psd
-from frecas.cascade import PRESETS, plan_from_preset
+from frecas.cascade import PRESETS
+from frecas.config import RunConfig, build_plan
 from frecas.grid import LatentGrid, Resolution, write_grid
 from frecas.sampler import ddim_step
 from frecas.schedule import (
@@ -276,7 +277,7 @@ def smallest_preset_t(sched: NoiseSchedule) -> float:
     for preset in PRESETS.values():
         if preset.schedule_kind is not sched.kind:
             continue
-        plan = plan_from_preset(preset, 16, sched)
+        plan = build_plan(RunConfig(preset=preset.name, base_side=16), sched)
         prev, final = plan.stages[-2], plan.stages[-1]
         ratio = prev.resolution.side / final.resolution.side
         if vp:

@@ -15,7 +15,6 @@ from frecas.cascade import (
     compute_cost,
     fuse_ca_maps,
     ladder,
-    plan_from_preset,
     preset_timestep,
     resample_ca_map,
     run_cascade,
@@ -583,11 +582,11 @@ class TestPlansAndCost:
         )
         assert compute_cost(single) == 50.0
 
-        sdxl4 = plan_from_preset(PRESETS["sdxl-x4"], 32, sched)
+        sdxl4 = build_plan(RunConfig(preset="sdxl-x4", base_side=32), sched)
         assert compute_cost(sdxl4) == 80.0
         assert compute_cost(build_direct_plan(RunConfig(), sdxl4, sched)) == 200.0
 
-        sdxl16 = plan_from_preset(PRESETS["sdxl-x16"], 32, sched)
+        sdxl16 = build_plan(RunConfig(preset="sdxl-x16", base_side=32), sched)
         assert compute_cost(sdxl16) == 290.0
         assert compute_cost(build_direct_plan(RunConfig(), sdxl16, sched)) == 800.0
 
@@ -598,7 +597,7 @@ class TestPlansAndCost:
 
     def test_flow_preset_normalizes_L(self):
         fs = flow_schedule()
-        plan = plan_from_preset(PRESETS["sd3-x4"], 16, fs)
+        plan = build_plan(RunConfig(preset="sd3-x4", base_side=16), fs)
         assert plan.stages[0].last_timestep == pytest.approx(0.05)
 
     @given(st.floats(0.0, 5000.0), st.integers(1, 3000))

@@ -283,11 +283,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["--values", "10"], "N=10 collapses the resolution ladder"),
-        (["--values", "1", "--stages", "8:2:100,16:1:0"], "the N ablation needs a preset"),
-        (["--values", "11"], "preset step budget 10 too small for N=11"),
+        (["--values", "11"], "step budget 10 too small for N=11"),
         # the budget is checked before the ladder sides are listed, so N=1e6
         # reports the budget, not a collapse (and N=1e20 lists no 10^20 sides)
-        (["--values", "1e6"], "preset step budget 10 too small for N=1000000"),
+        (["--values", "1e6"], "step budget 10 too small for N=1000000"),
     ])
     def test_ablate_n_plan_problem_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                                   argv, message):
@@ -353,6 +352,14 @@ class TestExitCodes:
         assert out == ""
         assert err == (f"frecas: config error: schedule T must lie in [1, 1000000], "
                        f"got {argv[-1]}\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_underflowing_vp_table_names_T(self, tmp_path, capsys):
+        code = main(["sample", "--T", "100000", *FAST, "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("frecas: config error: schedule T = 100000 is too large: the "
+                       "linear-beta alpha table underflows to 0 and stops decreasing\n")
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", [

@@ -287,6 +287,13 @@ class TestBuildBank:
         assert bank.channels == 12 and bank.side == 64
         assert peak < 1.5 * bank.blocks.nbytes
 
+    def test_condition_must_be_a_class_of_the_bank(self):
+        cfg = RunConfig(stages="8:2:100,16:1:0", preset=None, bank_items=6, condition=4)
+        plan = build_plan(cfg, build_schedule(cfg))
+        with pytest.raises(ConfigError, match="^condition 4 is not a class of the bank; "
+                                              "available: 0, 1, 2, 3$"):
+            build_bank(cfg, plan, IDENTITY)
+
     @pytest.mark.parametrize("cfg,side", [
         (RunConfig(), 64),
         (RunConfig(preset="sdxl-x16", base_side=8), 32),
@@ -335,6 +342,14 @@ def preset_as_stages(name, base_side=32) -> str:
     return spell(sides, p.steps, [*p.last_timesteps, 0])
 
 
+# a two-stage stage list whose side ratio, 1.5, is not an integer
+TWO_STAGES = "8:4:150,12:3:0"
+
+
+def preset_or_stages(name) -> RunConfig:
+    return RunConfig(preset=name) if name in PRESETS else RunConfig(preset=None, stages=name)
+
+
 class TestLadderRoutes:
     """Every route to a plan meets in one ladder, so equal settings build
     equal plans (stages, gamma, train_side, schedule kind and T)."""
@@ -355,19 +370,30 @@ class TestLadderRoutes:
                         w_l=p.w_l, w_h=p.w_h, w_c=p.w_c)
         assert plans_of(cfg) == plans_of(RunConfig(preset=name))
 
-    @pytest.mark.parametrize("name", sorted(n for n, p in PRESETS.items()
-                                            if len(p.scale_per_stage) == 2))
+    @pytest.mark.parametrize("name", [*sorted(n for n, p in PRESETS.items()
+                                              if len(p.scale_per_stage) == 2), TWO_STAGES])
     def test_one_extra_stage_is_the_preset(self, name):
-        cfg = RunConfig(preset=name)
+        cfg = preset_or_stages(name)
         sched = build_schedule(cfg)
         assert ablation_plan(cfg, "N", 1, sched) == build_plan(cfg, sched)
 
-    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("name", [*sorted(PRESETS), TWO_STAGES])
     def test_no_extra_stage_is_the_direct_plan(self, name):
-        cfg = RunConfig(preset=name)
+        cfg = preset_or_stages(name)
         sched = build_schedule(cfg)
         plan = build_plan(cfg, sched)
         assert ablation_plan(cfg, "N", 0, sched) == build_direct_plan(cfg, plan, sched)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_n_ladder_is_cut_from_the_plan_alone(self, n):
+        # a preset and its stage-list spelling build one plan, so they give
+        # one N ladder
+        p = PRESETS["sdxl-x16"]
+        spelled = RunConfig(preset=None, stages=preset_as_stages("sdxl-x16"), gamma=p.gamma,
+                            w_l=p.w_l, w_h=p.w_h, w_c=p.w_c)
+        preset = RunConfig(preset="sdxl-x16")
+        sched = build_schedule(preset)
+        assert ablation_plan(spelled, "N", n, sched) == ablation_plan(preset, "N", n, sched)
 
 
 @st.composite

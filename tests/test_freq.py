@@ -142,19 +142,16 @@ class TestRadialPsd:
             radial_psd(LatentGrid(np.zeros((1, 8, 16))))
 
     def test_coarser_binning_collects_neighbouring_radii(self):
-        # side 32 with 8 bins: width 2, so frequency k lands in bin round(k/2)
+        # side 32 has 16 bins of width 1, so a cosine at frequency k lands in
+        # bin k, with the modes at radii within 1/2 of k
         side, k = 32, 6
         x = np.arange(side)
         wave = np.cos(2 * np.pi * k * x / side)
         g = LatentGrid(np.broadcast_to(wave, (1, side, side)).copy())
-        curve = radial_psd(g, n_bins=8)
-        assert curve.n_bins == 8
-        np.testing.assert_allclose(curve.freqs, np.arange(8) * 2.0)
-        assert curve.power.argmax() == 3
-
-    def test_rejects_bad_bin_count(self, rng):
-        with pytest.raises(ValueError):
-            radial_psd(rand_grid(rng, side=16), n_bins=100)
+        curve = radial_psd(g)
+        assert curve.n_bins == 16
+        np.testing.assert_allclose(curve.freqs, np.arange(16) * 1.0)
+        assert curve.power.argmax() == k
 
 
 class TestPsdDecomposition:

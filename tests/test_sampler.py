@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from frecas.cascade import PRESETS, plan_from_preset
+from frecas.cascade import PRESETS
+from frecas.config import RunConfig, build_plan
 from frecas.freq import band_split
 from frecas.grid import LatentGrid, Resolution
 from frecas.sampler import (
@@ -72,7 +73,7 @@ class TestFaCfg:
     def test_one_split_matches_two_split_at_shipped_stages(self, rng, name):
         preset = PRESETS[name]
         sched = SCHED if preset.schedule_kind is SCHED.kind else FLOW
-        plan = plan_from_preset(preset, 32, sched)
+        plan = build_plan(RunConfig(preset=name, base_side=32), sched)
         for spec in plan.stages:
             side, gw = spec.resolution.side, plan.guidance(spec)
             unc, con = rand_array(rng, side=side), rand_array(rng, side=side)

@@ -59,7 +59,8 @@ class TestAlpha:
             alpha_at(flow_schedule(), 0.5)
 
     def test_custom_curve_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alpha must start at 1, stay positive and "
+                                             "strictly decrease$"):
             NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 3, alpha=np.array([1.0, 0.5, 0.6, 0.1]))
         with pytest.raises(ValueError):
             NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 2, alpha=np.array([0.9, 0.5, 0.1]))
@@ -71,9 +72,13 @@ def test_timestep_count_is_bounded():
         with pytest.raises(ValueError, match=f"T must lie in \\[1, {MAX_T}\\], got {T}"):
             make(T)
     assert flow_schedule(MAX_T).T == MAX_T
-    # a VP table this long underflows to 0: the table check refuses it
-    with pytest.raises(ValueError, match="stay positive"):
+    # a VP table this long underflows to 0: the table check refuses it, naming T
+    with pytest.raises(ValueError, match=f"^schedule T = {MAX_T} is too large: the linear-beta "
+                                         "alpha table underflows to 0"):
         vp_default(MAX_T)
+    assert vp_default(73252).alpha[-1] > 0.0  # the longest table that builds
+    with pytest.raises(ValueError, match="^schedule T = 73253 is too large"):
+        vp_default(73253)
 
 
 class TestEquality:
