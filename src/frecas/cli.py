@@ -11,7 +11,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .config import (
     build_direct_plan,
     build_plan,
     build_schedule,
-    merge_config,
     parse_config_file,
     target_side,
 )
@@ -165,21 +164,15 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
 
     # per timestep, the three curves summed over the bank in item order;
     # each item is unblocked and its noise drawn once for all timesteps
-    sums = [None] * len(timesteps)
+    sums = np.zeros((len(timesteps), 3, bank.side // 2))
     for k in range(bank.size):
         item = bank.item(k)
         noise = seeded_gaussian(item.shape, subseed(cfg.seed, _SUBSEED_PSD_NOISE, k))
-        for i, t in enumerate(timesteps):
-            triplet = psd_decomposition(item, noise, t, sched)
-            if sums[i] is None:
-                sums[i] = [c.power.copy() for c in triplet]
-                freqs, res = triplet[0].freqs, triplet[0].resolution
-            else:
-                for a, c in zip(sums[i], triplet):
-                    a += c.power
+        for acc, t in zip(sums, timesteps):
+            acc += [c.power for c in psd_decomposition(item, noise, t, sched)]
     summary = ["t,low_band_signal_fraction,high_band_signal_fraction"]
     for t, acc in zip(timesteps, sums):
-        curves = [PsdCurve(freqs, a / bank.size, res) for a in acc]
+        curves = [PsdCurve(a / bank.size, bank.resolution()) for a in acc]
         write_psd_csv(os.path.join(cfg.out, f"psd_t{t:g}.csv"), *curves)
         low, high = band_energy_fractions(curves[2])
         summary.append(f"{t:g},{low:.17g},{high:.17g}")
@@ -190,11 +183,8 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
 
 
 def _bank_mean_psd(bank: LatentBank, codec) -> np.ndarray:
-    acc = None
-    for k in range(bank.size):
-        curve = radial_psd(decode(codec, bank.item(k)))
-        acc = curve.power.copy() if acc is None else acc + curve.power
-    return acc / bank.size
+    curves = (radial_psd(decode(codec, bank.item(k))) for k in range(bank.size))
+    return sum(c.power for c in curves) / bank.size
 
 
 def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
@@ -336,15 +326,13 @@ def _float_list(flag: str, text: str) -> list:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = merge_config(cfg, parse_config_file(args.config))
-    overrides = {}
+    """The defaults, overridden by the config file, overridden by the flags."""
+    values = parse_config_file(args.config) if args.config else {}
     for name in RunConfig.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is not None:
-            overrides[name] = value if value is True else _coerce(name, value)
-    return merge_config(cfg, overrides)
+            values[name] = value if value is True else _coerce(name, value)
+    return replace(RunConfig(), **values)
 
 
 def main(argv=None) -> int:

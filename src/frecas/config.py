@@ -108,13 +108,6 @@ def _coerce(fname: str, value: str):
         raise ConfigError(f"{fname}: {e}") from e
 
 
-def merge_config(base: RunConfig, overrides: dict) -> RunConfig:
-    unknown = set(overrides) - {f for f in RunConfig.__dataclass_fields__}
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return replace(base, **overrides)
-
-
 def _builder(build):
     """A public builder: a schedule or plan check's ValueError becomes a
     ConfigError with the same message, since the settings asked for it."""

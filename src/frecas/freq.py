@@ -57,31 +57,38 @@ def band_split(x: np.ndarray, base_side: int, out=None):
     return low, np.subtract(x, low, out=out)
 
 
+def _binning(res: Resolution):
+    """The radial bins of a resolution: side // 2 of them, each
+    nyquist / n_bins wide, bin i centred on i widths."""
+    n_bins = res.side // 2
+    return n_bins, nyquist(res) / n_bins
+
+
 @dataclass(frozen=True)
 class PsdCurve:
-    """Radially binned power spectral density, channel-mean."""
+    """Radially binned power spectral density, channel-mean, on its resolution's bins."""
 
-    freqs: np.ndarray
     power: np.ndarray
     resolution: Resolution
 
     def __post_init__(self):
-        f = np.asarray(self.freqs, dtype=np.float64)
         p = np.asarray(self.power, dtype=np.float64)
-        if f.shape != p.shape or f.ndim != 1:
-            raise ValueError("freqs and power must be 1-D and equally long")
-        if np.any(np.diff(f) <= 0):
-            raise ValueError("radial frequencies must be strictly increasing")
+        if p.shape != (self.n_bins,):
+            raise ValueError(f"power must hold side // 2 = {self.n_bins} bins, got {p.shape}")
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise ValueError("power must be finite and non-negative")
-        f.setflags(write=False)
         p.setflags(write=False)
-        object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "power", p)
 
     @property
     def n_bins(self) -> int:
-        return len(self.freqs)
+        return _binning(self.resolution)[0]
+
+    @property
+    def freqs(self) -> np.ndarray:
+        """Bin centre frequencies, from 0 up in steps of the bin width."""
+        n_bins, width = _binning(self.resolution)
+        return np.arange(n_bins) * width
 
     @property
     def low_bins(self) -> int:
@@ -90,14 +97,17 @@ class PsdCurve:
 
 
 @functools.lru_cache
-def _radial_bin_index(side: int) -> np.ndarray:
+def _radial_bins(side: int):
+    """(bin of each mode, flattened; modes per bin) at a side, by the rule
+    in the module docstring."""
+    n_bins, width = _binning(Resolution(side))
     k = np.fft.fftfreq(side) * side  # wrapped integer frequencies
     r = np.hypot(*np.meshgrid(k, k, indexing="ij"))
-    n_bins = side // 2
-    width = nyquist(Resolution(side)) / n_bins
-    idx = np.minimum(np.rint(r / width).astype(np.intp), n_bins - 1)
+    idx = np.minimum(np.rint(r / width).astype(np.intp), n_bins - 1).ravel()
+    counts = np.bincount(idx, minlength=n_bins)
     idx.setflags(write=False)
-    return idx
+    counts.setflags(write=False)
+    return idx, counts
 
 
 def mode_powers(g: LatentGrid) -> np.ndarray:
@@ -111,19 +121,10 @@ def radial_psd(g: LatentGrid) -> PsdCurve:
     """Radially binned PSD in side // 2 equal-width bins up to Nyquist."""
     if g.height != g.width:
         raise ValueError(f"radial_psd needs a square grid, got {g.height}x{g.width}")
-    side = g.height
-    nyq = nyquist(Resolution(side))
-    n_bins = side // 2
-    idx = _radial_bin_index(side)
+    idx, counts = _radial_bins(g.height)
     powers = mode_powers(g).mean(axis=0)
-    sums = np.bincount(idx.ravel(), weights=powers.ravel(), minlength=n_bins)
-    counts = np.bincount(idx.ravel(), minlength=n_bins)
-    width = nyq / n_bins
-    return PsdCurve(
-        freqs=np.arange(n_bins) * width,
-        power=sums / counts,
-        resolution=Resolution(side),
-    )
+    sums = np.bincount(idx, weights=powers.ravel(), minlength=counts.size)
+    return PsdCurve(sums / counts, Resolution(g.height))
 
 
 def psd_decomposition(
@@ -147,7 +148,7 @@ def psd_decomposition(
     noise_part = LatentGrid(forward_model(sched, t).sigma * noise.data)
     psd_noise = radial_psd(noise_part)
     signal = np.maximum(psd_total.power - psd_noise.power, 0.0)
-    psd_signal = PsdCurve(psd_total.freqs, signal, psd_total.resolution)
+    psd_signal = PsdCurve(signal, psd_total.resolution)
     return psd_total, psd_noise, psd_signal
 
 
@@ -163,13 +164,11 @@ def band_energy_fractions(curve: PsdCurve):
 
 def write_psd_csv(path, total: PsdCurve, noise: PsdCurve, signal: PsdCurve) -> None:
     """CSV with header bin,freq,psd_total,psd_noise,psd_signal."""
-    if not (total.n_bins == noise.n_bins == signal.n_bins):
-        raise ValueError("curves must share a binning")
+    if not (total.resolution == noise.resolution == signal.resolution):
+        raise ValueError("curves must share a resolution")
     lines = ["bin,freq,psd_total,psd_noise,psd_signal"]
-    for i in range(total.n_bins):
-        lines.append(
-            f"{i},{total.freqs[i]:.17g},{total.power[i]:.17g},"
-            f"{noise.power[i]:.17g},{signal.power[i]:.17g}"
-        )
+    rows = zip(total.freqs, total.power, noise.power, signal.power)
+    lines += [f"{i},{freq:.17g},{a:.17g},{b:.17g},{c:.17g}"
+              for i, (freq, a, b, c) in enumerate(rows)]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -101,10 +101,7 @@ def resample_bilinear(g: LatentGrid, target: Resolution) -> LatentGrid:
     Upsampling then downsampling is not an inverse pair; bilinear is not a
     projection.
     """
-    side = target.side
-    if (g.height, g.width) == (side, side):
-        return g
-    return LatentGrid(_kernels.bilinear_resample(g.data, side, side))
+    return resample_bilinear_rect(g, target.side, target.side)
 
 
 def resample_bilinear_rect(g: LatentGrid, out_h: int, out_w: int) -> LatentGrid:

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from frecas.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from frecas.config import ConfigError, RunConfig, build_plan, build_schedule
+from frecas.config import (
+    ConfigError,
+    RunConfig,
+    build_bank_at,
+    build_codec,
+    build_plan,
+    build_schedule,
+    target_side,
+)
 from frecas.bank import LatentBank, make_bank, save_bank
-from frecas.freq import band_energy_fractions, radial_psd
-from frecas.grid import LatentGrid, read_grid, write_grid
+from frecas.freq import band_energy_fractions, psd_decomposition, radial_psd
+from frecas.grid import LatentGrid, read_grid, seeded_gaussian, subseed, write_grid
 
 FAST = ["--base-side", "8", "--bank-items", "8", "--bank-channels", "3"]
 
@@ -418,6 +426,30 @@ class TestPsd:
         assert main(["psd", "--timesteps", "900", "--out", str(tmp_path / "d")]) == EXIT_OK
         assert (tmp_path / "g" / "psd_t900.csv").read_bytes() == \
             (tmp_path / "d" / "psd_t900.csv").read_bytes()
+
+    def test_columns_are_the_item_order_bank_mean(self, tmp_path):
+        # reference: each bank item's decomposition under its own noise
+        # subseed(seed, 2, k), summed in item order and divided by the item
+        # count, written as %.17g text
+        timesteps = (900, 300, 0)
+        assert main(["psd", "--preset", "sdxl-x4", *FAST, "--seed", "3",
+                     "--timesteps", ",".join(map(str, timesteps)),
+                     "--out", str(tmp_path / "p")]) == EXIT_OK
+        cfg = RunConfig(preset="sdxl-x4", base_side=8, bank_items=8, bank_channels=3, seed=3)
+        sched = build_schedule(cfg)
+        bank = build_bank_at(cfg, target_side(cfg), build_codec(cfg))
+        noises = [seeded_gaussian(bank.item_shape, subseed(3, 2, k)) for k in range(bank.size)]
+        for t in timesteps:
+            total = 0
+            for k, noise in enumerate(noises):
+                curves = psd_decomposition(bank.item(k), noise, t, sched)
+                total = total + np.array([c.power for c in curves])
+            freqs = curves[0].freqs
+            expected = [[f"{v:.17g}" for v in col] for col in (freqs, *(total / bank.size))]
+            rows = (tmp_path / "p" / f"psd_t{t}.csv").read_text().split()[1:]
+            columns = [list(col) for col in zip(*(r.split(",") for r in rows))]
+            assert columns[0] == [str(i) for i in range(len(freqs))]
+            assert columns[1:] == expected
 
     def test_deterministic(self, tmp_path):
         args = ["psd", "--preset", "sdxl-x4", *FAST, "--seed", "3", "--timesteps", "300"]

@@ -19,7 +19,6 @@ from frecas.config import (
     build_direct_plan,
     build_plan,
     build_schedule,
-    merge_config,
     parse_config_file,
     target_side,
 )
@@ -59,8 +58,10 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "nope.cfg")
 
-    def test_merge_overrides(self):
-        cfg = merge_config(RunConfig(), {"seed": 5, "codec": "haar1"})
+    def test_merge_overrides(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 5\ncodec = haar1\n")
+        cfg = replace(RunConfig(), **parse_config_file(path))
         assert cfg.seed == 5 and cfg.codec == "haar1"
         assert cfg.preset == "sdxl-x4"
 

@@ -203,9 +203,25 @@ class TestCsv:
 
 class TestPsdCurveInvariants:
     def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            PsdCurve(np.array([0.0, 1.0]), np.array([1.0, -0.5]), Resolution(4))
+        with pytest.raises(ValueError, match="non-negative"):
+            PsdCurve(np.array([1.0, -0.5]), Resolution(4))
 
-    def test_rejects_non_increasing_freqs(self):
-        with pytest.raises(ValueError):
-            PsdCurve(np.array([0.0, 0.0]), np.array([1.0, 1.0]), Resolution(4))
+    @pytest.mark.parametrize("side,power", [(4, [1.0]), (4, [1.0, 1.0, 1.0]), (5, [[1.0, 1.0]])])
+    def test_rejects_a_bin_count_other_than_half_the_side(self, side, power):
+        with pytest.raises(ValueError, match="side // 2"):
+            PsdCurve(np.array(power), Resolution(side))
+
+    @settings(max_examples=40, deadline=None)
+    @given(side=st.integers(2, 40), channels=st.integers(1, 3), seed=st.integers(0, 2**31))
+    def test_bins_follow_from_the_resolution(self, side, channels, seed):
+        # odd sides included: side // 2 bins, bin i at i bin widths of
+        # nyquist / n_bins, and the power and resolution alone rebuild the curve
+        curve = radial_psd(seeded_gaussian((channels, side, side), seed))
+        n_bins = side // 2
+        assert curve.n_bins == n_bins and curve.power.shape == (n_bins,)
+        width = nyquist(Resolution(side)) / n_bins
+        assert curve.freqs.tolist() == [i * width for i in range(n_bins)]
+        again = PsdCurve(curve.power, curve.resolution)
+        assert again.resolution == curve.resolution
+        np.testing.assert_array_equal(again.power, curve.power)
+        np.testing.assert_array_equal(again.freqs, curve.freqs)
