@@ -5,7 +5,6 @@ posterior-mean denoiser in place of a trained network, and radial PSD
 analysis tools.
 """
 
-from ._kernels import backend
 from .bank import CAMap, LatentBank, Posterior, bank_resample, blocked_posterior, make_bank, predict
 from .cascade import (
     PRESETS,

@@ -163,13 +163,12 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
     os.makedirs(cfg.out, exist_ok=True)
 
     # per timestep, the three curves summed over the bank in item order;
-    # each item is unblocked and its noise drawn once for all timesteps
+    # each item is unblocked, its noise drawn and transformed, once for all timesteps
     sums = np.zeros((len(timesteps), 3, bank.side // 2))
     for k in range(bank.size):
         item = bank.item(k)
         noise = seeded_gaussian(item.shape, subseed(cfg.seed, _SUBSEED_PSD_NOISE, k))
-        for acc, t in zip(sums, timesteps):
-            acc += [c.power for c in psd_decomposition(item, noise, t, sched)]
+        sums += psd_decomposition(item, noise, timesteps, sched)
     summary = ["t,low_band_signal_fraction,high_band_signal_fraction"]
     for t, acc in zip(timesteps, sums):
         curves = [PsdCurve(a / bank.size, bank.resolution()) for a in acc]

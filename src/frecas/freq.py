@@ -59,7 +59,7 @@ def band_split(x: np.ndarray, base_side: int, out=None):
 
 def _binning(res: Resolution):
     """The radial bins of a resolution: side // 2 of them, each
-    nyquist / n_bins wide, bin i centred on i widths."""
+    nyquist / n_bins wide, bin i centred on i * nyquist / n_bins."""
     n_bins = res.side // 2
     return n_bins, nyquist(res) / n_bins
 
@@ -86,9 +86,9 @@ class PsdCurve:
 
     @property
     def freqs(self) -> np.ndarray:
-        """Bin centre frequencies, from 0 up in steps of the bin width."""
-        n_bins, width = _binning(self.resolution)
-        return np.arange(n_bins) * width
+        """Bin centre frequencies i * nyquist / n_bins, correctly rounded."""
+        n_bins = self.n_bins
+        return np.arange(n_bins) * nyquist(self.resolution) / n_bins
 
     @property
     def low_bins(self) -> int:
@@ -127,29 +127,25 @@ def radial_psd(g: LatentGrid) -> PsdCurve:
     return PsdCurve(sums / counts, Resolution(g.height))
 
 
-def psd_decomposition(
-    z0: LatentGrid,
-    noise: LatentGrid,
-    t: float,
-    sched: NoiseSchedule,
-):
-    """PSD decomposition of a forward-diffused latent.
+def psd_decomposition(z0: LatentGrid, noise: LatentGrid, timesteps, sched: NoiseSchedule) -> np.ndarray:
+    """PSD decomposition of one latent forward-diffused by one noise draw.
 
-    Returns (psd_total, psd_noise, psd_signal): the curve of the noisy
-    latent, the curve of its injected noise part sigma_t * eps, and
-    the clamped difference max(total - noise, 0) estimating the clean-signal
+    Returns a (len(timesteps), 3, side // 2) power array holding, per
+    timestep, the curves of the noisy latent (total), of its injected noise
+    sigma_t * eps (var_t times the curve of eps, transformed once), and the
+    clamped difference max(total - noise, 0) estimating the clean-signal
     energy per band.
     """
     if z0.shape != noise.shape:
         raise ValueError(f"shape mismatch: {z0.shape} vs {noise.shape}")
     require_vp(sched)
-    z_t = diffuse(z0, t, noise, sched)
-    psd_total = radial_psd(z_t)
-    noise_part = LatentGrid(forward_model(sched, t).sigma * noise.data)
-    psd_noise = radial_psd(noise_part)
-    signal = np.maximum(psd_total.power - psd_noise.power, 0.0)
-    psd_signal = PsdCurve(signal, psd_total.resolution)
-    return psd_total, psd_noise, psd_signal
+    eps_power = radial_psd(noise).power
+    out = np.empty((len(timesteps), 3, eps_power.size))
+    for (total, noise_part, signal), t in zip(out, timesteps):
+        total[:] = radial_psd(diffuse(z0, t, noise, sched)).power
+        np.multiply(forward_model(sched, t).var, eps_power, out=noise_part)
+        np.maximum(total - noise_part, 0.0, out=signal)
+    return out
 
 
 def band_energy_fractions(curve: PsdCurve):

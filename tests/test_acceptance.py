@@ -182,11 +182,10 @@ def test_criterion_6_coarse_to_fine_psd():
             seeded_gaussian((3, 64, 64), subseed(0, 2, k)) for k in range(bank.size)
         ]
         frac_low, frac_high = {}, {}
-        for t in (900, 600, 300, 0):
-            acc = None
-            for k in range(bank.size):
-                _, _, sig = psd_decomposition(bank.item(k), noises[k], t, SCHED)
-                acc = sig.power.copy() if acc is None else acc + sig.power
+        timesteps = (900, 600, 300, 0)
+        sums = sum(psd_decomposition(bank.item(k), noises[k], timesteps, SCHED)
+                   for k in range(bank.size))
+        for t, (_, _, acc) in zip(timesteps, sums):
             cut = len(acc) // 4  # lowest 25% of the radial bins
             total = acc.sum()
             frac_low[t] = acc[:cut].sum() / total

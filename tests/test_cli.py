@@ -439,12 +439,11 @@ class TestPsd:
         sched = build_schedule(cfg)
         bank = build_bank_at(cfg, target_side(cfg), build_codec(cfg))
         noises = [seeded_gaussian(bank.item_shape, subseed(3, 2, k)) for k in range(bank.size)]
-        for t in timesteps:
-            total = 0
-            for k, noise in enumerate(noises):
-                curves = psd_decomposition(bank.item(k), noise, t, sched)
-                total = total + np.array([c.power for c in curves])
-            freqs = curves[0].freqs
+        sums = 0
+        for k, noise in enumerate(noises):
+            sums = sums + psd_decomposition(bank.item(k), noise, timesteps, sched)
+        freqs = radial_psd(noises[0]).freqs
+        for t, total in zip(timesteps, sums):
             expected = [[f"{v:.17g}" for v in col] for col in (freqs, *(total / bank.size))]
             rows = (tmp_path / "p" / f"psd_t{t}.csv").read_text().split()[1:]
             columns = [list(col) for col in zip(*(r.split(",") for r in rows))]

@@ -14,11 +14,17 @@ from frecas.freq import (
     write_psd_csv,
 )
 from frecas.grid import LatentGrid, Resolution, seeded_gaussian
-from frecas.schedule import NoiseSchedule, ScheduleKind, flow_schedule, vp_default
+from frecas.schedule import NoiseSchedule, ScheduleKind, diffuse, flow_schedule, forward_model, vp_default
 
 from conftest import rand_grid
 
 SCHED = vp_default()
+
+
+def decompose(z0, noise, t, sched):
+    """psd_decomposition at the one timestep t, as its three curves."""
+    rows = psd_decomposition(z0, noise, [t], sched)[0]
+    return [PsdCurve(p, z0.resolution()) for p in rows]
 
 
 class TestNyquist:
@@ -157,7 +163,7 @@ class TestRadialPsd:
 class TestPsdDecomposition:
     def test_t0_signal_equals_total(self, rng):
         z0, noise = rand_grid(rng, side=16), rand_grid(rng, side=16)
-        total, noise_curve, signal = psd_decomposition(z0, noise, 0, SCHED)
+        total, noise_curve, signal = decompose(z0, noise, 0, SCHED)
         np.testing.assert_allclose(noise_curve.power, 0.0, atol=1e-20)
         np.testing.assert_array_equal(signal.power, total.power)
         np.testing.assert_allclose(total.power, radial_psd(z0).power, rtol=1e-12)
@@ -166,18 +172,40 @@ class TestPsdDecomposition:
         z0, noise = rand_grid(rng, side=16), rand_grid(rng, side=16)
         curve = np.concatenate([[1.0], np.geomspace(0.5, 1e-12, 8)])
         sched = NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 8, alpha=curve)
-        _, _, signal = psd_decomposition(z0, noise, 8, sched)
+        _, _, signal = decompose(z0, noise, 8, sched)
         assert signal.power.sum() <= 1e-6 * radial_psd(z0).power.sum()
 
     def test_signal_clamped_non_negative(self, rng):
         z0, noise = rand_grid(rng, side=16), rand_grid(rng, side=16)
-        _, _, signal = psd_decomposition(z0, noise, 700, SCHED)
+        _, _, signal = decompose(z0, noise, 700, SCHED)
         assert np.all(signal.power >= 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(side=st.integers(2, 40), channels=st.integers(1, 3), seed=st.integers(0, 2**31),
+           inner=st.lists(st.floats(0, SCHED.T), max_size=3))
+    def test_rows_match_the_two_transform_form(self, side, channels, seed, inner):
+        # the noise row scales eps's one curve by var_t, where the direct
+        # form transforms sigma_t * eps; at t = T the signal is the smallest
+        # difference of total and noise, so the check is weakest there
+        z0 = seeded_gaussian((channels, side, side), seed)
+        noise = seeded_gaussian((channels, side, side), seed + 1)
+        timesteps = [0, *inner, SCHED.T]
+        rows = psd_decomposition(z0, noise, timesteps, SCHED)
+        assert rows.shape == (len(timesteps), 3, side // 2)
+        eps_power = radial_psd(noise).power
+        for (total, noise_row, signal), t in zip(rows, timesteps):
+            fwd = forward_model(SCHED, t)
+            np.testing.assert_array_equal(total, radial_psd(diffuse(z0, t, noise, SCHED)).power)
+            np.testing.assert_array_equal(noise_row, fwd.var * eps_power)
+            direct = radial_psd(LatentGrid(fwd.sigma * noise.data)).power
+            bound = 1e-12 * total
+            assert np.all(np.abs(noise_row - direct) <= bound)
+            assert np.all(np.abs(signal - np.maximum(total - direct, 0.0)) <= bound)
 
     def test_flow_schedule_rejected(self, rng):
         z0, noise = rand_grid(rng, side=16), rand_grid(rng, side=16)
         with pytest.raises(ValueError, match="variance-preserving"):
-            psd_decomposition(z0, noise, 0.5, flow_schedule())
+            psd_decomposition(z0, noise, [0.5], flow_schedule())
 
     def test_band_energy_fractions_sum_to_one(self, rng):
         curve = radial_psd(rand_grid(rng, side=32))
@@ -189,7 +217,7 @@ class TestPsdDecomposition:
 class TestCsv:
     def test_header_and_finite_cells(self, rng, tmp_path):
         z0, noise = rand_grid(rng, side=16), rand_grid(rng, side=16)
-        triplet = psd_decomposition(z0, noise, 500, SCHED)
+        triplet = decompose(z0, noise, 500, SCHED)
         path = tmp_path / "psd.csv"
         write_psd_csv(path, *triplet)
         lines = path.read_text().strip().split("\n")
@@ -214,13 +242,13 @@ class TestPsdCurveInvariants:
     @settings(max_examples=40, deadline=None)
     @given(side=st.integers(2, 40), channels=st.integers(1, 3), seed=st.integers(0, 2**31))
     def test_bins_follow_from_the_resolution(self, side, channels, seed):
-        # odd sides included: side // 2 bins, bin i at i bin widths of
-        # nyquist / n_bins, and the power and resolution alone rebuild the curve
+        # odd sides included: side // 2 bins, bin i at the correctly rounded
+        # i * nyquist / n_bins, and the power and resolution alone rebuild the curve
         curve = radial_psd(seeded_gaussian((channels, side, side), seed))
         n_bins = side // 2
         assert curve.n_bins == n_bins and curve.power.shape == (n_bins,)
-        width = nyquist(Resolution(side)) / n_bins
-        assert curve.freqs.tolist() == [i * width for i in range(n_bins)]
+        ny = nyquist(Resolution(side))
+        assert curve.freqs.tolist() == [i * ny / n_bins for i in range(n_bins)]
         again = PsdCurve(curve.power, curve.resolution)
         assert again.resolution == curve.resolution
         np.testing.assert_array_equal(again.power, curve.power)
