@@ -375,8 +375,9 @@ def _value_noise(rng, side: int, channels: int) -> np.ndarray:
     """(channels, side, side) sum of bilinear-upsampled white octaves, each
     scaled by its ``_OCTAVE_GAINS`` gain. The coarse grids are drawn channel
     by channel, each channel's octaves coarse to fine, straight into one
-    (channels, o, o) array per octave; each octave is then upsampled for
-    all channels in one kernel call and freed."""
+    (channels, o, o) array per octave; each coarser octave is then upsampled
+    for all channels in one kernel call and freed, and the finest, at the
+    side itself, is added as drawn."""
     octaves = [(side // factor, gain)
                for factor, gain in sorted(_OCTAVE_GAINS.items(), reverse=True)
                if side // factor >= 2]
@@ -385,8 +386,10 @@ def _value_noise(rng, side: int, channels: int) -> np.ndarray:
         for octave in coarse:
             rng.standard_normal(out=octave[c])
     acc = np.zeros((channels, side, side))
-    for _, gain in octaves:
-        layer = _kernels.bilinear_resample(coarse.pop(0), side, side)
+    for o, gain in octaves:
+        layer = coarse.pop(0)
+        if o < side:
+            layer = _kernels.bilinear_resample(layer, side, side)
         layer *= gain
         acc += layer
     return acc

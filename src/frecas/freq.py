@@ -13,8 +13,16 @@ the grid (Parseval) and a unit white-noise field has expected per-mode power
 1 / (H*W). Modes are assigned to radial bins
 by rounding their wrapped radial frequency sqrt(kx'^2 + ky'^2) to the
 nearest bin center; corner modes beyond the last center fold into the last
-bin. Bin power is the mean power of assigned modes, then the mean over
-channels.
+bin. Bin power is the mean over channels of the mean power of assigned modes.
+
+Half-plane convention: a real grid's DFT is conjugate-symmetric,
+F_-k = conj F_k, so the power of mode -k equals that of k and sits at the
+same radius. Spectra are therefore taken with rfft2, which keeps columns
+0..side // 2. Each column 1..(side + 1) // 2 - 1 stands for itself and its
+mirror and counts twice; column 0 and, at an even side, the Nyquist column
+side / 2 are their own mirrors and count once. Bin means divide by the
+full-plane mode count. The same holds for the cross power Re(F_k conj G_k)
+of two real grids, which the PSD decomposition bins alongside |F_k|^2.
 """
 
 import functools
@@ -24,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .grid import LatentGrid, Resolution
-from .schedule import NoiseSchedule, diffuse, forward_model, require_vp
+from .schedule import NoiseSchedule, forward_model, require_vp
 
 
 def nyquist(res: Resolution) -> float:
@@ -98,33 +106,45 @@ class PsdCurve:
 
 @functools.lru_cache
 def _radial_bins(side: int):
-    """(bin of each mode, flattened; modes per bin) at a side, by the rule
-    in the module docstring."""
+    """(bin of each rfft2 mode, flattened; full-plane modes per bin) at a
+    side, by the rule in the module docstring."""
     n_bins, width = _binning(Resolution(side))
     k = np.fft.fftfreq(side) * side  # wrapped integer frequencies
     r = np.hypot(*np.meshgrid(k, k, indexing="ij"))
-    idx = np.minimum(np.rint(r / width).astype(np.intp), n_bins - 1).ravel()
-    counts = np.bincount(idx, minlength=n_bins)
-    idx.setflags(write=False)
+    idx = np.minimum(np.rint(r / width).astype(np.intp), n_bins - 1)
+    counts = np.bincount(idx.ravel(), minlength=n_bins)
+    # rfft2 keeps columns 0..side // 2; the full plane's column side // 2 at
+    # an even side is the Nyquist column, whose radius has the same bin
+    half = idx[:, : side // 2 + 1].ravel()
+    half.setflags(write=False)
     counts.setflags(write=False)
-    return idx, counts
+    return half, counts
 
 
-def mode_powers(g: LatentGrid) -> np.ndarray:
-    """Per-mode PSD (C,H,W); sums to the grid's mean square per channel."""
-    n = g.height * g.width
-    f = np.fft.fft2(g.data, axes=(-2, -1))
-    return (f.real**2 + f.imag**2) / float(n) ** 2
+def _binned(p: np.ndarray) -> np.ndarray:
+    """Bin powers of a (C, side, side // 2 + 1) per-mode product of two
+    rfft2 spectra: its channel mean, with each column that stands for itself
+    and its mirror counted twice, summed per bin and divided by the bin's
+    full-plane mode count and (H*W)^2."""
+    side = p.shape[-2]
+    idx, counts = _radial_bins(side)
+    p = p.mean(axis=0)
+    p[:, 1:(side + 1) // 2] *= 2
+    sums = np.bincount(idx, weights=p.ravel(), minlength=counts.size)
+    return sums / (counts * float(side * side) ** 2)
+
+
+def _spectrum(g: LatentGrid) -> np.ndarray:
+    """The rfft2 of each channel of a square grid."""
+    if g.height != g.width:
+        raise ValueError(f"PSD needs a square grid, got {g.height}x{g.width}")
+    return np.fft.rfft2(g.data)
 
 
 def radial_psd(g: LatentGrid) -> PsdCurve:
     """Radially binned PSD in side // 2 equal-width bins up to Nyquist."""
-    if g.height != g.width:
-        raise ValueError(f"radial_psd needs a square grid, got {g.height}x{g.width}")
-    idx, counts = _radial_bins(g.height)
-    powers = mode_powers(g).mean(axis=0)
-    sums = np.bincount(idx, weights=powers.ravel(), minlength=counts.size)
-    return PsdCurve(sums / counts, Resolution(g.height))
+    f = _spectrum(g)
+    return PsdCurve(_binned(f.real**2 + f.imag**2), Resolution(g.height))
 
 
 def psd_decomposition(z0: LatentGrid, noise: LatentGrid, timesteps, sched: NoiseSchedule) -> np.ndarray:
@@ -132,19 +152,28 @@ def psd_decomposition(z0: LatentGrid, noise: LatentGrid, timesteps, sched: Noise
 
     Returns a (len(timesteps), 3, side // 2) power array holding, per
     timestep, the curves of the noisy latent (total), of its injected noise
-    sigma_t * eps (var_t times the curve of eps, transformed once), and the
-    clamped difference max(total - noise, 0) estimating the clean-signal
-    energy per band.
+    sigma_t * eps (var_t times the curve of eps) and the clamped difference
+    max(total - noise, 0) estimating the clean-signal energy per band.
+    z0 and eps are transformed once: the noisy latent's mode power is
+    |s F z0 + sigma F eps|^2 = s^2 |F z0|^2 + 2 s sigma Re(F z0 conj F eps)
+    + var |F eps|^2, so each curve is a weighted sum of three binned
+    products, and total, a sum of squares, is clamped at 0.
     """
     if z0.shape != noise.shape:
         raise ValueError(f"shape mismatch: {z0.shape} vs {noise.shape}")
     require_vp(sched)
-    eps_power = radial_psd(noise).power
-    out = np.empty((len(timesteps), 3, eps_power.size))
-    for (total, noise_part, signal), t in zip(out, timesteps):
-        total[:] = radial_psd(diffuse(z0, t, noise, sched)).power
-        np.multiply(forward_model(sched, t).var, eps_power, out=noise_part)
-        np.maximum(total - noise_part, 0.0, out=signal)
+    fz, fe = _spectrum(z0), _spectrum(noise)
+    bz = _binned(fz.real**2 + fz.imag**2)
+    be = _binned(fe.real**2 + fe.imag**2)
+    bx = _binned(fz.real * fe.real + fz.imag * fe.imag)
+    coeffs = np.array([forward_model(sched, t)[:3] for t in timesteps]).reshape(-1, 3, 1)
+    scale, sigma, var = coeffs.transpose(1, 0, 2)  # each (len(timesteps), 1)
+    out = np.empty((len(coeffs), 3, bz.size))
+    total, noise_part, signal = out.transpose(1, 0, 2)
+    np.multiply(var, be, out=noise_part)
+    np.maximum(scale**2 * bz + 2 * scale * sigma * bx + noise_part, 0.0, out=total)
+    np.subtract(total, noise_part, out=signal)
+    np.maximum(signal, 0.0, out=signal)
     return out
 
 

@@ -682,8 +682,9 @@ class TestProceduralBanks:
 
 def reference_value_noise_bank(side, channels, n_items, n_classes, seed, codec):
     """The value-noise bank build's earlier form, kept as the reference: one
-    four-gather kernel call per channel and octave, the channels stacked,
-    and each shape mask on np.mgrid coordinates."""
+    four-gather kernel call per channel and octave below the side (the
+    finest octave added as drawn), the channels stacked, and each shape
+    mask on np.mgrid coordinates."""
     rng = np.random.default_rng(seed)
 
     def value_noise():
@@ -693,7 +694,9 @@ def reference_value_noise_bank(side, channels, n_items, n_classes, seed, codec):
             if octave < 2:
                 continue
             coarse = rng.standard_normal((octave, octave))
-            acc += gain * bilinear_four_gather(coarse[None], side, side)[0]
+            if octave < side:
+                coarse = bilinear_four_gather(coarse[None], side, side)[0]
+            acc += gain * coarse
         return acc
 
     def shape_mask(kind):

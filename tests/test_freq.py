@@ -7,7 +7,6 @@ from frecas.freq import (
     PsdCurve,
     band_energy_fractions,
     band_split,
-    mode_powers,
     nyquist,
     psd_decomposition,
     radial_psd,
@@ -19,6 +18,21 @@ from frecas.schedule import NoiseSchedule, ScheduleKind, diffuse, flow_schedule,
 from conftest import rand_grid
 
 SCHED = vp_default()
+
+
+def full_plane_psd(g):
+    """radial_psd's full-plane form, kept as the reference: every mode of
+    the complex fft2 binned by rounding its wrapped radius to the nearest
+    bin centre; (bin powers, modes per bin)."""
+    side = g.height
+    n_bins = side // 2
+    k = np.fft.fftfreq(side) * side
+    r = np.hypot(*np.meshgrid(k, k, indexing="ij"))
+    idx = np.minimum(np.rint(r / (side / 2 / n_bins)).astype(np.intp), n_bins - 1).ravel()
+    f = np.fft.fft2(g.data)
+    powers = ((f.real**2 + f.imag**2) / float(side) ** 4).mean(axis=0)
+    counts = np.bincount(idx, minlength=n_bins)
+    return np.bincount(idx, weights=powers.ravel(), minlength=n_bins) / counts, counts
 
 
 def decompose(z0, noise, t, sched):
@@ -107,10 +121,22 @@ class TestRadialPsd:
         np.testing.assert_allclose(curve.power[1:], 0.0, atol=1e-20)
 
     def test_parseval_sum_of_mode_powers_is_mean_square(self, rng):
-        g = rand_grid(rng, side=16)
-        total = mode_powers(g).sum(axis=(1, 2))
-        ms = (g.data**2).mean(axis=(1, 2))
-        np.testing.assert_allclose(total, ms, rtol=1e-6)
+        # modes per bin x bin power, summed over bins, is the channel-mean
+        # mean square only if every mirrored half-plane column counts twice
+        for side in (2, 3, 15, 16):
+            g = rand_grid(rng, side=side)
+            _, counts = full_plane_psd(g)
+            total = float(counts @ radial_psd(g).power)
+            assert total == pytest.approx(float((g.data**2).mean()), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(2, 40), channels=st.integers(1, 3), seed=st.integers(0, 2**31))
+    def test_half_plane_curve_is_the_full_plane_curve(self, side, channels, seed):
+        # odd sides have no Nyquist column, even sides one that counts once
+        g = seeded_gaussian((channels, side, side), seed)
+        curve = radial_psd(g).power
+        reference, _ = full_plane_psd(g)
+        assert np.all(np.abs(curve - reference) <= 1e-12 * curve.max())
 
     def test_pure_cosine_spikes_in_its_radius_bin(self):
         side, k = 32, 5
@@ -184,18 +210,24 @@ class TestPsdDecomposition:
     @given(side=st.integers(2, 40), channels=st.integers(1, 3), seed=st.integers(0, 2**31),
            inner=st.lists(st.floats(0, SCHED.T), max_size=3))
     def test_rows_match_the_two_transform_form(self, side, channels, seed, inner):
-        # the noise row scales eps's one curve by var_t, where the direct
-        # form transforms sigma_t * eps; at t = T the signal is the smallest
+        # the total row is a quadratic form in (scale_t, sigma_t) over the
+        # binned products of z0's and eps's transforms, where the direct form
+        # transforms the diffused grid; its error is bounded by the curve's
+        # scale, not per bin, since the cross term cancels in some bins. The
+        # noise row scales eps's one curve by var_t, where the direct form
+        # transforms sigma_t * eps; at t = T the signal is the smallest
         # difference of total and noise, so the check is weakest there
         z0 = seeded_gaussian((channels, side, side), seed)
         noise = seeded_gaussian((channels, side, side), seed + 1)
         timesteps = [0, *inner, SCHED.T]
         rows = psd_decomposition(z0, noise, timesteps, SCHED)
         assert rows.shape == (len(timesteps), 3, side // 2)
-        eps_power = radial_psd(noise).power
+        z0_power, eps_power = radial_psd(z0).power, radial_psd(noise).power
         for (total, noise_row, signal), t in zip(rows, timesteps):
             fwd = forward_model(SCHED, t)
-            np.testing.assert_array_equal(total, radial_psd(diffuse(z0, t, noise, SCHED)).power)
+            scale = (fwd.scale**2 * z0_power + fwd.var * eps_power).max()
+            direct_total = radial_psd(diffuse(z0, t, noise, SCHED)).power
+            assert np.all(np.abs(total - direct_total) <= 1e-12 * scale)
             np.testing.assert_array_equal(noise_row, fwd.var * eps_power)
             direct = radial_psd(LatentGrid(fwd.sigma * noise.data)).power
             bound = 1e-12 * total
