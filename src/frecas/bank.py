@@ -10,8 +10,8 @@ estimate is
     z0     =  sum_k p_k x_k
     field  =  (z_t - c z0) / sigma
 
-over all K items; a condition zeroes the weights outside its class instead
-of slicing the bank. The field is the noise on VP schedules and the velocity
+over all K items; a condition zeroes the weights outside its class, one
+slice of the bank. The field is the noise on VP schedules and the velocity
 on flow ones. All posterior weights go through log-sum-exp.
 
 Attention maps: the latent is tiled into p x p patches and each patch gets
@@ -47,7 +47,10 @@ Every bank is built as ``LatentBank(items, class_ids, weights)`` from a
 stream of items, each blocked as it arrives: :func:`make_bank` encodes each
 procedural item as it is drawn, :func:`load_bank` reads one saved grid at a
 time and :func:`bank_resample` unblocks one item at a time straight into the
-resampling kernel, so no build holds a second bank or a list of grids.
+resampling kernel, so no build holds a second bank or a list of grids. Item
+order is the bank's, not the caller's: items sit stably sorted by class id,
+so a class is a slice of the bank, and the i-th item given is in slot
+``input_slots[i]``.
 """
 
 import os
@@ -118,21 +121,23 @@ class LatentBank:
     p = default_patch_size(side), and ``blocks[k, i]`` is the i-th p x p
     patch of item k (see :mod:`frecas._kernels`). :meth:`item` unblocks one
     item; no (K, C, side, side) stack is kept.
-    ``classes`` (sorted distinct ids), each item's ``class_index`` into them,
-    the ``class_members`` index array of each class and ``log_weights`` are
-    computed once, here.
+    Items sit stably sorted by class id: the c-th smallest id ``classes[c]``
+    owns ``class_sizes[c]`` slots from ``class_starts[c]``, and the i-th item
+    given sits in slot ``input_slots[i]``; all are computed once, here.
     """
 
     def __init__(self, items, class_ids, weights):
-        """``items`` yields the K items in order, as a (K, C, side, side)
-        stack or any iterable of grids. Each item is blocked as it arrives,
-        so a bank built from a generator never holds a second copy."""
+        """``items`` yields the K items of ``class_ids`` and ``weights``, as a
+        (K, C, side, side) stack or any iterable of grids. Each is blocked into
+        its slot as it arrives, so a generator build never holds a second copy."""
         ids = np.ascontiguousarray(class_ids, dtype=np.int64)
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if ids.ndim != 1 or ids.size < 1 or w.shape != ids.shape:
             raise ValueError("class_ids and weights must have one entry per item, K >= 1")
         if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be positive and sum to 1")
+        order = np.argsort(ids, kind="stable")
+        slots = np.argsort(order)
         blocks, count = None, 0
         for item in items:
             item = np.asarray(item, dtype=np.float64)
@@ -147,19 +152,18 @@ class LatentBank:
                 raise ValueError("class_ids and weights must have one entry per item")
             if not np.all(np.isfinite(item)):
                 raise ValueError("bank items must be finite")
-            _kernels.to_blocks(item, p, out=blocks[count])
+            _kernels.to_blocks(item, p, out=blocks[slots[count]])
             count += 1
         if count != ids.size:
             raise ValueError("class_ids and weights must have one entry per item")
-        classes, class_index = np.unique(ids, return_inverse=True)
-        members = tuple(np.flatnonzero(class_index == i) for i in range(classes.size))
+        ids, w = ids[order], w[order]
+        classes, starts, sizes = np.unique(ids, return_index=True, return_counts=True)
         log_weights = np.log(w)
-        for a in (blocks, ids, w, class_index, log_weights, *members):
+        for a in (blocks, ids, w, log_weights, slots, starts, sizes):
             a.setflags(write=False)
         self.blocks, self.class_ids, self.weights, self.log_weights = blocks, ids, w, log_weights
-        self.item_shape, self.patch_size = shape, p
-        self.classes, self.class_index, self.class_members = (
-            tuple(classes.tolist()), class_index, members)
+        self.item_shape, self.patch_size, self.input_slots = shape, p, slots
+        self.classes, self.class_starts, self.class_sizes = tuple(classes.tolist()), starts, sizes
 
     @property
     def size(self) -> int:
@@ -196,14 +200,14 @@ class LatentBank:
 
 
 def bank_resample(bank: LatentBank, target: Resolution) -> LatentBank:
-    """Every item bilinearly resampled; ids and weights preserved. Items go
-    one at a time from the bank's blocks through the resampling kernel into
-    the new bank, so only one item is unblocked at a time."""
+    """Every item bilinearly resampled; ids, weights and ``input_slots``
+    preserved. Items go one at a time, in the given order, from the bank's
+    blocks through the resampling kernel into the new bank."""
     if bank.resolution() == target:
         return bank
-    side = target.side
-    items = (_kernels.bilinear_resample(bank.unblock(b), side, side) for b in bank.blocks)
-    return LatentBank(items, bank.class_ids, bank.weights)
+    side, given = target.side, bank.input_slots
+    items = (_kernels.bilinear_resample(bank.unblock(bank.blocks[k]), side, side) for k in given)
+    return LatentBank(items, bank.class_ids[given], bank.weights[given])
 
 
 def default_patch_size(side: int) -> int:
@@ -212,16 +216,6 @@ def default_patch_size(side: int) -> int:
     while side % p:
         p -= 1
     return p
-
-
-def _class_log_evidence(log_patch, class_members):
-    """LSE of per-item patch log-weights within each class: (n_classes, P)."""
-    out = np.empty((len(class_members), log_patch.shape[1]))
-    for row, members in zip(out, class_members):
-        rows = log_patch[members]
-        m = rows.max(axis=0)
-        row[:] = m + np.log(np.exp(rows - m).sum(axis=0))
-    return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -266,16 +260,18 @@ class Posterior:
 
     def _plain_weights(self, conditions):
         """(weights, lo, hi): the (len(conditions), K) posterior weights, a
-        condition masking the other classes and each row's weights below
-        :data:`SUPPORT_FLOOR` of its max set to 0, and the contiguous item
-        range ``[lo, hi)`` that holds every kept weight of every row."""
+        condition masking all but its class's slice and each row's weights
+        below :data:`SUPPORT_FLOOR` of its max set to 0, and the contiguous
+        item range ``[lo, hi)`` that holds every kept weight of every row."""
         bank = self.bank
         lw = bank.log_weights - self.d_full / (2.0 * self.fwd.var)
         post = np.empty((len(conditions), bank.size))
         for row, condition in zip(post, conditions):
             row[:] = lw
             if condition is not None:
-                row[bank.class_ids != int(condition)] = -np.inf
+                c = bank.classes.index(int(condition))
+                a = bank.class_starts[c]
+                row[:a] = row[a + bank.class_sizes[c]:] = -np.inf
             row -= row.max()
             np.exp(row, out=row)
             row[row < SUPPORT_FLOOR] = 0.0
@@ -295,9 +291,9 @@ class Posterior:
     def _mixture_z0(self, ca_mixture: CAMap) -> np.ndarray:
         """Within-class patch posteriors times the mixture weight of each
         item's class, mixed per patch: (P, D) blocks."""
-        bank = self.bank
-        item_resp = np.exp(self.log_patch - self.evidence[bank.class_index, :])  # (K, P)
-        mix = ca_mixture.values.T[bank.class_index, :]  # (K, P)
+        bank, sizes = self.bank, self.bank.class_sizes
+        item_resp = np.exp(self.log_patch - np.repeat(self.evidence, sizes, axis=0))  # (K, P)
+        mix = np.repeat(ca_mixture.values.T, sizes, axis=0)  # (K, P)
         return _kernels.patch_mix(bank.blocks, item_resp * mix)
 
 
@@ -328,9 +324,12 @@ def blocked_posterior(
         raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
     log_patch = bank.log_weights[:, None] - d_patch / (2.0 * fwd.var)  # (K, P)
 
-    evidence = _class_log_evidence(log_patch, bank.class_members)
-    m = evidence.max(axis=0)
-    resp = np.exp(evidence - m)
+    # per-class patch log-evidence, the LSE over each class's slice of the
+    # bank shifted by that class's own max, so a far class stays finite
+    top = np.maximum.reduceat(log_patch, bank.class_starts, axis=0)
+    shifted = np.exp(log_patch - np.repeat(top, bank.class_sizes, axis=0))
+    evidence = top + np.log(np.add.reduceat(shifted, bank.class_starts, axis=0))  # (n_classes, P)
+    resp = np.exp(evidence - evidence.max(axis=0))
     g = bank.side // bank.patch_size
     ca = CAMap((resp / resp.sum(axis=0)).T, g, g, bank.classes)
     return Posterior(bank, z_blocks, fwd, log_patch, evidence, d_full, ca)
@@ -458,11 +457,12 @@ def make_bank(kind: str, side: int, channels=3, n_items=100, n_classes=4, seed=0
 
 
 def save_bank(directory, bank: LatentBank) -> None:
-    """Directory of raw grid dumps plus a manifest of ids and weights."""
+    """Directory of raw grid dumps plus a manifest of ids and weights, in the
+    order the items were given, so :func:`load_bank` restores ``input_slots``."""
     os.makedirs(directory, exist_ok=True)
     lines = []
-    for k in range(bank.size):
-        name = f"item_{k:04d}.frcg"
+    for i, k in enumerate(bank.input_slots):
+        name = f"item_{i:04d}.frcg"
         write_grid(os.path.join(directory, name), bank.item(k))
         lines.append(f"{name} {int(bank.class_ids[k])} {bank.weights[k]:.17g}")
     with open(os.path.join(directory, "manifest.txt"), "w") as f:

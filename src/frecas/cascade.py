@@ -243,14 +243,14 @@ def run_stage(
     gw = plan.guidance(spec)
 
     z_blocks = bank.block(z.data)
+    if reused_maps is not None:
+        g = bank.side // bank.patch_size
+        reused_maps = resample_ca_map(reused_maps, g, g)
     step_maps = []
     for idx in range(spec.steps):
         t, t_next = float(grid[idx]), float(grid[idx + 1])
         post = blocked_posterior(bank, z_blocks, t, sched)
-        fused = None
-        if reused_maps is not None:
-            reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
-            fused = fuse_ca_maps(post.ca, reused_maps, plan.w_c)
+        fused = None if reused_maps is None else fuse_ca_maps(post.ca, reused_maps, plan.w_c)
         eps_unc, eps_c = post.field_blocks(condition, ca_mixture=fused)
         step_maps.append(post.ca if fused is None else fused)
         eps_hat = facfg_combine(eps_unc, eps_c, gw, bank.side, bank.unblock, bank.block)

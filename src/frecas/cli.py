@@ -162,12 +162,12 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
     bank = build_bank_at(cfg, target_side(cfg), build_codec(cfg))
     os.makedirs(cfg.out, exist_ok=True)
 
-    # per timestep, the three curves summed over the bank in item order;
-    # each item is unblocked, its noise drawn and transformed, once for all timesteps
+    # per timestep, the three curves summed over the items as given, the i-th
+    # with noise subseed i; each is unblocked, its noise drawn and transformed, once
     sums = np.zeros((len(timesteps), 3, bank.side // 2))
-    for k in range(bank.size):
+    for i, k in enumerate(bank.input_slots):
         item = bank.item(k)
-        noise = seeded_gaussian(item.shape, subseed(cfg.seed, _SUBSEED_PSD_NOISE, k))
+        noise = seeded_gaussian(item.shape, subseed(cfg.seed, _SUBSEED_PSD_NOISE, i))
         sums += psd_decomposition(item, noise, timesteps, sched)
     summary = ["t,low_band_signal_fraction,high_band_signal_fraction"]
     for t, acc in zip(timesteps, sums):

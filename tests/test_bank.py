@@ -1,4 +1,5 @@
 import math
+import tempfile
 import tracemalloc
 import warnings
 
@@ -24,7 +25,7 @@ from frecas.codec import HAAR1, IDENTITY, encode
 from frecas.freq import radial_psd
 from frecas.cascade import PRESETS
 from frecas.config import RunConfig, build_plan
-from frecas.grid import LatentGrid, Resolution, write_grid
+from frecas.grid import LatentGrid, Resolution, resample_bilinear, write_grid
 from frecas.sampler import ddim_step
 from frecas.schedule import (
     NoiseSchedule,
@@ -126,7 +127,8 @@ class TestBankType:
         a = LatentBank(stack, ids, w)
         b = LatentBank((x for x in stack), ids, w)
         np.testing.assert_array_equal(a.blocks, b.blocks)
-        np.testing.assert_array_equal(bank_stack(a), stack)
+        np.testing.assert_array_equal(a.input_slots, b.input_slots)
+        np.testing.assert_array_equal(bank_stack(a)[a.input_slots], stack)
         assert not a.blocks.flags.writeable
 
 
@@ -490,11 +492,13 @@ class TestSparsePosterior:
         bank = LatentBank(stack, np.arange(8) % 4, np.full(8, 1.0 / 8))
         noise = LatentGrid(rng.standard_normal((3, 16, 16)))
         conditions = [None, 0, 1, 2, 3]
-        # items 2 and 3 tie at their balanced point, as do items 1 and 6,
-        # whose range also holds the four dropped items between them
+        # the items in bank slots 2 and 3 tie at their balanced point, as do
+        # those in slots 1 and 6, whose range also holds the four dropped
+        # items between them
+        x = bank_stack(bank)
         for z, pair in ((diffuse(bank.item(1), t, noise, sched), None),
-                        (LatentGrid(fwd.scale * 0.5 * (stack[2] + stack[3])), (2, 3)),
-                        (LatentGrid(fwd.scale * 0.5 * (stack[1] + stack[6])), (1, 6))):
+                        (LatentGrid(fwd.scale * 0.5 * (x[2] + x[3])), (2, 3)),
+                        (LatentGrid(fwd.scale * 0.5 * (x[1] + x[6])), (1, 6))):
             post = posterior_at(bank, z, t, sched)
             err = np.abs(post._plain_z0(conditions) - dense_z0(post, conditions))
             assert err.max() <= z0_budget(bank)
@@ -547,6 +551,66 @@ class TestSparsePosterior:
         np.testing.assert_array_equal(field.data[0], 0.0)
 
 
+def looped_class_evidence(log_patch, ids, classes) -> np.ndarray:
+    """Per-class patch log-evidence, one class at a time over its members in
+    the order given, each shifted by its own max: (n_classes, P)."""
+    out = []
+    for c in classes:
+        rows = log_patch[ids == c]
+        m = rows.max(axis=0)
+        out.append(m + np.log(np.exp(rows - m).sum(axis=0)))
+    return np.array(out)
+
+
+class TestClassSlices:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 12),
+           n_classes=st.integers(1, 5), low_id=st.integers(-20, 5), flow=st.booleans())
+    def test_bank_is_its_items_stably_sorted_by_class(self, seed, n_items, n_classes, low_id,
+                                                       flow):
+        rng = np.random.default_rng(seed)
+        sched = FLOW if flow else SCHED
+        # unsorted, gapped and often negative ids; the last item's class is
+        # placed far from the latent, which sits near an item of another class
+        ids = low_id + 3 * rng.integers(0, n_classes, n_items)
+        stack = rng.standard_normal((n_items, 2, 8, 8))
+        stack[ids == ids[-1]] += 50.0
+        w = rng.uniform(0.5, 2.0, n_items)
+        w /= w.sum()
+        bank = LatentBank((x for x in stack), ids, w)
+
+        order = np.argsort(ids, kind="stable")
+        np.testing.assert_array_equal(order[bank.input_slots], np.arange(n_items))
+        np.testing.assert_array_equal(bank.input_slots[order], np.arange(n_items))
+        presorted = LatentBank(stack[order], ids[order], w[order])
+        np.testing.assert_array_equal(presorted.input_slots, np.arange(n_items))
+        for name in ("blocks", "class_ids", "weights"):
+            np.testing.assert_array_equal(getattr(bank, name), getattr(presorted, name))
+
+        t = smallest_preset_t(sched)
+        near = int(np.flatnonzero(ids != ids[-1])[0]) if np.any(ids != ids[-1]) else 0
+        noise = LatentGrid(rng.standard_normal((2, 8, 8)))
+        post = posterior_at(bank, diffuse(LatentGrid(stack[near]), t, noise, sched), t, sched)
+        expected = looped_class_evidence(post.log_patch[bank.input_slots], ids, bank.classes)
+        assert np.all(np.isfinite(post.evidence))
+        np.testing.assert_allclose(post.evidence, expected, rtol=1e-12, atol=0)
+        if len(bank.classes) > 1:
+            # a shift by the max over all classes would underflow the far one to 0
+            far = bank.classes.index(int(ids[-1]))
+            assert np.all(post.evidence[far] - post.evidence.max(axis=0) < -800)
+
+        with tempfile.TemporaryDirectory() as directory:
+            save_bank(directory, bank)
+            back = load_bank(directory)
+        np.testing.assert_array_equal(back.input_slots, bank.input_slots)
+        np.testing.assert_array_equal(back.class_ids, bank.class_ids)
+        resampled = bank_resample(bank, Resolution(4))
+        given = LatentBank((resample_bilinear(LatentGrid(x), Resolution(4)).data for x in stack),
+                           ids, w)
+        for name in ("blocks", "class_ids", "weights", "input_slots"):
+            np.testing.assert_array_equal(getattr(resampled, name), getattr(given, name))
+
+
 class TestCaMaps:
     def test_rows_sum_to_one_tightly(self, rng):
         bank = small_bank(rng, n_items=6, channels=2, side=8, n_classes=3)
@@ -591,10 +655,10 @@ class TestCaMaps:
 
     def test_class_ids_need_not_be_0_to_n(self, rng):
         # unsorted, negative and gapped ids: each item's class column comes
-        # from the bank's class index, not from its id
+        # from its class's slice of the bank, not from its id
         stack = rng.standard_normal((9, 1, 8, 8))
-        w = rng.uniform(0.5, 2.0, 9)
-        bank = LatentBank(stack, np.tile([12, -3, 7], 3), w / w.sum())
+        ids, w = np.tile([12, -3, 7], 3), rng.uniform(0.5, 2.0, 9)
+        bank = LatentBank(stack, ids, w / w.sum())
         assert bank.classes == (-3, 7, 12)
         z = rand_grid(rng, channels=1, side=8)
         post = posterior_at(bank, z, 400, SCHED)
@@ -606,11 +670,11 @@ class TestCaMaps:
         onehot = np.zeros((64, 3))
         onehot[:, 2] = 1.0  # class 12's column
         eps = field_grid(post, 12, ca_mixture=CAMap(onehot, 8, 8, bank.classes))
-        # oracle: per-pixel posterior over the class-12 items
+        # oracle: per-pixel posterior over the class-12 items, as given
         a = alpha_at(SCHED, 400)
-        members = np.flatnonzero(bank.class_ids == 12)
+        members = np.flatnonzero(ids == 12)
         items = stack[members, 0]
-        logw = np.log(bank.weights[members])[:, None, None] - (
+        logw = np.log(w[members] / w.sum())[:, None, None] - (
             (z.data[0][None] - np.sqrt(a) * items) ** 2
         ) / (2 * (1 - a))
         p = np.exp(logw - logw.max(axis=0))

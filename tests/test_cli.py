@@ -428,9 +428,10 @@ class TestPsd:
             (tmp_path / "d" / "psd_t900.csv").read_bytes()
 
     def test_columns_are_the_item_order_bank_mean(self, tmp_path):
-        # reference: each bank item's decomposition under its own noise
-        # subseed(seed, 2, k), summed in item order and divided by the item
-        # count, written as %.17g text
+        # reference: the decomposition of the k-th item given to the bank,
+        # which sits in slot input_slots[k], under its own noise
+        # subseed(seed, 2, k), summed in the given order and divided by the
+        # item count, written as %.17g text
         timesteps = (900, 300, 0)
         assert main(["psd", "--preset", "sdxl-x4", *FAST, "--seed", "3",
                      "--timesteps", ",".join(map(str, timesteps)),
@@ -441,7 +442,8 @@ class TestPsd:
         noises = [seeded_gaussian(bank.item_shape, subseed(3, 2, k)) for k in range(bank.size)]
         sums = 0
         for k, noise in enumerate(noises):
-            sums = sums + psd_decomposition(bank.item(k), noise, timesteps, sched)
+            sums = sums + psd_decomposition(bank.item(bank.input_slots[k]), noise, timesteps,
+                                            sched)
         freqs = radial_psd(noises[0]).freqs
         for t, total in zip(timesteps, sums):
             expected = [[f"{v:.17g}" for v in col] for col in (freqs, *(total / bank.size))]
@@ -449,6 +451,20 @@ class TestPsd:
             columns = [list(col) for col in zip(*(r.split(",") for r in rows))]
             assert columns[0] == [str(i) for i in range(len(freqs))]
             assert columns[1:] == expected
+
+    def test_saved_bank_pairs_each_item_with_its_procedural_noise(self, tmp_path):
+        # save_bank writes the items in the order they were given, so psd on
+        # the saved bank draws each item's noise as psd on the procedural bank
+        # does; the two differ only by the float32 rounding of the saved grids
+        save_bank(tmp_path / "bank", make_bank("value_noise", 16, n_items=8))
+        args = ["psd", "--stages", "16:2:0", "--seed", "3", "--timesteps", "900,300"]
+        assert main([*args, "--bank-items", "8", "--out", str(tmp_path / "p")]) == EXIT_OK
+        assert main([*args, "--bank-path", str(tmp_path / "bank"),
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+        for t in (900, 300):
+            procedural, saved = (np.loadtxt(tmp_path / d / f"psd_t{t}.csv", delimiter=",",
+                                            skiprows=1) for d in ("p", "s"))
+            np.testing.assert_allclose(saved, procedural, rtol=1e-6, atol=1e-9)
 
     def test_deterministic(self, tmp_path):
         args = ["psd", "--preset", "sdxl-x4", *FAST, "--seed", "3", "--timesteps", "300"]
