@@ -341,16 +341,15 @@ def predict(
     t: float,
     condition: int | None,
     sched: NoiseSchedule,
-    ca_mixture: CAMap | None = None,
 ):
     """(field, ca) at a grid latent z_t of the bank's shape: the
-    :func:`blocked_posterior` of its blocks, the conditional field of
+    :func:`blocked_posterior` of its blocks, the plain conditional field of
     :meth:`Posterior.field_blocks` as a grid and the posterior's attention
     map; see :class:`Posterior`."""
     if bank.item_shape != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
     post = blocked_posterior(bank, bank.block(z_t.data), t, sched)
-    return LatentGrid(bank.unblock(post.field_blocks(condition, ca_mixture)[1])), post.ca
+    return LatentGrid(bank.unblock(post.field_blocks(condition)[1])), post.ca
 
 
 # ---------------------------------------------------------------------------

@@ -134,13 +134,11 @@ def cmd_sample(cfg: RunConfig) -> int:
     )
     direct_cost = compute_cost(build_direct_plan(cfg, plan, sched))
 
-    outputs = []
-    img_name = "image.pgm" if image.channels == 1 else "image.ppm"
-    if write_image(os.path.join(cfg.out, img_name), image):
-        outputs.append(("image", img_name))
+    # the grid goes first: it refuses a latent beyond the float32 range
     write_grid(os.path.join(cfg.out, "image.frcg"), image)
-    outputs.append(("grid", "image.frcg"))
-    outputs.extend(dumps)
+    img_name = "image.pgm" if image.channels == 1 else "image.ppm"
+    outputs = [("image", img_name)] if write_image(os.path.join(cfg.out, img_name), image) else []
+    outputs += [("grid", "image.frcg"), *dumps]
     write_manifest(
         os.path.join(cfg.out, "manifest.txt"),
         _manifest_entries(cfg, plan, report, direct_cost, outputs),

@@ -12,39 +12,33 @@ stage-transition chain be tested without codec reconstruction error.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import LatentGrid
 
 
-class CodecKind(enum.Enum):
+class LatentCodec(enum.Enum):
     IDENTITY = "identity"
     HAAR1 = "haar1"
-
-
-@dataclass(frozen=True)
-class LatentCodec:
-    kind: CodecKind
 
     @property
     def spatial_factor(self) -> int:
         """Image side = latent side * spatial_factor."""
-        return 1 if self.kind is CodecKind.IDENTITY else 2
+        return 1 if self is LatentCodec.IDENTITY else 2
 
     @property
     def channel_factor(self) -> int:
         """Latent channels = image channels * channel_factor."""
-        return 1 if self.kind is CodecKind.IDENTITY else 4
+        return 1 if self is LatentCodec.IDENTITY else 4
 
 
-IDENTITY = LatentCodec(CodecKind.IDENTITY)
-HAAR1 = LatentCodec(CodecKind.HAAR1)
+IDENTITY = LatentCodec.IDENTITY
+HAAR1 = LatentCodec.HAAR1
 
 
 def encode(codec: LatentCodec, image: LatentGrid) -> LatentGrid:
-    if codec.kind is CodecKind.IDENTITY:
+    if codec is IDENTITY:
         return image
     x = image.data
     if image.height % 2 or image.width % 2:
@@ -66,7 +60,7 @@ def encode(codec: LatentCodec, image: LatentGrid) -> LatentGrid:
 
 
 def decode(codec: LatentCodec, latent: LatentGrid) -> LatentGrid:
-    if codec.kind is CodecKind.IDENTITY:
+    if codec is IDENTITY:
         return latent
     z = latent.data
     if latent.channels % 4:

@@ -20,7 +20,7 @@ from typing import get_args
 
 from .bank import LatentBank, load_bank, make_bank
 from .cascade import PRESETS, Preset, StagePlan, ladder, stage_timesteps
-from .codec import HAAR1, IDENTITY, LatentCodec
+from .codec import LatentCodec
 from .grid import Resolution
 from .schedule import MAX_T, NoiseSchedule, flow_schedule, vp_default
 
@@ -236,11 +236,10 @@ def ablation_plan(cfg: RunConfig, param: str, value: float, sched: NoiseSchedule
 
 
 def build_codec(cfg: RunConfig) -> LatentCodec:
-    if cfg.codec == "identity":
-        return IDENTITY
-    if cfg.codec == "haar1":
-        return HAAR1
-    raise ConfigError(f"unknown codec {cfg.codec!r}")
+    try:
+        return LatentCodec(cfg.codec)
+    except ValueError:
+        raise ConfigError(f"unknown codec {cfg.codec!r}") from None
 
 
 def target_side(cfg: RunConfig) -> int:
@@ -280,7 +279,7 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> Laten
             )
         if bank.channels % codec.channel_factor:
             raise ConfigError(f"bank channels {bank.channels} are not a multiple of the "
-                              f"{codec.kind.value} codec's {codec.channel_factor}")
+                              f"{codec.value} codec's {codec.channel_factor}")
         return bank
     for key, count in (("bank.items", cfg.bank_items), ("bank.classes", cfg.bank_classes),
                        ("bank.channels", cfg.bank_channels)):

@@ -40,28 +40,22 @@ def nyquist(res: Resolution) -> float:
     return res.side / 2.0
 
 
-def low_band(x: np.ndarray, base_side: int) -> np.ndarray:
-    """up(down(x, base_side)) of a (C, side, side) array; x itself at
-    base_side == side. ValueError for a non-square array or a base above
-    its side."""
+def band_split(x: np.ndarray, base_side: int, out=None):
+    """(low, high) of a (C, side, side) array: the frequencies below the base
+    Nyquist, low = up(down(x, base_side)), and the residual above,
+    high = x - low, written into ``out`` when given. Constants survive the
+    round trip exactly, so a constant array has zero high band. At x's own
+    side low is x itself and high is 0, so ``out`` may be x only below that
+    side. ValueError for a non-square array or a base above its side."""
     side = x.shape[1]
     if x.shape[2] != side:
         raise ValueError(f"band_split needs a square grid, got {side}x{x.shape[2]}")
     if base_side > side:
         raise ValueError(f"base side {base_side} exceeds grid side {side}")
-    if base_side == side:
-        return x
-    down = _kernels.bilinear_resample(x, base_side, base_side)
-    return _kernels.bilinear_resample(down, side, side)
-
-
-def band_split(x: np.ndarray, base_side: int, out=None):
-    """(low, high) of a (C, side, side) array: the frequencies below the base
-    Nyquist, low = :func:`low_band`, and the residual above, high = x - low,
-    written into ``out`` when given. Constants survive the round trip
-    exactly, so a constant array has zero high band. At x's own side low is
-    x itself and high is 0, so ``out`` may be x only below that side."""
-    low = low_band(x, base_side)
+    low = x
+    if base_side < side:
+        down = _kernels.bilinear_resample(x, base_side, base_side)
+        low = _kernels.bilinear_resample(down, side, side)
     return low, np.subtract(x, low, out=out)
 
 

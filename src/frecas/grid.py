@@ -69,11 +69,6 @@ class LatentGrid:
     def shape(self):
         return self.data.shape
 
-    def resolution(self) -> Resolution:
-        if self.height != self.width:
-            raise ValueError(f"grid is not square: {self.height}x{self.width}")
-        return Resolution(self.height)
-
 
 def seeded_gaussian(shape, seed: int) -> LatentGrid:
     """I.i.d. standard normal grid, a pure function of (seed, shape).
@@ -114,11 +109,18 @@ def resample_bilinear_rect(g: LatentGrid, out_h: int, out_w: int) -> LatentGrid:
 
 
 def write_grid(path, g: LatentGrid) -> None:
-    """Raw dump: 16-byte header (magic, u32 C/H/W, little-endian) + f32 data."""
+    """Raw dump: 16-byte header (magic, u32 C/H/W, little-endian) + f32 data.
+
+    ValueError, before the file is opened, for a value that is finite in
+    float64 but not in float32, since :func:`read_grid` would refuse it."""
+    with np.errstate(over="ignore"):
+        payload = g.data.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: grid values exceed the float32 range of the dump format")
     header = struct.pack("<4sIII", _MAGIC, g.channels, g.height, g.width)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(g.data.astype("<f4").tobytes())
+        f.write(payload.tobytes())
 
 
 def read_grid(path) -> LatentGrid:

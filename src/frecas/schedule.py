@@ -34,44 +34,26 @@ DEFAULT_BETA_END = 0.02
 MAX_T = 10**6  # 1000 times every preset's T; keeps the VP alpha table at 8 MB
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NoiseSchedule:
-    """Schedules compare by kind, T and the values of alpha."""
+    """A schedule is its kind and T; the VP alpha table derives from T."""
 
     kind: ScheduleKind
     T: int = DEFAULT_T
-    alpha: np.ndarray = field(default=None, repr=False)
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.T <= MAX_T:  # before any table is built
             raise ValueError(f"schedule T must lie in [1, {MAX_T}], got {self.T}")
+        alpha = None
         if self.kind is ScheduleKind.VARIANCE_PRESERVING:
-            if self.alpha is None:
-                betas = np.linspace(DEFAULT_BETA_START, DEFAULT_BETA_END, self.T)
-                alpha = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-            else:
-                alpha = np.asarray(self.alpha, dtype=np.float64)
-            if alpha.shape != (self.T + 1,):
-                raise ValueError(f"alpha must have length T+1={self.T + 1}")
-            if alpha[0] != 1.0 or alpha[-1] <= 0.0 or np.any(np.diff(alpha) >= 0):
-                if self.alpha is None:  # the default table fails from T = 73253 on
-                    raise ValueError(f"schedule T = {self.T} is too large: the linear-beta "
-                                     "alpha table underflows to 0 and stops decreasing")
-                raise ValueError("alpha must start at 1, stay positive and strictly decrease")
+            betas = np.linspace(DEFAULT_BETA_START, DEFAULT_BETA_END, self.T)
+            alpha = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
+            if alpha[-1] <= 0.0 or np.any(np.diff(alpha) >= 0):  # from T = 73253 on
+                raise ValueError(f"schedule T = {self.T} is too large: the linear-beta "
+                                 "alpha table underflows to 0 and stops decreasing")
             alpha.setflags(write=False)
-            object.__setattr__(self, "alpha", alpha)
-        else:
-            object.__setattr__(self, "alpha", None)
-
-    def __eq__(self, other):
-        if not isinstance(other, NoiseSchedule):
-            return NotImplemented
-        return (self.kind, self.T) == (other.kind, other.T) and (
-            self.alpha is None or np.array_equal(self.alpha, other.alpha)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.T))
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def t_max(self) -> float:

@@ -31,6 +31,7 @@ from frecas.schedule import (
     NoiseSchedule,
     ScheduleKind,
     alpha_at,
+    alpha_inverse,
     diffuse,
     flow_schedule,
     forward_model,
@@ -163,12 +164,12 @@ class TestPredict:
 
     def test_high_noise_limit_recovers_prior_mean(self, rng):
         # alpha -> 1e-6: posterior approaches the prior weights
-        curve = np.concatenate([[1.0], np.geomspace(0.5, 1e-6, 4)])
-        sched = NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 4, alpha=curve)
+        sched = vp_default(2000)  # long enough for alpha to reach 1e-6
+        t = alpha_inverse(sched, 1e-6)
         bank = small_bank(rng, n_items=5, channels=1, side=4)
         z = rand_grid(rng, channels=1, side=4, scale=0.1)
-        eps, _ = predict(bank, z, 4, None, sched)
-        a = 1e-6
+        eps, _ = predict(bank, z, t, None, sched)
+        a = alpha_at(sched, t)
         prior_mean = np.tensordot(bank.weights, bank_stack(bank), axes=1)
         z0_implied = (z.data - np.sqrt(1 - a) * eps.data) / np.sqrt(a)
         np.testing.assert_allclose(z0_implied, prior_mean, rtol=1e-2)
@@ -432,11 +433,9 @@ class TestPosterior:
         bank = small_bank(rng)
         z = rand_grid(rng, channels=2, side=8)
         post = posterior_at(bank, z, 300.0, SCHED)
-        mix = CAMap(np.tile([0.2, 0.5, 0.3], (post.ca.values.shape[0], 1)),
-                    post.ca.rows_h, post.ca.rows_w, post.ca.classes)
-        for condition, mixture in ((None, None), (2, None), (1, mix)):
-            field, ca = predict(bank, z, 300.0, condition, SCHED, ca_mixture=mixture)
-            np.testing.assert_array_equal(field.data, field_grid(post, condition, mixture))
+        for condition in (None, 0, 1, 2):
+            field, ca = predict(bank, z, 300.0, condition, SCHED)
+            np.testing.assert_array_equal(field.data, field_grid(post, condition))
             np.testing.assert_array_equal(ca.values, post.ca.values)
 
     def test_mixture_map_must_fit_the_posteriors_own(self, rng):
@@ -452,8 +451,6 @@ class TestPosterior:
                   CAMap(own.values, 4, 16, (0, 1))):
             with pytest.raises(ValueError, match="does not fit"):
                 post.field_blocks(1, m)
-            with pytest.raises(ValueError, match="does not fit"):
-                predict(bank, z, 300.0, 1, SCHED, ca_mixture=m)
 
 
 def dense_weights(post, conditions) -> np.ndarray:
@@ -640,7 +637,7 @@ class TestCaMaps:
         onehot = np.zeros((64, 2))
         onehot[:, 1] = 1.0
         ca = CAMap(onehot, 8, 8, (0, 1))
-        eps, _ = predict(bank, z, t, 1, SCHED, ca_mixture=ca)
+        eps = field_grid(posterior_at(bank, z, t, SCHED), 1, ca_mixture=ca)
         # oracle: per-pixel posterior over class-1 items with pixel distances
         members = np.flatnonzero(bank.class_ids == 1)
         items = bank_stack(bank)[members, 0]
@@ -651,7 +648,7 @@ class TestCaMaps:
         p /= p.sum(axis=0)
         z0 = (p * items).sum(axis=0)
         expected = (z.data[0] - np.sqrt(a) * z0) / np.sqrt(1 - a)
-        np.testing.assert_allclose(eps.data[0], expected, rtol=1e-9)
+        np.testing.assert_allclose(eps[0], expected, rtol=1e-9)
 
     def test_class_ids_need_not_be_0_to_n(self, rng):
         # unsorted, negative and gapped ids: each item's class column comes
@@ -685,16 +682,16 @@ class TestCaMaps:
     def test_mixture_changes_prediction(self, rng):
         bank = small_bank(rng, n_items=6, channels=1, side=8, n_classes=2)
         z = rand_grid(rng, channels=1, side=8)
-        plain, ca = predict(bank, z, 400, 1, SCHED)
-        mixed, _ = predict(bank, z, 400, 1, SCHED, ca_mixture=ca)
-        assert not np.allclose(plain.data, mixed.data)
+        post = posterior_at(bank, z, 400, SCHED)
+        plain, mixed = field_grid(post, 1), field_grid(post, 1, ca_mixture=post.ca)
+        assert not np.allclose(plain, mixed)
 
     def test_mixture_shape_mismatch_rejected(self, rng):
         bank = small_bank(rng, n_items=6, channels=1, side=8, n_classes=2)
         z = rand_grid(rng, channels=1, side=8)
         bad = CAMap(np.full((4, 2), 0.5), 2, 2, (0, 1))
         with pytest.raises(ValueError):
-            predict(bank, z, 400, 1, SCHED, ca_mixture=bad)
+            posterior_at(bank, z, 400, SCHED).field_blocks(1, bad)
 
     def test_camap_validation(self):
         with pytest.raises(ValueError):
@@ -793,7 +790,7 @@ class TestValueNoiseBuild:
     @pytest.mark.parametrize("side, codec", [
         (3, IDENTITY), (13, IDENTITY), (37, IDENTITY), (64, IDENTITY),
         (14, HAAR1), (38, HAAR1), (64, HAAR1),  # the Haar codec needs an even side
-    ], ids=lambda v: getattr(getattr(v, "kind", None), "value", None))
+    ], ids=lambda v: getattr(v, "value", None))
     @pytest.mark.parametrize("channels", [1, 3])
     def test_bank_is_the_per_channel_build_bytewise(self, side, codec, channels):
         bank = make_bank("value_noise", side, channels=channels, n_items=6, n_classes=4,

@@ -474,10 +474,10 @@ class TestRunCascade:
                           banks[0], 1, subseed(3, 1, 0))
         grid = np.linspace(F, 0.0, 4)
         for t, t_next in zip(grid[:-1], grid[1:]):
-            eps_unc, m = predict(banks[1], z, t, None, SCHED)
-            fused = fuse(m, avg, 0.4)
-            eps_c, _ = predict(banks[1], z, t, 1, SCHED, ca_mixture=fused)
-            z = ddim_grid(z, cfg_combine(eps_unc.data, eps_c.data, w), t, t_next)
+            post = blocked_posterior(banks[1], banks[1].block(z.data), t, SCHED)
+            fields = post.field_blocks(1, fuse(post.ca, avg, 0.4))
+            eps_unc, eps_c = (banks[1].unblock(f) for f in fields)
+            z = ddim_grid(z, cfg_combine(eps_unc, eps_c, w), t, t_next)
         np.testing.assert_allclose(image.data, z.data, atol=1e-9)
 
     def test_clean_run_passes_row_and_snr_checks(self, rng):

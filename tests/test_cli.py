@@ -335,6 +335,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"frecas: error: non-finite latent after the step at t = {t}\n"
 
+    @pytest.mark.parametrize("w_l", ["1e300", "5e307"])
+    def test_latent_beyond_float32_is_runtime_error(self, tmp_path, capsys, w_l):
+        # a finite final latent whose float32 dump would be inf: the grid is
+        # written first and refuses it, so no image, grid or manifest appears
+        out = tmp_path / "r"
+        code = main(["sample", "--stages", "8:1:0", "--w-l", w_l, "--bank-items", "8",
+                     "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == (f"frecas: error: {out / 'image.frcg'}: grid values exceed the "
+                       "float32 range of the dump format\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--T", "0"],
         ["sample", "--T", "-3"],

@@ -13,7 +13,7 @@ from frecas.freq import (
     write_psd_csv,
 )
 from frecas.grid import LatentGrid, Resolution, seeded_gaussian
-from frecas.schedule import NoiseSchedule, ScheduleKind, diffuse, flow_schedule, forward_model, vp_default
+from frecas.schedule import alpha_inverse, diffuse, flow_schedule, forward_model, vp_default
 
 from conftest import rand_grid
 
@@ -38,7 +38,7 @@ def full_plane_psd(g):
 def decompose(z0, noise, t, sched):
     """psd_decomposition at the one timestep t, as its three curves."""
     rows = psd_decomposition(z0, noise, [t], sched)[0]
-    return [PsdCurve(p, z0.resolution()) for p in rows]
+    return [PsdCurve(p, Resolution(z0.height)) for p in rows]
 
 
 class TestNyquist:
@@ -196,9 +196,8 @@ class TestPsdDecomposition:
 
     def test_pure_noise_limit_has_tiny_signal(self, rng):
         z0, noise = rand_grid(rng, side=16), rand_grid(rng, side=16)
-        curve = np.concatenate([[1.0], np.geomspace(0.5, 1e-12, 8)])
-        sched = NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 8, alpha=curve)
-        _, _, signal = decompose(z0, noise, 8, sched)
+        sched = vp_default(4000)  # long enough for alpha to reach 1e-12
+        _, _, signal = decompose(z0, noise, alpha_inverse(sched, 1e-12), sched)
         assert signal.power.sum() <= 1e-6 * radial_psd(z0).power.sum()
 
     def test_signal_clamped_non_negative(self, rng):

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,11 +42,6 @@ class TestLatentGrid:
         # any other input is converted into a new array
         y = np.zeros((1, 2, 2), dtype=np.float32)
         assert not np.shares_memory(LatentGrid(y).data, y) and y.flags.writeable
-
-    def test_resolution_requires_square(self):
-        assert LatentGrid(np.zeros((1, 4, 4))).resolution() == Resolution(4)
-        with pytest.raises(ValueError):
-            LatentGrid(np.zeros((1, 4, 6))).resolution()
 
     def test_resolution_side_bounds(self):
         with pytest.raises(ValueError):
@@ -146,6 +142,21 @@ class TestGridDump:
         assert raw[:4] == b"FRCG"
         assert np.frombuffer(raw[4:16], dtype="<u4").tolist() == [2, 3, 3]
         assert len(raw) == 16 + 4 * 2 * 3 * 3
+
+    @pytest.mark.parametrize("value", [3.5e38, -1e300])
+    def test_value_beyond_float32_writes_no_file(self, tmp_path, value):
+        # finite in float64, inf in float32, which read_grid would refuse;
+        # the float32 maximum itself round-trips
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "g.frcg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_grid(path, LatentGrid(np.full((1, 2, 2), top)))
+            assert np.all(read_grid(path).data == top)
+            path.unlink()
+            with pytest.raises(ValueError, match="exceed the float32 range"):
+                write_grid(path, LatentGrid(np.array([[[1.0, value], [0.0, -top]]])))
+        assert not path.exists()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.frcg"

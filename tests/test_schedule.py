@@ -10,7 +10,6 @@ from frecas.grid import LatentGrid
 from frecas.sampler import predict_z0
 from frecas.schedule import (
     MAX_T,
-    NoiseSchedule,
     ScheduleKind,
     alpha_at,
     alpha_inverse,
@@ -58,13 +57,6 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha_at(flow_schedule(), 0.5)
 
-    def test_custom_curve_validation(self):
-        with pytest.raises(ValueError, match="^alpha must start at 1, stay positive and "
-                                             "strictly decrease$"):
-            NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 3, alpha=np.array([1.0, 0.5, 0.6, 0.1]))
-        with pytest.raises(ValueError):
-            NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 2, alpha=np.array([0.9, 0.5, 0.1]))
-
 
 def test_timestep_count_is_bounded():
     for make, T in ((vp_default, 0), (vp_default, MAX_T + 1), (flow_schedule, -3),
@@ -89,13 +81,6 @@ class TestEquality:
         assert vp_default(10) != flow_schedule(10)
         assert flow_schedule(10) == flow_schedule(10)
         assert flow_schedule(10) != flow_schedule(20)
-
-    def test_custom_alpha_values_count(self):
-        a = np.array([1.0, 0.9, 0.5, 0.1])
-        b = np.array([1.0, 0.8, 0.5, 0.1])
-        vp = ScheduleKind.VARIANCE_PRESERVING
-        assert NoiseSchedule(vp, 3, alpha=a) == NoiseSchedule(vp, 3, alpha=a.copy())
-        assert NoiseSchedule(vp, 3, alpha=a) != NoiseSchedule(vp, 3, alpha=b)
 
 
 class TestAlphaInverse:
@@ -147,9 +132,8 @@ class TestDiffuse:
 
     def test_alpha_zero_limit_returns_noise(self, rng):
         z0, noise = rand_grid(rng), rand_grid(rng)
-        curve = np.concatenate([[1.0], np.geomspace(0.5, 1e-12, 10)])
-        sched = NoiseSchedule(ScheduleKind.VARIANCE_PRESERVING, 10, alpha=curve)
-        out = diffuse(z0, 10, noise, sched)
+        sched = vp_default(4000)  # long enough for alpha to reach 1e-12
+        out = diffuse(z0, alpha_inverse(sched, 1e-12), noise, sched)
         np.testing.assert_allclose(out.data, noise.data, atol=1e-5)
 
     def test_zero_signal_scales_noise(self, rng):
