@@ -1,7 +1,8 @@
 """Hot numeric kernels, one vectorized numpy implementation each.
 
 These loops dominate the runtime of cascade runs: the per-step bank
-distances, the patchwise bank mixture, and the corner-aligned bilinear
+distances, the patchwise bank mixture, the bank's Gram matrix that a
+one-stage run reads in their place, and the corner-aligned bilinear
 resampling behind band splits and transitions. Every caller reaches them
 through this module, so a faster formulation of a kernel replaces it here
 without touching the callers.
@@ -136,6 +137,18 @@ def patch_sq_dists(blocks, z_blocks, scale, bank_norms):
     d += patch_sq_norms(z_blocks)
     d += (scale * scale) * bank_norms
     return np.maximum(d, 0.0, out=d)
+
+
+# ---------------------------------------------------------------------------
+# Gram matrix of a blocked bank: G[j, k] = <x_j, x_k> over whole items, (K, K)
+#
+# numpy computes x @ x.T as one symmetric rank-k update, so G is exactly
+# symmetric.
+# ---------------------------------------------------------------------------
+
+def gram(blocks):
+    flat = blocks.reshape(len(blocks), -1)
+    return flat @ flat.T
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,18 @@ in it, so a cascade stage keeps its latent blocked from step to step;
 :func:`predict`, the grid form of the conditional field, is the one entry
 for a (C, H, W) grid latent.
 
+A stage that needs only the plain predictions, the one stage of a one-stage
+plan on a bank whose Gram pays for itself (`cascade.runs_in_bank_span`),
+reads the bank's whole-item Gram matrix (:attr:`LatentBank.gram`,
+K x K, built on first read and kept) in place of the bank: under plain
+guidance the latent stays in the span of its entry latent z_F and the items,
+and :class:`BankSpan` holds it as coordinates u over (z_F, x_1..x_K). Its
+distances are G u + u_0 X z_F in the same norm expansion, with X z_F one
+product over the bank per run, and the weights are :func:`plain_weights`,
+the rule the dense posterior uses too; no patch distances, class evidence
+or map are formed. :func:`check_distances` is the one overflow and
+zero-noise check of both routes.
+
 Every bank is built as ``LatentBank(items, class_ids, weights)`` from a
 stream of items, each blocked as it arrives: :func:`make_bank` encodes each
 procedural item as it is drawn, :func:`load_bank` reads one saved grid at a
@@ -191,12 +203,29 @@ class LatentBank:
     def item(self, k: int) -> LatentGrid:
         return LatentGrid(self.unblock(self.blocks[k]))
 
+    def class_slice(self, condition: int) -> slice:
+        """The slots of class ``condition``'s items; ValueError for a class
+        id the bank does not hold."""
+        if int(condition) not in self.classes:
+            raise ValueError(f"unknown class id {condition}")
+        c = self.classes.index(int(condition))
+        a = int(self.class_starts[c])
+        return slice(a, a + int(self.class_sizes[c]))
+
     @cached_property
     def patch_norms(self) -> np.ndarray:
         """||x_kp||^2 over the patches of every item, (K, P), read-only."""
         norms = _kernels.patch_sq_norms(self.blocks)
         norms.setflags(write=False)
         return norms
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """<x_j, x_k> over whole items, (K, K), read-only; built on first
+        read, K^2 * 8 bytes."""
+        g = _kernels.gram(self.blocks)
+        g.setflags(write=False)
+        return g
 
 
 def bank_resample(bank: LatentBank, target: Resolution) -> LatentBank:
@@ -249,8 +278,8 @@ class Posterior:
         which is how fused attention maps from an earlier stage steer the
         layout.
         """
-        if condition is not None and int(condition) not in self.ca.classes:
-            raise ValueError(f"unknown class id {condition}")
+        if condition is not None:
+            self.bank.class_slice(condition)  # the unknown-class check
         if ca_mixture is None:
             z0s = self._plain_z0([None, condition])
         else:
@@ -258,32 +287,11 @@ class Posterior:
             z0s = self._plain_z0([None])[0], self._mixture_z0(ca_mixture)
         return tuple(self.fwd.field(self.z_blocks, z0) for z0 in z0s)
 
-    def _plain_weights(self, conditions):
-        """(weights, lo, hi): the (len(conditions), K) posterior weights, a
-        condition masking all but its class's slice and each row's weights
-        below :data:`SUPPORT_FLOOR` of its max set to 0, and the contiguous
-        item range ``[lo, hi)`` that holds every kept weight of every row."""
-        bank = self.bank
-        lw = bank.log_weights - self.d_full / (2.0 * self.fwd.var)
-        post = np.empty((len(conditions), bank.size))
-        for row, condition in zip(post, conditions):
-            row[:] = lw
-            if condition is not None:
-                c = bank.classes.index(int(condition))
-                a = bank.class_starts[c]
-                row[:a] = row[a + bank.class_sizes[c]:] = -np.inf
-            row -= row.max()
-            np.exp(row, out=row)
-            row[row < SUPPORT_FLOOR] = 0.0
-            row /= row.sum()
-        kept = np.flatnonzero(post.any(axis=0))
-        return post, kept[0], kept[-1] + 1
-
     def _plain_z0(self, conditions) -> np.ndarray:
-        """Posterior means from :meth:`_plain_weights`, (len(conditions), P, D)
-        blocks from one product over the kept item range, a view of the bank:
-        (n, hi - lo) @ (hi - lo, P*D)."""
-        post, lo, hi = self._plain_weights(conditions)
+        """Posterior means from :func:`plain_weights` at this posterior's
+        distances and t, (len(conditions), P, D) blocks from one product over
+        the kept item range, a view of the bank: (n, hi - lo) @ (hi - lo, P*D)."""
+        post, lo, hi = plain_weights(self.bank, self.d_full, self.fwd.var, conditions)
         blocks = self.bank.blocks
         z0 = post[:, lo:hi] @ blocks[lo:hi].reshape(hi - lo, -1)
         return z0.reshape(len(conditions), *blocks.shape[1:])
@@ -295,6 +303,43 @@ class Posterior:
         item_resp = np.exp(self.log_patch - np.repeat(self.evidence, sizes, axis=0))  # (K, P)
         mix = np.repeat(ca_mixture.values.T, sizes, axis=0)  # (K, P)
         return _kernels.patch_mix(bank.blocks, item_resp * mix)
+
+
+def plain_weights(bank: LatentBank, d_full: np.ndarray, var: float, conditions):
+    """(weights, lo, hi): the (len(conditions), K) posterior weights at
+    whole-latent distances ``d_full`` and noise variance ``var``, a
+    condition masking all but its class's slice (:meth:`LatentBank.class_slice`)
+    and each row's weights below :data:`SUPPORT_FLOOR` of its max set to 0,
+    and the contiguous item range ``[lo, hi)`` that holds every kept weight
+    of every row. The one weight rule of both plain routes: the dense
+    :class:`Posterior` and :class:`BankSpan`'s coordinates."""
+    lw = bank.log_weights - d_full / (2.0 * var)
+    post = np.empty((len(conditions), bank.size))
+    for row, condition in zip(post, conditions):
+        row[:] = lw
+        if condition is not None:
+            own = bank.class_slice(condition)
+            row[:own.start] = row[own.stop:] = -np.inf
+        row -= row.max()
+        np.exp(row, out=row)
+        row[row < SUPPORT_FLOOR] = 0.0
+        row /= row.sum()
+    kept = np.flatnonzero(post.any(axis=0))
+    return post, kept[0], kept[-1] + 1
+
+
+def check_distances(d_full: np.ndarray, var: float, t: float) -> None:
+    """ValueError unless the whole-latent distances and the noise variance
+    at t define a posterior: no distance overflows, and var is a normal
+    float with every distance over 2 var below the float max."""
+    d_max = d_full.max()
+    info = np.finfo(float)
+    if var >= info.tiny and not np.isfinite(d_max):
+        raise ValueError(f"latent distances to the bank overflow at t = {t}")
+    # zero noise: var is 0 or subnormal, or a distance over 2 var would reach
+    # max / 2 (var * max itself cannot overflow for var <= 1)
+    if not (var >= info.tiny and d_max < var * info.max):
+        raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
 
 
 def blocked_posterior(
@@ -314,14 +359,7 @@ def blocked_posterior(
     fwd = forward_model(sched, t)
     d_patch = _kernels.patch_sq_dists(bank.blocks, z_blocks, fwd.scale, bank.patch_norms)
     d_full = d_patch.sum(axis=1)
-    d_max = d_full.max()
-    info = np.finfo(float)
-    if fwd.var >= info.tiny and not np.isfinite(d_max):
-        raise ValueError(f"latent distances to the bank overflow at t = {t}")
-    # zero noise: var is 0 or subnormal, or a distance over 2 var would reach
-    # max / 2 (var * max itself cannot overflow for var <= 1)
-    if not (fwd.var >= info.tiny and d_max < fwd.var * info.max):
-        raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
+    check_distances(d_full, fwd.var, t)
     log_patch = bank.log_weights[:, None] - d_patch / (2.0 * fwd.var)  # (K, P)
 
     # per-class patch log-evidence, the LSE over each class's slice of the
@@ -333,6 +371,53 @@ def blocked_posterior(
     g = bank.side // bank.patch_size
     ca = CAMap((resp / resp.sum(axis=0)).T, g, g, bank.classes)
     return Posterior(bank, z_blocks, fwd, log_patch, evidence, d_full, ca)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class BankSpan:
+    """The latents z = u_0 z_F + sum_k u_k x_k that an entry latent z_F and
+    the K bank items span, each held as its coordinates u, a (K + 1,) vector.
+
+    A plain-guidance step keeps its latent in this span: the plain
+    posterior means are combinations of bank items, with coordinates
+    (0, weights), and the DDIM and flow-Euler updates are linear in the
+    latent and the mean. In coordinates the distances take the bank's Gram
+    matrix (:attr:`LatentBank.gram`) and the entry's cross terms
+    <x_k, z_F>, one product over the bank made here, and no pass over the
+    bank per step.
+    """
+
+    bank: LatentBank
+    entry: np.ndarray  # (P, C*p*p) z_F, patch-blocked
+    entry_cross: np.ndarray  # (K,) <x_k, z_F>
+    entry_sq: float  # ||z_F||^2
+
+    @classmethod
+    def of(cls, bank: LatentBank, entry: np.ndarray) -> "BankSpan":
+        """The span of ``entry``, (P, C*p*p) blocks in the bank's layout."""
+        flat = entry.reshape(-1)
+        return cls(bank, entry, bank.blocks.reshape(bank.size, -1) @ flat, float(flat @ flat))
+
+    def distances(self, u: np.ndarray, scale: float) -> np.ndarray:
+        """||z - scale x_k||^2 of the latent with coordinates u, (K,): the
+        norm expansion, with <z, x_k> = (G u_1:)_k + u_0 <z_F, x_k> and
+        ||z||^2 from the same cross terms. Clamped at 0 like the dense pass."""
+        gram, c = self.bank.gram, u[1:]
+        cross = gram @ c
+        cross += u[0] * self.entry_cross
+        sq = u[0] * (u[0] * self.entry_sq + self.entry_cross @ c) + c @ cross
+        d = (-2.0 * scale) * cross
+        d += sq
+        d += (scale * scale) * np.diagonal(gram)
+        return np.maximum(d, 0.0, out=d)
+
+    def latent(self, u: np.ndarray) -> np.ndarray:
+        """The latent with coordinates u, as (P, C*p*p) blocks: one product
+        over the bank."""
+        blocks = self.bank.blocks
+        z = (u[1:] @ blocks.reshape(self.bank.size, -1)).reshape(blocks.shape[1:])
+        z += u[0] * self.entry
+        return z
 
 
 def predict(

@@ -8,6 +8,11 @@ schedule, alternates stage sampling with transitions, and decodes the final
 latent. Every timestep it visits comes from its `StagePlan`: stage 0 enters
 at t_max, each later stage at the F that `StagePlan.entry_timestep` derives
 from the previous stage's L through the shifts in :mod:`frecas.schedule`.
+A one-stage plan, the single-stage baseline a cascade is measured against,
+runs its stage in bank coordinates (:class:`frecas.bank.BankSpan`) where
+the bank's Gram matrix pays for itself (:func:`runs_in_bank_span`); every
+other stage, and every stage of a cascade, runs dense, on the patch-blocked
+latent.
 
 Cost model: one denoiser evaluation at side s costs (s / s0)**2 units, so a
 plan costs sum(steps_i * (s_i / s0)**2). Guidance's two evaluations per step
@@ -20,7 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bank import CAMap, LatentBank, bank_resample, blocked_posterior, predict
+from .bank import (
+    BankSpan,
+    CAMap,
+    LatentBank,
+    bank_resample,
+    blocked_posterior,
+    check_distances,
+    plain_weights,
+    predict,
+)
 from .codec import LatentCodec, decode, encode
 from .grid import LatentGrid, Resolution, resample_bilinear_rect, seeded_gaussian, subseed
 from .sampler import GuidanceWeights, ddim_step, euler_flow_step, facfg_combine, predict_z0
@@ -224,21 +238,30 @@ def run_stage(
     map at ``plan.w_c`` and steers the conditional prediction patchwise.
     Each fused map and the average are CAMaps, whose rows are checked to sum
     to 1 within 1e-12 (ValueError otherwise). Returns the stage's final
-    latent and the averaged map.
+    latent and the averaged map, or ``(latent, None)`` on the coordinate
+    route, whose one-stage plan has no later stage to read maps.
 
-    A step is :func:`frecas.bank.blocked_posterior`, `Posterior.field_blocks`,
+    A one-stage plan runs in bank coordinates (:func:`_run_in_bank_span`)
+    when :func:`runs_in_bank_span` accepts its bank and step count: its
+    guidance is plain CFG, so the latent stays in the span of its entry
+    latent and the bank items, and a step reads the bank's Gram matrix, not
+    the bank. Every other stage runs dense: a step is
+    :func:`frecas.bank.blocked_posterior`, `Posterior.field_blocks`,
     :func:`frecas.sampler.facfg_combine` and :func:`frecas.sampler.ddim_step`
     or :func:`frecas.sampler.euler_flow_step`, applied to the latent held as
     (P, C*p*p) blocks in the bank's layout from the distance pass to the
     update. Only a cut stage's band split unblocks (the guidance difference),
     and the latent is unblocked once, at the end. Its shape is checked on
-    entry, and each new latent for finiteness: a non-finite one is a
-    ValueError naming the step's t.
+    entry, and each new latent (on the coordinate route, its coordinates)
+    for finiteness: a non-finite one is a ValueError naming the step's t.
     """
     if bank.item_shape != z.shape:
         raise ValueError(f"latent shape {z.shape} does not match bank {bank.item_shape}")
+    if len(plan.stages) == 1 and reused_maps is not None:
+        raise ValueError("the stage of a one-stage plan has no earlier maps to reuse")
+    if len(plan.stages) == 1 and runs_in_bank_span(bank, spec.steps):
+        return _run_in_bank_span(spec, bank.block(z.data), bank, condition, plan), None
     sched = plan.schedule
-    vp = sched.kind is ScheduleKind.VARIANCE_PRESERVING
     grid = plan.time_grid(spec)
     gw = plan.guidance(spec)
 
@@ -251,16 +274,80 @@ def run_stage(
         t, t_next = float(grid[idx]), float(grid[idx + 1])
         post = blocked_posterior(bank, z_blocks, t, sched)
         fused = None if reused_maps is None else fuse_ca_maps(post.ca, reused_maps, plan.w_c)
-        eps_unc, eps_c = post.field_blocks(condition, ca_mixture=fused)
+        fields = post.field_blocks(condition, ca_mixture=fused)
         step_maps.append(post.ca if fused is None else fused)
-        eps_hat = facfg_combine(eps_unc, eps_c, gw, bank.side, bank.unblock, bank.block)
-        if vp:
-            z_blocks = ddim_step(z_blocks, eps_hat, post.fwd, forward_model(sched, t_next))
-        else:
-            z_blocks = euler_flow_step(z_blocks, eps_hat, t, t_next)
-        if not np.isfinite(z_blocks).all():
-            raise ValueError(f"non-finite latent after the step at t = {t:g}")
+        z_blocks = _guided_step(z_blocks, fields, gw, bank, plan, post.fwd, t, t_next)
     return LatentGrid(bank.unblock(z_blocks)), average_ca_maps(step_maps)
+
+
+# Items per step up to which the coordinate route's Gram build, K^2 D / 2
+# multiply-adds in one BLAS product, costs less than the dense passes it
+# saves, about steps K D of numpy work; see runs_in_bank_span. One direct
+# run on a 2-vCPU VM broke even at 50-120 items per step (sides 16 and 64,
+# 4 to 50 steps), so the route runs only where it is the faster one.
+SPAN_ITEMS_PER_STEP = 32
+
+
+def runs_in_bank_span(bank: LatentBank, steps: int) -> bool:
+    """Whether a one-stage run of ``steps`` steps on ``bank`` takes the
+    coordinate route. The route holds the bank's K x K Gram matrix beside
+    the bank and builds it in O(K^2 D) for items of D numbers, where the
+    dense route makes O(K D) passes per step: it runs where the Gram is no
+    larger than the bank (K <= D) and K is at most
+    :data:`SPAN_ITEMS_PER_STEP` items per step."""
+    k = bank.size
+    return k <= bank.blocks[0].size and k <= SPAN_ITEMS_PER_STEP * steps
+
+
+def _run_in_bank_span(spec, entry, bank, condition, plan) -> LatentGrid:
+    """A plain-guidance stage from the entry latent's (P, C*p*p) blocks, in
+    the coordinates of :class:`frecas.bank.BankSpan`, starting at
+    u = (1, 0, ..., 0). Each step takes its distances from the span,
+    its weights from :func:`frecas.bank.plain_weights` and the plain z0 pair
+    as coordinates (0, weights), and runs the same guidance and update as a
+    dense step on the coordinate vectors. The latent is built once, at the
+    end, and checked for finiteness as a step's latent is; it is also built
+    where the distances overflow, to tell a non-finite latent after the step
+    before from an overflow at this one, as the dense route does."""
+    span = BankSpan.of(bank, entry)
+    grid = plan.time_grid(spec)
+    gw = plan.guidance(spec)
+    u = np.zeros(bank.size + 1)
+    u[0] = 1.0
+    z0s = np.zeros((2, bank.size + 1))
+    for idx in range(spec.steps):
+        t, t_next = float(grid[idx]), float(grid[idx + 1])
+        fwd = forward_model(plan.schedule, t)
+        d_full = span.distances(u, fwd.scale)
+        if idx and not np.isfinite(d_full.max()):
+            # where the dense route's check after the last step would fail
+            _require_finite(span.latent(u), float(grid[idx - 1]))
+        check_distances(d_full, fwd.var, t)
+        z0s[:, 1:] = plain_weights(bank, d_full, fwd.var, [None, condition])[0]
+        fields = tuple(fwd.field(u, z0) for z0 in z0s)
+        u = _guided_step(u, fields, gw, bank, plan, fwd, t, t_next)
+    z_blocks = span.latent(u)
+    _require_finite(z_blocks, t)
+    return LatentGrid(bank.unblock(z_blocks))
+
+
+def _guided_step(z, fields, gw, bank, plan, fwd, t, t_next):
+    """The guided update of z from the (unconditional, conditional) field
+    pair at t to t_next; ValueError naming t when the new latent is not
+    finite. z is in the bank's blocked layout, or in any one layout where
+    the guidance is cut at the bank's own side and so takes no band split."""
+    eps_hat = facfg_combine(*fields, gw, bank.side, bank.unblock, bank.block)
+    if plan.schedule.kind is ScheduleKind.VARIANCE_PRESERVING:
+        z = ddim_step(z, eps_hat, fwd, forward_model(plan.schedule, t_next))
+    else:
+        z = euler_flow_step(z, eps_hat, t, t_next)
+    _require_finite(z, t)
+    return z
+
+
+def _require_finite(z, t):
+    if not np.isfinite(z).all():
+        raise ValueError(f"non-finite latent after the step at t = {t:g}")
 
 
 def transition(

@@ -15,8 +15,9 @@ cuts each stage at the previous stage's side, the first at its own.
 
 Each rule is one function on arrays of any one layout (:func:`cfg_combine`,
 :func:`facfg_combine`, :func:`ddim_step`, :func:`euler_flow_step`), so
-`cascade.run_stage` applies them to patch-blocked arrays and a caller with
-(C, H, W) grids passes their ``data``. :func:`predict_z0` is the grid form
+`cascade.run_stage` applies them to patch-blocked arrays, and to the bank
+coordinates of a one-stage plan, since every rule is linear, and a caller
+with (C, H, W) grids passes their ``data``. :func:`predict_z0` is the grid form
 of `ForwardModel.clean`, which the cascade's transition calls.
 """
 

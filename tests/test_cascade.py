@@ -9,6 +9,7 @@ from frecas import _kernels
 from frecas.bank import CAMap, LatentBank, bank_resample, blocked_posterior, predict
 from frecas.cascade import (
     PRESETS,
+    SPAN_ITEMS_PER_STEP,
     StagePlan,
     StageSpec,
     average_ca_maps,
@@ -19,6 +20,7 @@ from frecas.cascade import (
     resample_ca_map,
     run_cascade,
     run_stage,
+    runs_in_bank_span,
     stage_costs,
     transition,
 )
@@ -64,8 +66,8 @@ def ddim_grid(z: LatentGrid, eps_hat: np.ndarray, t, t_next) -> LatentGrid:
                                 forward_model(SCHED, t_next)))
 
 
-def toy_bank(rng, side=16, channels=2, n_items=8, n_classes=3) -> LatentBank:
-    stack = rng.standard_normal((n_items, channels, side, side))
+def toy_bank(rng, side=16, channels=2, n_items=8, n_classes=3, scale=1.0) -> LatentBank:
+    stack = scale * rng.standard_normal((n_items, channels, side, side))
     ids = np.arange(n_items) % n_classes
     return LatentBank(stack, ids, np.full(n_items, 1.0 / n_items))
 
@@ -81,6 +83,11 @@ def toy_plan(side0=8, side1=16, steps=(4, 3), L=200.0, w=(7.5, 35.0), w_c=0.6,
         schedule=sched,
         w_l=w[0], w_h=w[1], w_c=w_c,
     )
+
+
+def one_stage_plan(side=8, steps=4, w_l=7.5, sched=SCHED) -> StagePlan:
+    """A direct plan: one stage from t_max to 0, plain CFG at w_l."""
+    return ladder([side], [steps], [], w_l=w_l, w_h=35.0, w_c=0.6, gamma=2.0, sched=sched)
 
 
 def uniform_map(rows_h, rows_w, classes) -> CAMap:
@@ -393,17 +400,127 @@ class TestBlockedStage:
     @pytest.mark.parametrize("stage,w,t", [
         (0, (1e308, 35.0), "1000"),  # plain CFG at w_l overflows
         (1, (7.5, 1e308), None),  # the high band's weight overflows
-    ], ids=["w_l", "w_h"])
+        (None, (1e308, 35.0), "1000"),  # a one-stage plan, run in bank coordinates
+    ], ids=["w_l", "w_h", "one-stage-w_l"])
     def test_non_finite_latent_names_the_step(self, rng, stage, w, t):
-        plan = toy_plan(w=w)
-        spec = plan.stages[stage]
+        plan = one_stage_plan(w_l=w[0]) if stage is None else toy_plan(w=w)
+        spec = plan.stages[stage or 0]
         side = spec.resolution.side
-        bank = toy_bank(rng, side=side)
+        # coordinates are weights of order 1, so on that route only a latent
+        # that overflows in exact arithmetic is non-finite: w_l times the gap
+        # between the two posterior means, here widened by a 100 times larger
+        # bank (much larger, and both means collapse onto one item at t_max)
+        bank = toy_bank(rng, side=side, scale=1.0 if stage is not None else 100.0)
         z = LatentGrid(rng.standard_normal((2, side, side)))
         t = t or f"{plan.first_timesteps[stage]:g}"
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=f"non-finite latent after the step at t = {t}$"):
                 run_stage(spec, z, bank, 1, plan)
+
+
+class TestBankCoordinateStage:
+    """A one-stage plan runs in the coordinates of frecas.bank.BankSpan."""
+
+    @pytest.mark.parametrize("sched", [SCHED, flow_schedule()], ids=["vp", "flow"])
+    @pytest.mark.parametrize("condition", [None, 1])
+    def test_one_stage_run_matches_the_dense_loop(self, rng, sched, condition):
+        plan = one_stage_plan(side=16, steps=50, sched=sched)
+        bank = toy_bank(rng, side=16, n_items=9)
+        image, _ = run_cascade(plan, IDENTITY, bank, condition, seed=3)
+        z = seeded_gaussian((2, 16, 16), subseed(3, 0))
+        ref, _ = reference_stage(plan.stages[0], z, bank, condition, plan)
+        err = np.linalg.norm(image.data - ref.data) / np.linalg.norm(ref.data)
+        assert err <= 1e-10
+
+    def test_one_stage_run_reads_no_patch_distances_and_builds_no_map(self, rng, monkeypatch):
+        calls = {"patch_sq_dists": 0, "CAMap": 0}
+
+        def dists(*args, _fn=_kernels.patch_sq_dists):
+            calls["patch_sq_dists"] += 1
+            return _fn(*args)
+
+        def checked(m, _fn=CAMap.__post_init__):
+            calls["CAMap"] += 1
+            return _fn(m)
+
+        monkeypatch.setattr(_kernels, "patch_sq_dists", dists)
+        monkeypatch.setattr(CAMap, "__post_init__", checked)
+        bank = toy_bank(rng, side=16)
+        run_cascade(one_stage_plan(side=16), IDENTITY, bank, 1, seed=2)
+        assert calls == {"patch_sq_dists": 0, "CAMap": 0}
+        run_cascade(toy_plan(), IDENTITY, bank, 1, seed=2)  # the dense route counts
+        assert calls["patch_sq_dists"] > 0 and calls["CAMap"] > 0
+
+    @pytest.mark.parametrize("side,n_items,steps,in_span", [
+        (16, 4 * SPAN_ITEMS_PER_STEP, 4, True),  # K at its cap of items per step
+        (16, 4 * SPAN_ITEMS_PER_STEP + 1, 4, False),  # one item more
+        (4, 32, 4, True),  # K = D: the Gram is the bank's size
+        (4, 33, 4, False),  # the Gram would outgrow the bank
+    ], ids=["steps-cap", "past-steps-cap", "gram-as-bank", "gram-past-bank"])
+    def test_route_is_cut_where_the_gram_stops_paying(self, rng, monkeypatch, side, n_items,
+                                                       steps, in_span):
+        # items of D = 2 * side**2 numbers; past either cut the one stage runs
+        # dense, byte for byte the dense loop, and returns its map
+        bank = toy_bank(rng, side=side, n_items=n_items)
+        assert runs_in_bank_span(bank, steps) is in_span
+        calls = []
+
+        def dists(*args, _fn=_kernels.patch_sq_dists):
+            calls.append(1)
+            return _fn(*args)
+
+        monkeypatch.setattr(_kernels, "patch_sq_dists", dists)
+        plan = one_stage_plan(side=side, steps=steps)
+        z = LatentGrid(rng.standard_normal((2, side, side)))
+        out, avg = run_stage(plan.stages[0], z, bank, 1, plan)
+        assert len(calls) == (0 if in_span else steps)
+        ref, ref_avg = reference_stage(plan.stages[0], z, bank, 1, plan)
+        if in_span:
+            assert avg is None
+            err = np.linalg.norm(out.data - ref.data) / np.linalg.norm(ref.data)
+            assert err <= 1e-10
+        else:
+            np.testing.assert_array_equal(out.data, ref.data)
+            np.testing.assert_array_equal(avg.values, ref_avg.values)
+            assert "gram" not in vars(bank)
+
+    def test_gram_is_built_once_across_runs_on_one_bank(self, rng, monkeypatch):
+        calls = []
+
+        def gram(blocks, _fn=_kernels.gram):
+            calls.append(blocks.shape)
+            return _fn(blocks)
+
+        monkeypatch.setattr(_kernels, "gram", gram)
+        bank = toy_bank(rng, side=8)
+        for seed in (1, 2):
+            run_cascade(one_stage_plan(), IDENTITY, bank, 1, seed=seed)
+        assert calls == [bank.blocks.shape]
+
+    def test_built_latent_is_checked(self, rng):
+        # one step: the coordinates stay finite, the latent built from them
+        # overflows (see test_non_finite_latent_names_the_step)
+        plan = one_stage_plan(steps=1, w_l=1e308)
+        bank = toy_bank(rng, side=8, scale=100.0)
+        z = LatentGrid(rng.standard_normal((2, 8, 8)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite latent after the step at t = 1000$"):
+                run_stage(plan.stages[0], z, bank, 1, plan)
+
+    def test_stage_returns_no_map_and_takes_none(self, rng):
+        bank = toy_bank(rng, side=8)
+        plan = one_stage_plan()
+        z = LatentGrid(rng.standard_normal((2, 8, 8)))
+        out, avg = run_stage(plan.stages[0], z, bank, 1, plan)
+        assert avg is None and out.shape == z.shape
+        with pytest.raises(ValueError, match="no earlier maps"):
+            run_stage(plan.stages[0], z, bank, 1, plan, reused_maps=uniform_map(4, 4, (0, 1, 2)))
+
+    def test_unknown_condition_is_the_dense_routes_error(self, rng):
+        bank = toy_bank(rng, side=16)
+        for plan in (toy_plan(), one_stage_plan(side=16)):
+            with pytest.raises(ValueError, match="^unknown class id 7$"):
+                run_cascade(plan, IDENTITY, bank, 7, seed=1)
 
 
 class TestRunCascade:
