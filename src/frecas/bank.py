@@ -25,23 +25,22 @@ for whether two maps fit.
 
 One posterior per (latent, t) serves all four uses: :func:`blocked_posterior`
 makes one patch-distance pass over the whole bank, and the unconditional,
-conditional and mixture predictions and the attention map are all read off
-it. A bank holds its items patch-blocked, (K, P, C*p*p) for the default
-patch size p of its side, so each of these is a BLAS product over the bank
-in place: the pass's cross terms are one batched matrix-vector product, in
-the norm expansion ||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2 with the
-per-patch bank norms computed once per bank (:attr:`LatentBank.patch_norms`);
-the unconditional and conditional predictions are one (2, k) @ (k, P*C*p*p)
-product over the contiguous range of k items that carry weight: the
-condition masks the other classes, and weights below :data:`SUPPORT_FLOOR`
-of a row's max are dropped, so once the exact empirical denoiser collapses
-onto one memorized item, k is often 1. The mixture is one
-(P, 1, K) @ (P, K, C*p*p) product over all K items. The
-whole-latent distances are the row sums of the patch distances.
-The posterior takes the latent in the bank's layout and returns its fields
-in it, so a cascade stage keeps its latent blocked from step to step;
-:func:`predict`, the grid form of the conditional field, is the one entry
-for a (C, H, W) grid latent.
+conditional and mixture predictions and the attention map are all derived
+from it, the class evidence and the map on first read. A bank holds its
+items patch-blocked, (K, P, C*p*p) for the default patch size p of its side,
+so each of these is a BLAS product over the bank in place: the pass's cross
+terms are one batched matrix-vector product, in the norm expansion
+||z_p||^2 - 2 s <z_p, x_kp> + s^2 ||x_kp||^2 with the per-patch bank norms
+computed once per bank (:attr:`LatentBank.patch_norms`); the unconditional
+and conditional predictions are one (2, k) @ (k, P*C*p*p) product over the
+contiguous range of k items that carry weight: the condition masks the
+other classes, and weights below :data:`SUPPORT_FLOOR` of a row's max are
+dropped, so once the exact empirical denoiser collapses onto one memorized
+item, k is often 1. The mixture is one (P, 1, K) @ (P, K, C*p*p) product
+over all K items. The posterior takes the latent in the bank's layout and
+returns its fields in it, so a cascade stage keeps its latent blocked from
+step to step; :func:`predict`, the grid form of the conditional field, is
+the one entry for a (C, H, W) grid latent.
 
 A stage that needs only the plain predictions, the one stage of a one-stage
 plan on a bank whose Gram pays for itself (`cascade.runs_in_bank_span`),
@@ -253,19 +252,38 @@ class Posterior:
 
     Built by :func:`blocked_posterior` from one patch-distance pass over
     all K items; the unconditional, conditional and mixture fields and the
-    attention map ``ca`` all derive from it without touching the bank
-    distances again. The latent is held as ``z_blocks`` in the bank's
-    layout, and :meth:`field_blocks`, the one prediction, gives the fields
-    in that layout.
+    attention map ``ca`` derive from it without touching the bank again,
+    the class evidence and ``ca`` on first read. The latent is held as
+    ``z_blocks`` in the bank's layout, and :meth:`field_blocks`, the one
+    prediction, gives the fields in that layout.
     """
 
     bank: LatentBank
     z_blocks: np.ndarray  # (P, C*p*p) the latent, patch-blocked
     fwd: ForwardModel  # of the posterior's t
-    log_patch: np.ndarray  # (K, P) per-item patch log-weights
-    evidence: np.ndarray  # (n_classes, P) per-class patch log-evidence
+    d_patch: np.ndarray  # (K, P) per-item patch squared distances
     d_full: np.ndarray  # (K,) whole-latent squared distances, row sums of the patch ones
-    ca: CAMap
+
+    @cached_property
+    def log_patch(self) -> np.ndarray:
+        """(K, P) per-item patch log-weights."""
+        return self.bank.log_weights[:, None] - self.d_patch / (2.0 * self.fwd.var)
+
+    @cached_property
+    def evidence(self) -> np.ndarray:
+        """(n_classes, P) per-class patch log-evidence: the LSE over each class's
+        slice, shifted by that class's own max so a far class stays finite."""
+        starts = self.bank.class_starts
+        top = np.maximum.reduceat(self.log_patch, starts, axis=0)
+        shifted = np.exp(self.log_patch - np.repeat(top, self.bank.class_sizes, axis=0))
+        return top + np.log(np.add.reduceat(shifted, starts, axis=0))
+
+    @cached_property
+    def ca(self) -> CAMap:
+        """Patchwise class responsibilities of the whole bank, unconditioned."""
+        resp = np.exp(self.evidence - self.evidence.max(axis=0))
+        g = self.bank.side // self.bank.patch_size
+        return CAMap((resp / resp.sum(axis=0)).T, g, g, self.bank.classes)
 
     def field_blocks(self, condition: int | None, ca_mixture: CAMap | None = None):
         """The predicted noise (VP) or velocity (flow) without and with
@@ -335,42 +353,24 @@ def check_distances(d_full: np.ndarray, var: float, t: float) -> None:
     d_max = d_full.max()
     info = np.finfo(float)
     if var >= info.tiny and not np.isfinite(d_max):
-        raise ValueError(f"latent distances to the bank overflow at t = {t}")
+        raise ValueError(f"latent distances to the bank overflow at t = {t:g}")
     # zero noise: var is 0 or subnormal, or a distance over 2 var would reach
     # max / 2 (var * max itself cannot overflow for var <= 1)
     if not (var >= info.tiny and d_max < var * info.max):
-        raise ValueError(f"denoiser undefined at zero noise level, t = {t}")
+        raise ValueError(f"denoiser undefined at zero noise level, t = {t:g}")
 
 
-def blocked_posterior(
-    bank: LatentBank,
-    z_blocks: np.ndarray,
-    t: float,
-    sched: NoiseSchedule,
-) -> Posterior:
+def blocked_posterior(bank: LatentBank, z_blocks: np.ndarray, t: float,
+                      sched: NoiseSchedule) -> Posterior:
     """The bank posterior at a latent given as (P, C*p*p) blocks in the
-    bank's layout, which the caller keeps finite and of the bank's shape.
-
-    Makes one patch-distance pass over the bank with the bank's patch size,
-    the default one of the latent's side. The posterior's ``ca`` holds the
-    patchwise class responsibilities of the whole bank at this latent,
-    independent of any conditioning.
-    """
+    bank's layout, which the caller keeps finite and of the bank's shape:
+    one patch-distance pass over the bank at its patch size, the default
+    one of the latent's side, checked by :func:`check_distances`."""
     fwd = forward_model(sched, t)
     d_patch = _kernels.patch_sq_dists(bank.blocks, z_blocks, fwd.scale, bank.patch_norms)
     d_full = d_patch.sum(axis=1)
     check_distances(d_full, fwd.var, t)
-    log_patch = bank.log_weights[:, None] - d_patch / (2.0 * fwd.var)  # (K, P)
-
-    # per-class patch log-evidence, the LSE over each class's slice of the
-    # bank shifted by that class's own max, so a far class stays finite
-    top = np.maximum.reduceat(log_patch, bank.class_starts, axis=0)
-    shifted = np.exp(log_patch - np.repeat(top, bank.class_sizes, axis=0))
-    evidence = top + np.log(np.add.reduceat(shifted, bank.class_starts, axis=0))  # (n_classes, P)
-    resp = np.exp(evidence - evidence.max(axis=0))
-    g = bank.side // bank.patch_size
-    ca = CAMap((resp / resp.sum(axis=0)).T, g, g, bank.classes)
-    return Posterior(bank, z_blocks, fwd, log_patch, evidence, d_full, ca)
+    return Posterior(bank, z_blocks, fwd, d_patch, d_full)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

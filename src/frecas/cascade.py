@@ -230,16 +230,16 @@ def run_stage(
     plan: StagePlan,
     reused_maps: CAMap | None = None,
 ):
-    """Run one stage over ``plan.time_grid(spec)``, from its F down to its L.
+    """Run one stage over ``plan.time_grid(spec)``, from its F down to its L;
+    returns the final latent and the average of the stage's step maps, or
+    ``(latent, None)`` for the plan's final stage, whose average no stage reads.
 
     Scores are combined with ``plan.guidance(spec)``, plain guidance at the
     first stage. When an averaged map from the previous stage is supplied,
     it is regridded to this stage's patch grid, fused with each step's own
     map at ``plan.w_c`` and steers the conditional prediction patchwise.
     Each fused map and the average are CAMaps, whose rows are checked to sum
-    to 1 within 1e-12 (ValueError otherwise). Returns the stage's final
-    latent and the averaged map, or ``(latent, None)`` on the coordinate
-    route, whose one-stage plan has no later stage to read maps.
+    to 1 within 1e-12 (ValueError otherwise).
 
     A one-stage plan runs in bank coordinates (:func:`_run_in_bank_span`)
     when :func:`runs_in_bank_span` accepts its bank and step count: its
@@ -261,23 +261,23 @@ def run_stage(
         raise ValueError("the stage of a one-stage plan has no earlier maps to reuse")
     if len(plan.stages) == 1 and runs_in_bank_span(bank, spec.steps):
         return _run_in_bank_span(spec, bank.block(z.data), bank, condition, plan), None
-    sched = plan.schedule
     grid = plan.time_grid(spec)
     gw = plan.guidance(spec)
-
     z_blocks = bank.block(z.data)
     if reused_maps is not None:
         g = bank.side // bank.patch_size
         reused_maps = resample_ca_map(reused_maps, g, g)
+    averages = spec != plan.stages[-1]  # only a later stage reads the average
     step_maps = []
     for idx in range(spec.steps):
         t, t_next = float(grid[idx]), float(grid[idx + 1])
-        post = blocked_posterior(bank, z_blocks, t, sched)
+        post = blocked_posterior(bank, z_blocks, t, plan.schedule)
         fused = None if reused_maps is None else fuse_ca_maps(post.ca, reused_maps, plan.w_c)
         fields = post.field_blocks(condition, ca_mixture=fused)
-        step_maps.append(post.ca if fused is None else fused)
+        if averages:
+            step_maps.append(post.ca if fused is None else fused)
         z_blocks = _guided_step(z_blocks, fields, gw, bank, plan, post.fwd, t, t_next)
-    return LatentGrid(bank.unblock(z_blocks)), average_ca_maps(step_maps)
+    return LatentGrid(bank.unblock(z_blocks)), average_ca_maps(step_maps) if averages else None
 
 
 # Items per step up to which the coordinate route's Gram build, K^2 D / 2

@@ -236,7 +236,7 @@ class TestPredict:
         bank = make_bank("value_noise", 8, n_items=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflow at t = 500"):
+            with pytest.raises(ValueError, match="overflow at t = 500$"):
                 posterior_at(bank, LatentGrid(np.full((3, 8, 8), 1e160)), 500.0, SCHED)
             posterior_at(bank, LatentGrid(np.full((3, 8, 8), 1e150)), 500.0, SCHED)
 

@@ -85,6 +85,13 @@ def toy_plan(side0=8, side1=16, steps=(4, 3), L=200.0, w=(7.5, 35.0), w_c=0.6,
     )
 
 
+def three_stage_plan(lasts=(200.0, 100.0), sched=SCHED) -> StagePlan:
+    """Sides 8, 16 and 32: a middle stage reads stage 0's average, and the
+    final stage reads the middle one's."""
+    return ladder([8, 16, 32], [4, 3, 2], lasts, w_l=7.5, w_h=35.0, w_c=0.6, gamma=2.0,
+                  sched=sched)
+
+
 def one_stage_plan(side=8, steps=4, w_l=7.5, sched=SCHED) -> StagePlan:
     """A direct plan: one stage from t_max to 0, plain CFG at w_l."""
     return ladder([side], [steps], [], w_l=w_l, w_h=35.0, w_c=0.6, gamma=2.0, sched=sched)
@@ -329,8 +336,7 @@ class TestRunStage:
         b, avg_b = run_stage(plan.stages[1], z, bank, 1, plan,
                              reused_maps=resample_ca_map(coarse, 8, 8))
         np.testing.assert_array_equal(a.data, b.data)
-        np.testing.assert_array_equal(avg_a.values, avg_b.values)
-        assert (avg_a.rows_h, avg_a.rows_w) == (8, 8)
+        assert avg_a is None and avg_b is None  # the final stage's average is never read
 
     @pytest.mark.parametrize("with_map", [False, True])
     def test_one_distance_pass_per_step(self, rng, monkeypatch, with_map):
@@ -378,13 +384,15 @@ def reference_stage(spec, z, bank, condition, plan, reused_maps=None):
 
 
 class TestBlockedStage:
-    @pytest.mark.parametrize("sched,L", [(SCHED, 200.0), (flow_schedule(), 0.3)],
-                             ids=["vp", "flow"])
-    @pytest.mark.parametrize("stage", [0, 1], ids=["stage0", "cut-stage-fused-map"])
+    @pytest.mark.parametrize("sched,lasts", [(SCHED, (200.0, 100.0)),
+                                             (flow_schedule(), (0.3, 0.15))], ids=["vp", "flow"])
+    @pytest.mark.parametrize("stages,stage", [(2, 0), (2, 1), (3, 1)],
+                             ids=["stage0", "cut-stage-fused-map", "middle-stage-fused-map"])
     @pytest.mark.parametrize("condition", [None, 1])
-    def test_matches_the_public_step_functions_bytewise(self, rng, sched, L, stage,
+    def test_matches_the_public_step_functions_bytewise(self, rng, sched, lasts, stages, stage,
                                                         condition):
-        plan = toy_plan(L=L, sched=sched)
+        plan = (toy_plan(L=lasts[0], sched=sched) if stages == 2
+                else three_stage_plan(lasts, sched))
         spec = plan.stages[stage]
         side = spec.resolution.side
         bank = toy_bank(rng, side=side, n_items=9)
@@ -394,7 +402,11 @@ class TestBlockedStage:
         out, avg = run_stage(spec, z, bank, condition, plan, reused_maps=reused)
         ref, ref_avg = reference_stage(spec, z, bank, condition, plan, reused_maps=reused)
         assert out.data.tobytes() == ref.data.tobytes()
-        assert avg.values.tobytes() == ref_avg.values.tobytes()
+        if spec == plan.stages[-1]:
+            assert avg is None  # no later stage reads the final stage's average
+        else:
+            assert avg.values.shape == ref_avg.values.shape
+            assert avg.values.tobytes() == ref_avg.values.tobytes()
         assert plan.guidance(spec).base.side == (side if stage == 0 else 8)
 
     @pytest.mark.parametrize("stage,w,t", [
@@ -460,7 +472,7 @@ class TestBankCoordinateStage:
     def test_route_is_cut_where_the_gram_stops_paying(self, rng, monkeypatch, side, n_items,
                                                        steps, in_span):
         # items of D = 2 * side**2 numbers; past either cut the one stage runs
-        # dense, byte for byte the dense loop, and returns its map
+        # dense, byte for byte the dense loop; no route returns a map
         bank = toy_bank(rng, side=side, n_items=n_items)
         assert runs_in_bank_span(bank, steps) is in_span
         calls = []
@@ -474,15 +486,48 @@ class TestBankCoordinateStage:
         z = LatentGrid(rng.standard_normal((2, side, side)))
         out, avg = run_stage(plan.stages[0], z, bank, 1, plan)
         assert len(calls) == (0 if in_span else steps)
-        ref, ref_avg = reference_stage(plan.stages[0], z, bank, 1, plan)
+        assert avg is None
+        ref, _ = reference_stage(plan.stages[0], z, bank, 1, plan)
         if in_span:
-            assert avg is None
             err = np.linalg.norm(out.data - ref.data) / np.linalg.norm(ref.data)
             assert err <= 1e-10
         else:
             np.testing.assert_array_equal(out.data, ref.data)
-            np.testing.assert_array_equal(avg.values, ref_avg.values)
             assert "gram" not in vars(bank)
+
+    @pytest.mark.parametrize("side,n_items", [(16, 4 * SPAN_ITEMS_PER_STEP + 1), (4, 33)],
+                             ids=["past-steps-cap", "gram-past-bank"])
+    def test_dense_one_stage_run_builds_no_map_and_no_average(self, rng, monkeypatch, side,
+                                                             n_items):
+        # past either cut the one stage runs dense: each step makes its
+        # distance pass and plain fields, and no step reads the class
+        # evidence or map, which only fusion and averaging read
+        calls = {"patch_sq_dists": 0, "CAMap": 0, "average_ca_maps": 0}
+
+        def dists(*args, _fn=_kernels.patch_sq_dists):
+            calls["patch_sq_dists"] += 1
+            return _fn(*args)
+
+        def checked(m, _fn=CAMap.__post_init__):
+            calls["CAMap"] += 1
+            return _fn(m)
+
+        def averaged(maps, _fn=average_ca_maps):
+            calls["average_ca_maps"] += 1
+            return _fn(maps)
+
+        monkeypatch.setattr(_kernels, "patch_sq_dists", dists)
+        monkeypatch.setattr(CAMap, "__post_init__", checked)
+        monkeypatch.setattr("frecas.cascade.average_ca_maps", averaged)
+        bank = toy_bank(rng, side=side, n_items=n_items)
+        plan = one_stage_plan(side=side, steps=4)
+        assert not runs_in_bank_span(bank, 4)
+        z = LatentGrid(rng.standard_normal((2, side, side)))
+        out, avg = run_stage(plan.stages[0], z, bank, 1, plan)
+        assert avg is None
+        assert calls == {"patch_sq_dists": 4, "CAMap": 0, "average_ca_maps": 0}
+        ref, _ = reference_stage(plan.stages[0], z, bank, 1, plan)
+        assert out.data.tobytes() == ref.data.tobytes()
 
     def test_gram_is_built_once_across_runs_on_one_bank(self, rng, monkeypatch):
         calls = []
@@ -602,6 +647,18 @@ class TestRunCascade:
         bank = toy_bank(rng)
         plan = toy_plan()
         run_cascade(plan, IDENTITY, bank, 0, seed=2)
+
+    @pytest.mark.parametrize("plan", [toy_plan(), three_stage_plan()], ids=["two", "three"])
+    def test_only_a_stage_with_a_successor_averages_its_maps(self, rng, monkeypatch, plan):
+        calls = []
+
+        def averaged(maps, _fn=average_ca_maps):
+            calls.append(len(maps))
+            return _fn(maps)
+
+        monkeypatch.setattr("frecas.cascade.average_ca_maps", averaged)
+        run_cascade(plan, IDENTITY, toy_bank(rng, side=32), 1, seed=2)
+        assert calls == [spec.steps for spec in plan.stages[:-1]]
 
     def test_fused_map_off_the_simplex_fails_the_run(self, rng, monkeypatch):
         fuse = fuse_ca_maps

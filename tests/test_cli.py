@@ -335,6 +335,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"frecas: error: non-finite latent after the step at t = {t}\n"
 
+    def test_overflowing_distances_name_t_as_the_step_check_does(self, tmp_path, capsys):
+        # the first step's latent is finite but its distances to the bank
+        # overflow at the second step, t = 750; t is written as the
+        # step's finiteness check writes it
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["sample", "--stages", "8:4:0", "--w-l", "1e308",
+                         "--out", str(tmp_path / "r")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "frecas: error: latent distances to the bank overflow at t = 750\n"
+
     @pytest.mark.parametrize("w_l", ["1e300", "5e307"])
     def test_latent_beyond_float32_is_runtime_error(self, tmp_path, capsys, w_l):
         # a finite final latent whose float32 dump would be inf: the grid is
