@@ -14,8 +14,9 @@ over all K items; a condition zeroes the weights outside its class, one
 slice of the bank. The field is the noise on VP schedules and the velocity
 on flow ones. All posterior weights go through log-sum-exp.
 
-Attention maps: the latent is tiled into p x p patches and each patch gets
-its own posterior over class ids from patch-restricted distances. These
+Attention maps: the square latent is tiled into a square grid of p x p
+patches and each patch gets its own posterior over class ids from
+patch-restricted distances, one row of a :class:`CAMap`. These
 row-stochastic maps are the analytic analogue of cross-attention weights;
 the cascade fuses them across stages and feeds them back via the
 ``ca_mixture`` argument of :meth:`Posterior.field_blocks`, the one
@@ -40,7 +41,7 @@ item, k is often 1. The mixture is one (P, 1, K) @ (P, K, C*p*p) product
 over all K items. The posterior takes the latent in the bank's layout and
 returns its fields in it, so a cascade stage keeps its latent blocked from
 step to step; :func:`predict`, the grid form of the conditional field, is
-the one entry for a (C, H, W) grid latent.
+the one entry for a (C, H, W) grid latent and forms no evidence or map.
 
 A stage that needs only the plain predictions, the one stage of a one-stage
 plan on a bank whose Gram pays for itself (`cascade.runs_in_bank_span`),
@@ -64,6 +65,7 @@ so a class is a slice of the bank, and the i-th item given is in slot
 ``input_slots[i]``.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -90,21 +92,17 @@ weights, which make the bank product slow, never reach it.
 
 @dataclass(frozen=True)
 class CAMap:
-    """Row-stochastic map from spatial patches to condition classes.
-
-    values has shape (rows_h * rows_w, n_classes); classes records the
-    class id behind each column.
-    """
+    """Row-stochastic map from the patches of a square patch grid to classes:
+    values is (rows * rows, n_classes), one row per patch in row-major order,
+    so its row count is its grid; classes records each column's class id."""
 
     values: np.ndarray = field(repr=False)
-    rows_h: int
-    rows_w: int
     classes: tuple
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != self.rows_h * self.rows_w:
-            raise ValueError(f"values shape {v.shape} inconsistent with patch grid")
+        if v.ndim != 2 or math.isqrt(v.shape[0]) ** 2 != v.shape[0]:
+            raise ValueError(f"values shape {v.shape}: the rows must tile a square patch grid")
         if v.shape[1] != len(self.classes):
             raise ValueError("one column per class required")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
@@ -117,11 +115,11 @@ class CAMap:
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
 
     def check_fit(self, other: "CAMap") -> None:
-        """ValueError unless ``other`` has this map's patch grid and class ids."""
-        mine = (self.rows_h, self.rows_w, self.classes)
-        theirs = (other.rows_h, other.rows_w, other.classes)
+        """ValueError unless ``other`` has this map's rows (so grid) and class ids."""
+        mine = (len(self.values), self.classes)
+        theirs = (len(other.values), other.classes)
         if theirs != mine:
-            raise ValueError(f"attention map (rows_h, rows_w, classes) {theirs} does not fit {mine}")
+            raise ValueError(f"attention map (rows, classes) {theirs} does not fit {mine}")
 
 
 class LatentBank:
@@ -282,8 +280,7 @@ class Posterior:
     def ca(self) -> CAMap:
         """Patchwise class responsibilities of the whole bank, unconditioned."""
         resp = np.exp(self.evidence - self.evidence.max(axis=0))
-        g = self.bank.side // self.bank.patch_size
-        return CAMap((resp / resp.sum(axis=0)).T, g, g, self.bank.classes)
+        return CAMap((resp / resp.sum(axis=0)).T, self.bank.classes)
 
     def field_blocks(self, condition: int | None, ca_mixture: CAMap | None = None):
         """The predicted noise (VP) or velocity (flow) without and with
@@ -427,14 +424,13 @@ def predict(
     condition: int | None,
     sched: NoiseSchedule,
 ):
-    """(field, ca) at a grid latent z_t of the bank's shape: the
-    :func:`blocked_posterior` of its blocks, the plain conditional field of
-    :meth:`Posterior.field_blocks` as a grid and the posterior's attention
-    map; see :class:`Posterior`."""
+    """The plain conditional field, as a grid, at a grid latent z_t of the
+    bank's shape: :meth:`Posterior.field_blocks` of the :func:`blocked_posterior`
+    of its blocks, which forms no class evidence or map; see :class:`Posterior`."""
     if bank.item_shape != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
     post = blocked_posterior(bank, bank.block(z_t.data), t, sched)
-    return LatentGrid(bank.unblock(post.field_blocks(condition)[1])), post.ca
+    return LatentGrid(bank.unblock(post.field_blocks(condition)[1]))
 
 
 # ---------------------------------------------------------------------------

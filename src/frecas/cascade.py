@@ -194,7 +194,7 @@ def average_ca_maps(maps) -> CAMap:
     for m in maps[1:]:
         first.check_fit(m)
     mean = np.mean([m.values for m in maps], axis=0)
-    return CAMap(mean, first.rows_h, first.rows_w, first.classes)
+    return CAMap(mean, first.classes)
 
 
 def fuse_ca_maps(current: CAMap, averaged: CAMap, w_c: float) -> CAMap:
@@ -204,18 +204,20 @@ def fuse_ca_maps(current: CAMap, averaged: CAMap, w_c: float) -> CAMap:
         raise ValueError(f"w_c must lie in [0, 1], got {w_c}")
     current.check_fit(averaged)
     fused = (1.0 - w_c) * current.values + w_c * averaged.values
-    return CAMap(fused, current.rows_h, current.rows_w, current.classes)
+    return CAMap(fused, current.classes)
 
 
-def resample_ca_map(m: CAMap, rows_h: int, rows_w: int) -> CAMap:
-    """Bilinear resample over the patch grid, then renormalize each row."""
-    if (m.rows_h, m.rows_w) == (rows_h, rows_w):
+def resample_ca_map(m: CAMap, rows: int) -> CAMap:
+    """The map on a rows x rows patch grid: a bilinear resample from its own
+    square grid (the root of its row count), then each row renormalized."""
+    side = math.isqrt(len(m.values))
+    if side == rows:
         return m
-    grid = np.ascontiguousarray(m.values.T.reshape(len(m.classes), m.rows_h, m.rows_w))
-    out = _kernels.bilinear_resample(grid, rows_h, rows_w)
-    values = out.reshape(len(m.classes), rows_h * rows_w).T
+    grid = np.ascontiguousarray(m.values.T.reshape(len(m.classes), side, side))
+    out = _kernels.bilinear_resample(grid, rows, rows)
+    values = out.reshape(len(m.classes), rows * rows).T
     values = values / values.sum(axis=1, keepdims=True)
-    return CAMap(values, rows_h, rows_w, m.classes)
+    return CAMap(values, m.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +267,7 @@ def run_stage(
     gw = plan.guidance(spec)
     z_blocks = bank.block(z.data)
     if reused_maps is not None:
-        g = bank.side // bank.patch_size
-        reused_maps = resample_ca_map(reused_maps, g, g)
+        reused_maps = resample_ca_map(reused_maps, bank.side // bank.patch_size)
     averages = spec != plan.stages[-1]  # only a later stage reads the average
     step_maps = []
     for idx in range(spec.steps):
@@ -366,11 +367,12 @@ def transition(
     to_spec)``, which for two stages of the plan is the later one's entry in
     ``plan.first_timesteps``.
 
-    The denoise step is a single conditional evaluation. Returns (z_F, F).
+    The denoise step is a single conditional evaluation, the plain field of
+    :func:`frecas.bank.predict`, which forms no evidence or map. Returns (z_F, F).
     """
     sched = plan.schedule
     L = from_spec.last_timestep
-    field, _ = predict(bank, z_last, L, condition, sched)
+    field = predict(bank, z_last, L, condition, sched)
     z0 = predict_z0(z_last, field, L, sched)
     image = decode(codec, z0)
     pixel_side = to_spec.resolution.side * codec.spatial_factor

@@ -157,6 +157,10 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
     bad = [t for t in timesteps if not 0 <= t <= sched.T]
     if bad:
         raise ConfigError(f"--timesteps must lie in [0, {sched.T}], got {bad[0]:g}")
+    names = [f"psd_t{t:g}.csv" for t in timesteps]
+    clash = [name for i, name in enumerate(names) if name in names[:i]]
+    if clash:
+        raise ConfigError(f"--timesteps lists two timesteps written to {clash[0]}")
     bank = build_bank_at(cfg, target_side(cfg), build_codec(cfg))
     os.makedirs(cfg.out, exist_ok=True)
 
@@ -168,9 +172,9 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
         noise = seeded_gaussian(item.shape, subseed(cfg.seed, _SUBSEED_PSD_NOISE, i))
         sums += psd_decomposition(item, noise, timesteps, sched)
     summary = ["t,low_band_signal_fraction,high_band_signal_fraction"]
-    for t, acc in zip(timesteps, sums):
+    for t, name, acc in zip(timesteps, names, sums):
         curves = [PsdCurve(a / bank.size, bank.resolution()) for a in acc]
-        write_psd_csv(os.path.join(cfg.out, f"psd_t{t:g}.csv"), *curves)
+        write_psd_csv(os.path.join(cfg.out, name), *curves)
         low, high = band_energy_fractions(curves[2])
         summary.append(f"{t:g},{low:.17g},{high:.17g}")
     with open(os.path.join(cfg.out, "psd_summary.csv"), "w") as f:

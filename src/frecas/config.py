@@ -60,6 +60,11 @@ class RunConfig:
     bank_classes: int = _setting(4, "procedural class count, at most bank.items")
     bank_channels: int = _setting(3, "procedural image channels, 1 or 3")
 
+    def __post_init__(self):
+        for key, seed in (("seed", self.seed), ("bank.seed", self.bank_seed)):
+            if seed < 0:
+                raise ConfigError(f"{key} must be non-negative, got {seed}")
+
 
 # config-file key -> field: the name in lower case, ``bank_*`` written ``bank.*``
 _KEY_FIELDS = {f.name.lower().replace("bank_", "bank.", 1): f.name for f in fields(RunConfig)}
@@ -300,5 +305,5 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> Laten
             seed=cfg.bank_seed,
             codec=codec,
         )
-    except ValueError as e:  # an unknown bank.kind, or numpy refusing a negative bank.seed
+    except ValueError as e:  # an unknown bank.kind
         raise ConfigError(str(e)) from e

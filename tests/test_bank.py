@@ -42,7 +42,7 @@ from frecas.schedule import (
     vp_default,
 )
 
-from conftest import bank_stack, rand_grid
+from conftest import bank_stack, count_map_work, rand_grid
 from test_kernels import bilinear_four_gather
 
 SCHED = vp_default()
@@ -160,7 +160,7 @@ class TestPredict:
         z = rand_grid(rng, channels=1, side=4)
         t = 500
         a = alpha_at(SCHED, t)
-        eps, _ = predict(bank, z, t, None, SCHED)
+        eps = predict(bank, z, t, None, SCHED)
         expected = (z.data - np.sqrt(a) * x.data) / np.sqrt(1 - a)
         np.testing.assert_allclose(eps.data, expected, rtol=1e-12)
 
@@ -170,7 +170,7 @@ class TestPredict:
         t = alpha_inverse(sched, 1e-6)
         bank = small_bank(rng, n_items=5, channels=1, side=4)
         z = rand_grid(rng, channels=1, side=4, scale=0.1)
-        eps, _ = predict(bank, z, t, None, sched)
+        eps = predict(bank, z, t, None, sched)
         a = alpha_at(sched, t)
         prior_mean = np.tensordot(bank.weights, bank_stack(bank), axes=1)
         z0_implied = (z.data - np.sqrt(1 - a) * eps.data) / np.sqrt(a)
@@ -182,7 +182,7 @@ class TestPredict:
         t = 20  # alpha close to 1
         a = alpha_at(SCHED, t)
         z = LatentGrid(np.sqrt(a) * bank.item(k).data + 1e-4 * rng.standard_normal((1, 4, 4)))
-        eps, _ = predict(bank, z, t, None, SCHED)
+        eps = predict(bank, z, t, None, SCHED)
         z0 = (z.data - np.sqrt(1 - a) * eps.data) / np.sqrt(a)
         # posterior mass on item k >= 0.999 means z0 is within 0.1% of it
         np.testing.assert_allclose(z0, bank.item(k).data, atol=2e-3)
@@ -192,7 +192,7 @@ class TestPredict:
         z = rand_grid(rng, channels=2, side=8)
         for t in (100, 500, 999):
             for condition in (None, 0, 2):
-                eps, _ = predict(bank, z, t, condition, SCHED)
+                eps = predict(bank, z, t, condition, SCHED)
                 oracle = brute_force_eps(bank, z, t, condition, SCHED)
                 np.testing.assert_allclose(eps.data, oracle, rtol=1e-9)
 
@@ -200,8 +200,8 @@ class TestPredict:
         stack = rng.standard_normal((4, 1, 4, 4))
         bank = LatentBank(stack, np.zeros(4, dtype=int), np.full(4, 0.25))
         z = rand_grid(rng, channels=1, side=4)
-        unc, _ = predict(bank, z, 300, None, SCHED)
-        con, _ = predict(bank, z, 300, 0, SCHED)
+        unc = predict(bank, z, 300, None, SCHED)
+        con = predict(bank, z, 300, 0, SCHED)
         np.testing.assert_array_equal(unc.data, con.data)
 
     def test_unknown_class_rejected(self, rng):
@@ -244,7 +244,7 @@ class TestPredict:
         bank = small_bank(rng, n_items=4, channels=1, side=4)
         z = rand_grid(rng, channels=1, side=4)
         t = 0.5
-        v, _ = predict(bank, z, t, None, FLOW)
+        v = predict(bank, z, t, None, FLOW)
         stack = bank_stack(bank)
         logw = np.log(bank.weights) - (
             ((z.data[None] - (1 - t) * stack) ** 2).sum(axis=(1, 2, 3))
@@ -265,7 +265,7 @@ class TestPredict:
         z = LatentGrid(np.sqrt(a0) * stack[target] + np.sqrt(1 - a0) * noise.data)
         grid = np.linspace(t0, 0.0, 9)
         for t, t_next in zip(grid[:-1], grid[1:]):
-            eps, _ = predict(bank, z, t, None, SCHED)
+            eps = predict(bank, z, t, None, SCHED)
             z = LatentGrid(ddim_step(z.data, eps.data, forward_model(SCHED, t),
                                      forward_model(SCHED, t_next)))
         dists = ((stack - z.data[None]) ** 2).sum(axis=(1, 2, 3))
@@ -436,21 +436,33 @@ class TestPosterior:
         z = rand_grid(rng, channels=2, side=8)
         post = posterior_at(bank, z, 300.0, SCHED)
         for condition in (None, 0, 1, 2):
-            field, ca = predict(bank, z, 300.0, condition, SCHED)
+            field = predict(bank, z, 300.0, condition, SCHED)
             np.testing.assert_array_equal(field.data, field_grid(post, condition))
-            np.testing.assert_array_equal(ca.values, post.ca.values)
+
+    def test_predict_is_the_conditional_field_grid_alone(self, rng, monkeypatch):
+        # the grid entry forms no class evidence and no map, which only a
+        # stage's fusion and averaging read
+        bank = small_bank(rng)
+        z = rand_grid(rng, channels=2, side=8)
+        counts = count_map_work(monkeypatch)
+        for condition in (None, 1):
+            field = predict(bank, z, 300.0, condition, SCHED)
+            assert isinstance(field, LatentGrid) and field.shape == z.shape
+        assert counts == {"CAMap": 0, "evidence": 0}
+        assert posterior_at(bank, z, 300.0, SCHED).ca.classes == bank.classes
+        assert counts == {"CAMap": 1, "evidence": 1}
 
     def test_mixture_map_must_fit_the_posteriors_own(self, rng):
         # the posterior's own map relabelled (1, 0) with its columns
-        # swapped, labelled (5, 9), and laid on a 4 x 16 grid of as many rows
+        # swapped, labelled (5, 9), and a map on the 4 x 4 grid
         bank = small_bank(rng, n_items=8, channels=2, side=16, n_classes=2)
         z = rand_grid(rng, channels=2, side=16)
         post = posterior_at(bank, z, 300.0, SCHED)
         own = post.ca
-        assert (own.rows_h, own.rows_w, own.classes) == (8, 8, (0, 1))
+        assert (own.values.shape, own.classes) == ((64, 2), (0, 1))
         post.field_blocks(1, own)
-        for m in (CAMap(own.values[:, ::-1], 8, 8, (1, 0)), CAMap(own.values, 8, 8, (5, 9)),
-                  CAMap(own.values, 4, 16, (0, 1))):
+        for m in (CAMap(own.values[:, ::-1], (1, 0)), CAMap(own.values, (5, 9)),
+                  CAMap(own.values[:16], (0, 1))):
             with pytest.raises(ValueError, match="does not fit"):
                 post.field_blocks(1, m)
 
@@ -546,7 +558,7 @@ class TestSparsePosterior:
         log_ratio = (post.d_full[1] - post.d_full[0]) / (2.0 * fwd.var) / math.log(2.0)
         assert -70.5 < log_ratio < -69.5
         np.testing.assert_array_equal(post._plain_z0([None])[0], bank.blocks[1])
-        field, _ = predict(bank, z, t, None, sched)
+        field = predict(bank, z, t, None, sched)
         np.testing.assert_array_equal(field.data[0], 0.0)
 
 
@@ -671,14 +683,13 @@ class TestCaMaps:
     def test_rows_sum_to_one_tightly(self, rng):
         bank = small_bank(rng, n_items=6, channels=2, side=8, n_classes=3)
         z = rand_grid(rng, channels=2, side=8)
-        _, ca = predict(bank, z, 700, None, SCHED)
+        ca = posterior_at(bank, z, 700, SCHED).ca
         np.testing.assert_allclose(ca.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_patch_grid_shape(self, rng):
         bank = small_bank(rng, n_items=4, channels=1, side=16, n_classes=2)
         z = rand_grid(rng, channels=1, side=16)
-        _, ca = predict(bank, z, 500, None, SCHED)
-        assert (ca.rows_h, ca.rows_w) == (8, 8)
+        ca = posterior_at(bank, z, 500, SCHED).ca
         assert ca.values.shape == (64, 2)
 
     def test_default_patch_size_rules(self):
@@ -695,7 +706,7 @@ class TestCaMaps:
         a = alpha_at(SCHED, t)
         onehot = np.zeros((64, 2))
         onehot[:, 1] = 1.0
-        ca = CAMap(onehot, 8, 8, (0, 1))
+        ca = CAMap(onehot, (0, 1))
         eps = field_grid(posterior_at(bank, z, t, SCHED), 1, ca_mixture=ca)
         # oracle: per-pixel posterior over class-1 items with pixel distances
         members = np.flatnonzero(bank.class_ids == 1)
@@ -725,7 +736,7 @@ class TestCaMaps:
                                        rtol=1e-9, atol=1e-9)
         onehot = np.zeros((64, 3))
         onehot[:, 2] = 1.0  # class 12's column
-        eps = field_grid(post, 12, ca_mixture=CAMap(onehot, 8, 8, bank.classes))
+        eps = field_grid(post, 12, ca_mixture=CAMap(onehot, bank.classes))
         # oracle: per-pixel posterior over the class-12 items, as given
         a = alpha_at(SCHED, 400)
         members = np.flatnonzero(ids == 12)
@@ -748,15 +759,22 @@ class TestCaMaps:
     def test_mixture_shape_mismatch_rejected(self, rng):
         bank = small_bank(rng, n_items=6, channels=1, side=8, n_classes=2)
         z = rand_grid(rng, channels=1, side=8)
-        bad = CAMap(np.full((4, 2), 0.5), 2, 2, (0, 1))
+        bad = CAMap(np.full((4, 2), 0.5), (0, 1))
         with pytest.raises(ValueError):
             posterior_at(bank, z, 400, SCHED).field_blocks(1, bad)
 
+    def test_rows_must_tile_a_square_patch_grid(self):
+        for rows in (1, 4, 9, 64):
+            assert len(CAMap(np.full((rows, 2), 0.5), (0, 1)).values) == rows
+        for shape in ((2, 2), (3, 2), (8, 2), (63, 2), (4, 2, 1)):
+            with pytest.raises(ValueError, match="square patch grid"):
+                CAMap(np.full(shape, 0.5), (0, 1))
+
     def test_camap_validation(self):
         with pytest.raises(ValueError):
-            CAMap(np.array([[0.5, 0.4]]), 1, 1, (0, 1))  # rows must sum to 1
+            CAMap(np.array([[0.5, 0.4]]), (0, 1))  # rows must sum to 1
         with pytest.raises(ValueError):
-            CAMap(np.array([[1.2, -0.2]]), 1, 1, (0, 1))
+            CAMap(np.array([[1.2, -0.2]]), (0, 1))
 
 
 class TestProceduralBanks:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frecas import _kernels
+from frecas import cascade as cascade_module
 from frecas.bank import CAMap, LatentBank, bank_resample, blocked_posterior, predict
 from frecas.cascade import (
     PRESETS,
@@ -55,7 +56,7 @@ from frecas.schedule import (
     vp_default,
 )
 
-from conftest import as_is
+from conftest import as_is, count_map_work
 
 SCHED = vp_default()
 
@@ -97,37 +98,37 @@ def one_stage_plan(side=8, steps=4, w_l=7.5, sched=SCHED) -> StagePlan:
     return ladder([side], [steps], [], w_l=w_l, w_h=35.0, w_c=0.6, gamma=2.0, sched=sched)
 
 
-def uniform_map(rows_h, rows_w, classes) -> CAMap:
+def uniform_map(rows, classes) -> CAMap:
     n = len(classes)
-    return CAMap(np.full((rows_h * rows_w, n), 1.0 / n), rows_h, rows_w, classes)
+    return CAMap(np.full((rows * rows, n), 1.0 / n), classes)
 
 
 class TestCaMapAlgebra:
     def test_fuse_endpoints_exact(self, rng):
-        a = _random_map(rng, 4, 4, (0, 1, 2))
-        b = _random_map(rng, 4, 4, (0, 1, 2))
+        a = _random_map(rng, 4, (0, 1, 2))
+        b = _random_map(rng, 4, (0, 1, 2))
         np.testing.assert_array_equal(fuse_ca_maps(a, b, 0.0).values, a.values)
         np.testing.assert_array_equal(fuse_ca_maps(a, b, 1.0).values, b.values)
 
     def test_fuse_preserves_row_sums(self, rng):
-        a = _random_map(rng, 4, 4, (0, 1))
-        b = _random_map(rng, 4, 4, (0, 1))
+        a = _random_map(rng, 4, (0, 1))
+        b = _random_map(rng, 4, (0, 1))
         fused = fuse_ca_maps(a, b, 0.6)
         np.testing.assert_allclose(fused.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_fuse_domain(self, rng):
-        a = _random_map(rng, 2, 2, (0,))
+        a = _random_map(rng, 2, (0,))
         with pytest.raises(ValueError):
             fuse_ca_maps(a, a, 1.5)
 
     def test_average_of_equal_maps_is_identity(self, rng):
-        m = _random_map(rng, 3, 3, (0, 1))
+        m = _random_map(rng, 3, (0, 1))
         avg = average_ca_maps([m, m, m])
         np.testing.assert_allclose(avg.values, m.values, rtol=1e-12)
 
     def test_average_two_maps_rows_sum_one(self, rng):
-        a = _random_map(rng, 3, 3, (0, 1))
-        b = _random_map(rng, 3, 3, (0, 1))
+        a = _random_map(rng, 3, (0, 1))
+        b = _random_map(rng, 3, (0, 1))
         avg = average_ca_maps([a, b])
         np.testing.assert_allclose(avg.values, (a.values + b.values) / 2, rtol=1e-12)
         np.testing.assert_allclose(avg.values.sum(axis=1), 1.0, atol=1e-12)
@@ -136,23 +137,23 @@ class TestCaMapAlgebra:
         with pytest.raises(ValueError):
             average_ca_maps([])
         with pytest.raises(ValueError):
-            average_ca_maps([_random_map(rng, 2, 2, (0,)), _random_map(rng, 3, 3, (0,))])
+            average_ca_maps([_random_map(rng, 2, (0,)), _random_map(rng, 3, (0,))])
 
     def test_resampled_uniform_stays_uniform(self):
-        m = uniform_map(4, 4, (0, 1, 2))
-        out = resample_ca_map(m, 8, 8)
+        m = uniform_map(4, (0, 1, 2))
+        out = resample_ca_map(m, 8)
         np.testing.assert_allclose(out.values, 1.0 / 3.0, rtol=1e-12)
         np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_resample_renormalizes_rows(self, rng):
-        m = _random_map(rng, 4, 4, (0, 1))
-        out = resample_ca_map(m, 6, 6)
+        m = _random_map(rng, 4, (0, 1))
+        out = resample_ca_map(m, 6)
         np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
 
 
-def _random_map(rng, rows_h, rows_w, classes) -> CAMap:
-    raw = rng.random((rows_h * rows_w, len(classes))) + 0.1
-    return CAMap(raw / raw.sum(axis=1, keepdims=True), rows_h, rows_w, classes)
+def _random_map(rng, rows, classes) -> CAMap:
+    raw = rng.random((rows * rows, len(classes))) + 0.1
+    return CAMap(raw / raw.sum(axis=1, keepdims=True), classes)
 
 
 @st.composite
@@ -169,18 +170,17 @@ def stochastic_maps(draw, count=1):
         raw = rng.exponential(size=(side * side, len(classes)))
         raw[rng.random(raw.shape) < zeros] = 0.0
         raw[np.arange(side * side), rng.integers(0, len(classes), side * side)] += 1e-3
-        maps.append(CAMap(raw / raw.sum(axis=1, keepdims=True), side, side, classes))
+        maps.append(CAMap(raw / raw.sum(axis=1, keepdims=True), classes))
     return maps
 
 
 def misfits(m: CAMap):
-    """Maps that do not fit m: another patch grid (with the same row count
-    where one exists) and other class ids (reordered where there are two)."""
-    n_rows = m.rows_h * m.rows_w
-    grid = (1, n_rows) if n_rows > 1 else (2, 1)
+    """Maps that do not fit m: the next larger square patch grid and other
+    class ids (reordered where there are two)."""
+    rows = math.isqrt(len(m.values)) + 1
     other = m.classes[::-1] if len(m.classes) > 1 else (m.classes[0] + 1,)
-    values = np.resize(m.values, (grid[0] * grid[1], len(m.classes)))
-    return [CAMap(values, *grid, m.classes), CAMap(m.values[:, ::-1], m.rows_h, m.rows_w, other)]
+    values = np.resize(m.values, (rows * rows, len(m.classes)))
+    return [CAMap(values, m.classes), CAMap(m.values[:, ::-1], other)]
 
 
 class TestCaMapProperties:
@@ -200,10 +200,10 @@ class TestCaMapProperties:
         assert np.max(np.abs(rows - 1.0)) <= 1e-12
 
     @settings(deadline=None)
-    @given(maps=stochastic_maps(), rows_h=st.integers(1, 16), rows_w=st.integers(1, 16))
-    def test_resample_rows_sum_to_one(self, maps, rows_h, rows_w):
-        out = resample_ca_map(maps[0], rows_h, rows_w)
-        assert (out.rows_h, out.rows_w, out.classes) == (rows_h, rows_w, maps[0].classes)
+    @given(maps=stochastic_maps(), rows=st.integers(1, 16))
+    def test_resample_rows_sum_to_one(self, maps, rows):
+        out = resample_ca_map(maps[0], rows)
+        assert (len(out.values), out.classes) == (rows * rows, maps[0].classes)
         assert np.max(np.abs(out.values.sum(axis=1) - 1.0)) <= 1e-12
 
     @settings(deadline=None)
@@ -227,7 +227,7 @@ class TestTransition:
         seed = 99
         z_F, F = transition(z_L, spec, spec, plan, IDENTITY, bank, 1, seed)
         assert F == pytest.approx(spec.last_timestep, abs=1e-6)
-        eps, _ = predict(bank, z_L, spec.last_timestep, 1, SCHED)
+        eps = predict(bank, z_L, spec.last_timestep, 1, SCHED)
         z0 = predict_z0(z_L, eps, spec.last_timestep, SCHED)
         manual = diffuse(z0, F, seeded_gaussian(z0.shape, seed), SCHED)
         np.testing.assert_array_equal(z_F.data, manual.data)
@@ -262,19 +262,26 @@ class TestTransition:
         spec = plan.stages[0]
         z_L = LatentGrid(rng.standard_normal((4, 8, 8)))
         z_F, F = transition(z_L, spec, spec, plan, HAAR1, bank, 1, 42)
-        eps, _ = predict(bank, z_L, spec.last_timestep, 1, SCHED)
+        eps = predict(bank, z_L, spec.last_timestep, 1, SCHED)
         z0 = predict_z0(z_L, eps, spec.last_timestep, SCHED)
         roundtrip = encode(HAAR1, decode(HAAR1, z0))
         np.testing.assert_allclose(roundtrip.data, z0.data, rtol=1e-12, atol=1e-12)
         manual = diffuse(roundtrip, F, seeded_gaussian(z0.shape, 42), SCHED)
         np.testing.assert_allclose(z_F.data, manual.data, rtol=1e-12, atol=1e-12)
 
+    def test_transition_builds_no_map_and_reads_no_evidence(self, rng, monkeypatch):
+        plan = toy_plan()
+        counts = count_map_work(monkeypatch)
+        transition(LatentGrid(rng.standard_normal((2, 8, 8))), plan.stages[0], plan.stages[1],
+                   plan, IDENTITY, toy_bank(rng, side=8), 1, 5)
+        assert counts == {"CAMap": 0, "evidence": 0}
+
     def test_haar_chain_with_interpolation_differs_only_by_resample(self, rng):
         bank = toy_bank(rng, side=8, channels=4)
         plan = toy_plan()
         z_L = LatentGrid(rng.standard_normal((4, 8, 8)))
         z_F, F = transition(z_L, plan.stages[0], plan.stages[1], plan, HAAR1, bank, 1, 42)
-        eps, _ = predict(bank, z_L, 200.0, 1, SCHED)
+        eps = predict(bank, z_L, 200.0, 1, SCHED)
         z0 = predict_z0(z_L, eps, 200.0, SCHED)
         image = decode(HAAR1, z0)
         up = resample_bilinear(image, Resolution(32))  # 16 latent * factor 2
@@ -311,7 +318,7 @@ class TestRunStage:
         grid = np.linspace(1000.0, 200.0, 5)
         manual = z
         for t, t_next in zip(grid[:-1], grid[1:]):
-            eps_c, _ = predict(bank, manual, t, 1, SCHED)
+            eps_c = predict(bank, manual, t, 1, SCHED)
             manual = ddim_grid(manual, eps_c.data, t, t_next)
         # the stage takes both plain fields from one product over the bank,
         # predict the conditional one alone, so they agree to rounding
@@ -321,7 +328,7 @@ class TestRunStage:
         bank = toy_bank(rng, side=8, n_items=6, n_classes=2)
         plan = toy_plan(w_c=1.0)
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
-        skewed = CAMap(np.tile([0.9, 0.1], (64, 1)), 8, 8, (0, 1))
+        skewed = CAMap(np.tile([0.9, 0.1], (64, 1)), (0, 1))
         with_maps, _ = run_stage(plan.stages[1], z, toy_bank(rng, side=8, n_items=6, n_classes=2),
                                  1, plan, reused_maps=skewed)
         assert with_maps.shape == z.shape
@@ -331,10 +338,10 @@ class TestRunStage:
         bank = toy_bank(rng, side=16, n_items=6, n_classes=2)
         plan = toy_plan()
         z = LatentGrid(rng.standard_normal((2, 16, 16)))
-        coarse = _random_map(rng, 4, 4, (0, 1))
+        coarse = _random_map(rng, 4, (0, 1))
         a, avg_a = run_stage(plan.stages[1], z, bank, 1, plan, reused_maps=coarse)
         b, avg_b = run_stage(plan.stages[1], z, bank, 1, plan,
-                             reused_maps=resample_ca_map(coarse, 8, 8))
+                             reused_maps=resample_ca_map(coarse, 8))
         np.testing.assert_array_equal(a.data, b.data)
         assert avg_a is None and avg_b is None  # the final stage's average is never read
 
@@ -350,7 +357,7 @@ class TestRunStage:
         plan = toy_plan(steps=(5, 3))
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
         if with_map:
-            reused = CAMap(np.tile([0.7, 0.3], (64, 1)), 8, 8, (0, 1))
+            reused = CAMap(np.tile([0.7, 0.3], (64, 1)), (0, 1))
             run_stage(plan.stages[1], z, bank, 1, plan, reused_maps=reused)
             steps = 3
         else:
@@ -371,7 +378,7 @@ def reference_stage(spec, z, bank, condition, plan, reused_maps=None):
         post = blocked_posterior(bank, bank.block(z), t, sched)
         fused = None
         if reused_maps is not None:
-            reused_maps = resample_ca_map(reused_maps, post.ca.rows_h, post.ca.rows_w)
+            reused_maps = resample_ca_map(reused_maps, math.isqrt(len(post.ca.values)))
             fused = fuse_ca_maps(post.ca, reused_maps, plan.w_c)
         eps_unc, eps_c = (bank.unblock(f) for f in post.field_blocks(condition, fused))
         maps.append(post.ca if fused is None else fused)
@@ -398,7 +405,7 @@ class TestBlockedStage:
         bank = toy_bank(rng, side=side, n_items=9)
         z = LatentGrid(rng.standard_normal((2, side, side)))
         # stage 1 has an 8 x 8 patch grid; a 4 x 4 map is regridded first
-        reused = _random_map(rng, 4, 4, bank.classes) if stage else None
+        reused = _random_map(rng, 4, bank.classes) if stage else None
         out, avg = run_stage(spec, z, bank, condition, plan, reused_maps=reused)
         ref, ref_avg = reference_stage(spec, z, bank, condition, plan, reused_maps=reused)
         assert out.data.tobytes() == ref.data.tobytes()
@@ -559,7 +566,7 @@ class TestBankCoordinateStage:
         out, avg = run_stage(plan.stages[0], z, bank, 1, plan)
         assert avg is None and out.shape == z.shape
         with pytest.raises(ValueError, match="no earlier maps"):
-            run_stage(plan.stages[0], z, bank, 1, plan, reused_maps=uniform_map(4, 4, (0, 1, 2)))
+            run_stage(plan.stages[0], z, bank, 1, plan, reused_maps=uniform_map(4, (0, 1, 2)))
 
     def test_unknown_condition_is_the_dense_routes_error(self, rng):
         bank = toy_bank(rng, side=16)
@@ -597,8 +604,8 @@ class TestRunCascade:
         z = seeded_gaussian((2, 8, 8), subseed(11, 0))
         grid = np.linspace(1000.0, 0.0, 7)
         for t, t_next in zip(grid[:-1], grid[1:]):
-            eps_unc, _ = predict(bank, z, t, None, SCHED)
-            eps_c, _ = predict(bank, z, t, 2, SCHED)
+            eps_unc = predict(bank, z, t, None, SCHED)
+            eps_c = predict(bank, z, t, 2, SCHED)
             z = ddim_grid(z, cfg_combine(eps_unc.data, eps_c.data, w), t, t_next)
         assert np.abs(image.data - z.data).max() <= 1e-6
         assert report.cost_units == 6.0
@@ -627,9 +634,9 @@ class TestRunCascade:
         grid = np.linspace(1000.0, 200.0, 5)
         maps = []
         for t, t_next in zip(grid[:-1], grid[1:]):
-            eps_unc, m = predict(banks[0], z, t, None, SCHED)
-            eps_c, _ = predict(banks[0], z, t, 1, SCHED)
-            maps.append(m)
+            eps_unc = predict(banks[0], z, t, None, SCHED)
+            eps_c = predict(banks[0], z, t, 1, SCHED)
+            maps.append(blocked_posterior(banks[0], banks[0].block(z.data), t, SCHED).ca)
             z = ddim_grid(z, cfg_combine(eps_unc.data, eps_c.data, w), t, t_next)
         avg = average_ca_maps(maps)
         z, F = transition(z, plan.stages[0], plan.stages[1], plan, IDENTITY,
@@ -660,12 +667,33 @@ class TestRunCascade:
         run_cascade(plan, IDENTITY, toy_bank(rng, side=32), 1, seed=2)
         assert calls == [spec.steps for spec in plan.stages[:-1]]
 
+    @pytest.mark.parametrize("side1,regrids", [(16, 0), (12, 1)], ids=["same-grid", "regrid"])
+    def test_maps_are_built_in_the_stage_loop_only(self, rng, monkeypatch, side1, regrids):
+        # stage 0 (side 8, an 8 x 8 patch grid) builds its 4 step maps and
+        # their average; stage 1 regrids that average to its own grid (side
+        # 16 has patch size 2, so 8 x 8 again; side 12 is 12 x 12) and builds
+        # its 3 own and 3 fused maps. Each step forms one class evidence; the
+        # transition forms none
+        counts = count_map_work(monkeypatch)
+        spent = {"run_stage": [], "transition": []}
+        for name, calls in spent.items():
+            def counted(*args, _fn=getattr(cascade_module, name), _calls=calls, **kwargs):
+                before = dict(counts)
+                out = _fn(*args, **kwargs)
+                _calls.append({k: counts[k] - before[k] for k in counts})
+                return out
+            monkeypatch.setattr(cascade_module, name, counted)
+        run_cascade(toy_plan(side1=side1), IDENTITY, toy_bank(rng, side=side1), 1, seed=2)
+        assert spent == {"run_stage": [{"CAMap": 5, "evidence": 4},
+                                       {"CAMap": 6 + regrids, "evidence": 3}],
+                         "transition": [{"CAMap": 0, "evidence": 0}]}
+
     def test_fused_map_off_the_simplex_fails_the_run(self, rng, monkeypatch):
         fuse = fuse_ca_maps
 
         def skewed(own, reused, w_c):
             m = fuse(own, reused, w_c)
-            return CAMap(m.values * (1.0 + 1e-9), m.rows_h, m.rows_w, m.classes)
+            return CAMap(m.values * (1.0 + 1e-9), m.classes)
 
         monkeypatch.setattr("frecas.cascade.fuse_ca_maps", skewed)
         with pytest.raises(ValueError, match="attention rows deviate"):
@@ -747,6 +775,13 @@ class TestPlansAndCost:
         with pytest.raises(ValueError):  # earlier stages need L > 0
             StagePlan(stages=(StageSpec(Resolution(8), 4, 0.0),
                               StageSpec(Resolution(16), 4, 0.0)), **kw)
+
+    def test_flow_stage_cannot_stop_at_t_max(self):
+        # the one check that stops a flow stage at L = 1, where no later
+        # stage could enter above it
+        with pytest.raises(ValueError, match="below the schedule's t_max = 1, got L = 1$"):
+            ladder([8, 16], [2, 2], [1.0], w_l=7.5, w_h=35.0, w_c=0.6, gamma=2.0,
+                   sched=flow_schedule())
 
     def test_compute_cost_examples(self):
         sched = SCHED

@@ -73,6 +73,21 @@ class TestSample:
         raw = (tmp_path / "r" / "image.pgm").read_bytes()
         assert raw.startswith(b"P5\n16 16\n255\n")
 
+    def test_two_channel_bank_writes_the_grid_and_no_image(self, tmp_path):
+        # a portable image holds 1 or 3 channels: the manifest lists the grid alone
+        rng = np.random.default_rng(2)
+        save_bank(tmp_path / "bank", LatentBank(rng.standard_normal((4, 2, 16, 16)),
+                                                np.arange(4) % 2, np.full(4, 0.25)))
+        code = main(["sample", "--stages", "8:2:100,16:2:0", "--bank-path",
+                     str(tmp_path / "bank"), "--out", str(tmp_path / "r")])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["image.frcg",
+                                                                       "manifest.txt"]
+        assert read_grid(tmp_path / "r" / "image.frcg").shape == (2, 16, 16)
+        outputs = [line for line in (tmp_path / "r" / "manifest.txt").read_text().splitlines()
+                   if line.startswith("output.")]
+        assert outputs == ["output.grid = image.frcg"]
+
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -416,6 +431,29 @@ class TestExitCodes:
         code = main(["ablate", "--preset", "sdxl-x4", "--param", "L", "--values", "1e-8",
                      *FAST[:4], "--out", str(tmp_path / "r")])
         assert code == EXIT_OK, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sample", "--preset", "sd3-x4", "--schedule", "vp"],
+         "preset sd3-x4 needs a flow schedule"),
+        (["sample", "--stages", "8:2:100,16:2:50"], "final stage must run to timestep 0"),
+        (["sample", "--stages", "8:x:0"],
+         "stage '8:x:0': invalid literal for int() with base 10: 'x'"),
+        (["psd", "--stages", "1:2:0"], "resolution side must be an integer >= 2, got 1"),
+        (["psd", "--timesteps", "100,100.0000001"],
+         "--timesteps lists two timesteps written to psd_t100.csv"),
+        (["psd", "--timesteps", "0,100,300,100"],
+         "--timesteps lists two timesteps written to psd_t100.csv"),
+    ], ids=["preset-schedule", "final-L", "stage-steps", "psd-side", "psd-csv-near",
+            "psd-csv-equal"])
+    def test_plan_or_output_clash_is_one_usage_error_line(self, tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+        # rejected before a bank is built or the output directory made
+        monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
+        monkeypatch.setattr("frecas.cli.build_bank_at", pytest.fail)
+        code = main([*argv, *FAST, "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"frecas: config error: {message}\n"
+        assert not (tmp_path / "r").exists()
 
 
 class TestPsd:

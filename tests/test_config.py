@@ -58,6 +58,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "nope.cfg")
 
+    def test_false_boolean_and_a_line_with_no_equals_sign(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("dump_stages = false\n")
+        assert parse_config_file(path) == {"dump_stages": False}
+        path.write_text("seed = 5\ndump_stages\n")
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"frecas: config error: {path}:2: expected 'key = value'\n"
+        assert not (tmp_path / "r").exists()
+
     def test_merge_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 5\ncodec = haar1\n")
@@ -145,6 +155,21 @@ class TestOneSchema:
         assert errors[0] == errors[1]
         assert errors[0].startswith("frecas: config error: ") and value in errors[0]
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "psd"])
+    @pytest.mark.parametrize("key,flag", [("seed", "--seed"), ("bank.seed", "--bank-seed")])
+    def test_negative_seed_is_a_config_error_naming_its_key(self, tmp_path, capsys, monkeypatch,
+                                                            command, key, flag):
+        monkeypatch.setattr("frecas.cli.build_schedule", pytest.fail)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = -1\n")
+        for args in (["--config", str(path)], [flag, "-1"]):
+            assert main([command, *args, "--out", str(tmp_path / "r")]) == EXIT_USAGE
+            assert capsys.readouterr().err == \
+                f"frecas: config error: {key} must be non-negative, got -1\n"
+        assert not (tmp_path / "r").exists()
+        with pytest.raises(ConfigError, match=f"^{key} must be non-negative"):
+            RunConfig(**{key.replace(".", "_"): -3})
 
 
 class TestBuilders:
