@@ -68,7 +68,7 @@ so a class is a slice of the bank, and the i-th item given is in slot
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -186,9 +186,6 @@ class LatentBank:
     def side(self) -> int:
         return self.item_shape[1]
 
-    def resolution(self) -> Resolution:
-        return Resolution(self.side)
-
     def block(self, x: np.ndarray) -> np.ndarray:
         """A (C, side, side) array as (P, C*p*p) blocks in this bank's layout."""
         return _kernels.to_blocks(x, self.patch_size)
@@ -229,7 +226,7 @@ def bank_resample(bank: LatentBank, target: Resolution) -> LatentBank:
     """Every item bilinearly resampled; ids, weights and ``input_slots``
     preserved. Items go one at a time, in the given order, from the bank's
     blocks through the resampling kernel into the new bank."""
-    if bank.resolution() == target:
+    if bank.side == target.side:
         return bank
     side, given = target.side, bank.input_slots
     items = (_kernels.bilinear_resample(bank.unblock(bank.blocks[k]), side, side) for k in given)
@@ -474,20 +471,9 @@ def _value_noise(rng, side: int, channels: int) -> np.ndarray:
     return acc
 
 
-@lru_cache
-def _mask_coords(side: int):
-    """Row and column coordinates of a side x side grid as (side, 1) and
-    (1, side) vectors that broadcast against each other; memoized per side,
-    so they are read-only."""
+def _shape_mask(rng, side: int, kind: int) -> np.ndarray:
     yy = np.arange(side).reshape(side, 1)
     xx = np.arange(side).reshape(1, side)
-    for a in (yy, xx):
-        a.setflags(write=False)
-    return yy, xx
-
-
-def _shape_mask(rng, side: int, kind: int) -> np.ndarray:
-    yy, xx = _mask_coords(side)
     cy, cx = rng.integers(side // 4, 3 * side // 4, 2)
     r = int(rng.integers(side // 8, max(side // 3, side // 8 + 1)))
     if kind == 0:  # disk

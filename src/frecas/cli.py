@@ -33,7 +33,7 @@ from .config import (
     target_side,
 )
 from .freq import PsdCurve, band_energy_fractions, psd_decomposition, radial_psd, write_psd_csv
-from .grid import LatentGrid, seeded_gaussian, subseed, write_grid
+from .grid import LatentGrid, Resolution, seeded_gaussian, subseed, write_grid
 from .schedule import ScheduleKind
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def write_manifest(path, entries) -> None:
             f.write(f"{key} = {_fmt(value)}\n")
 
 
-def _manifest_entries(cfg: RunConfig, plan, report, direct_cost, outputs):
+def _manifest_entries(cfg: RunConfig, plan, cost, direct_cost, outputs):
     entries = [
         ("seed", cfg.seed),
         ("preset", cfg.preset if cfg.stages is None else "custom"),
@@ -88,9 +88,9 @@ def _manifest_entries(cfg: RunConfig, plan, report, direct_cost, outputs):
         ("codec", cfg.codec),
         ("condition", cfg.condition),
         ("train_side", plan.train_side),
-        ("cost_units", report.cost_units),
+        ("cost_units", cost),
         ("direct_cost_units", direct_cost),
-        ("proxy_speedup", direct_cost / report.cost_units),
+        ("proxy_speedup", direct_cost / cost),
         ("bank.kind", cfg.bank_kind if not cfg.bank_path else "path"),
         ("bank.path", cfg.bank_path or ""),
         ("bank.seed", cfg.bank_seed),
@@ -129,10 +129,10 @@ def cmd_sample(cfg: RunConfig) -> int:
             write_grid(os.path.join(cfg.out, name), z)
             dumps.append((f"stage_{i}", name))
 
-    image, report = run_cascade(
+    image, _ = run_cascade(
         plan, codec, bank, cfg.condition, cfg.seed, stage_callback=dump_stage,
     )
-    direct_cost = compute_cost(build_direct_plan(cfg, plan, sched))
+    cost, direct_cost = compute_cost(plan), compute_cost(build_direct_plan(cfg, plan, sched))
 
     # the grid goes first: it refuses a latent beyond the float32 range
     write_grid(os.path.join(cfg.out, "image.frcg"), image)
@@ -141,10 +141,10 @@ def cmd_sample(cfg: RunConfig) -> int:
     outputs += [("grid", "image.frcg"), *dumps]
     write_manifest(
         os.path.join(cfg.out, "manifest.txt"),
-        _manifest_entries(cfg, plan, report, direct_cost, outputs),
+        _manifest_entries(cfg, plan, cost, direct_cost, outputs),
     )
-    print(f"cost_units = {_fmt(report.cost_units)}")
-    print(f"proxy_speedup = {_fmt(direct_cost / report.cost_units)} "
+    print(f"cost_units = {_fmt(cost)}")
+    print(f"proxy_speedup = {_fmt(direct_cost / cost)} "
           f"(direct {_fmt(direct_cost)} at target resolution)")
     print(f"wrote {cfg.out}/manifest.txt")
     return EXIT_OK
@@ -173,7 +173,7 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
         sums += psd_decomposition(item, noise, timesteps, sched)
     summary = ["t,low_band_signal_fraction,high_band_signal_fraction"]
     for t, name, acc in zip(timesteps, names, sums):
-        curves = [PsdCurve(a / bank.size, bank.resolution()) for a in acc]
+        curves = [PsdCurve(a / bank.size, Resolution(bank.side)) for a in acc]
         write_psd_csv(os.path.join(cfg.out, name), *curves)
         low, high = band_energy_fractions(curves[2])
         summary.append(f"{t:g},{low:.17g},{high:.17g}")
@@ -200,12 +200,12 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
     def one(plan):
         # every variant ends at the same target resolution, so one bank and
         # one reference spectrum serve the whole sweep
-        image, report = run_cascade(plan, codec, bank, cfg.condition, cfg.seed)
+        image, _ = run_cascade(plan, codec, bank, cfg.condition, cfg.seed)
         curve = radial_psd(image)
         cut = curve.low_bins
         low, high = curve.power[:cut].sum(), curve.power[cut:].sum()
         dist = float(np.sqrt(np.sum((curve.power - bank_psd) ** 2)))
-        return report.cost_units, float(high), float(low), dist
+        return compute_cost(plan), float(high), float(low), dist
 
     rows = [one(p) for p in plans]
     lines = ["value,cost_units,high_band_energy,low_band_energy,bank_psd_distance"]
@@ -229,21 +229,21 @@ def cmd_bench(cfg: RunConfig) -> int:
     codec = build_codec(cfg)
     bank = build_bank(cfg, plan, codec)
 
-    def one(p, i):
+    def seconds(p, i):
         start = time.perf_counter()
-        _, report = run_cascade(p, codec, bank, cfg.condition, cfg.seed + i)
-        return time.perf_counter() - start, report.cost_units
+        run_cascade(p, codec, bank, cfg.condition, cfg.seed + i)
+        return time.perf_counter() - start
 
     for p in (plan, direct):  # the untimed warm pair
-        one(p, 0)
-    pairs = [(one(plan, i), one(direct, i)[0]) for i in range(5)]
-    for i, ((secs, cost), direct_secs) in enumerate(pairs):
+        seconds(p, 0)
+    pairs = [(seconds(plan, i), seconds(direct, i)) for i in range(5)]
+    cost, direct_cost = compute_cost(plan), compute_cost(direct)
+    for i, (secs, direct_secs) in enumerate(pairs):
         print(f"run {i}: wall_seconds = {secs:.3f} direct_wall_seconds = {direct_secs:.3f} "
               f"cost_units = {_fmt(cost)}")
-    wall = statistics.median(secs for (secs, _), _ in pairs)
+    wall = statistics.median(secs for secs, _ in pairs)
     direct_wall = statistics.median(d for _, d in pairs)
-    ratios = [d / secs for (secs, _), d in pairs]
-    cost, direct_cost = pairs[0][0][1], compute_cost(direct)
+    ratios = [d / secs for secs, d in pairs]
     print(f"bench: median_wall_seconds = {wall:.3f} "
           f"(direct {direct_wall:.3f} at target resolution)")
     print(f"bench: cost_units = {_fmt(cost)}")

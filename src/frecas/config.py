@@ -247,33 +247,35 @@ def build_codec(cfg: RunConfig) -> LatentCodec:
         raise ConfigError(f"unknown codec {cfg.codec!r}") from None
 
 
+@_builder
 def target_side(cfg: RunConfig) -> int:
     """The latent side of the plan's final stage, the last side of
     `_read_ladder`, without building (or checking) the whole plan."""
-    side = _read_ladder(cfg)[0][-1]
-    try:
-        return Resolution(side).side
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return Resolution(_read_ladder(cfg)[0][-1]).side
 
 
 def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBank:
     """Latent bank at the plan's highest stage resolution, which must hold
     items of the run's condition."""
-    bank = build_bank_at(cfg, plan.stages[-1].resolution.side, codec)
-    if cfg.condition not in bank.classes:
-        raise ConfigError(f"condition {cfg.condition} is not a class of the bank; "
-                          f"available: {', '.join(str(c) for c in bank.classes)}")
-    return bank
+    return build_bank_at(cfg, plan.stages[-1].resolution.side, codec, cfg.condition)
 
 
-def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> LatentBank:
-    """Latent bank at one latent side.
+def _check_condition(condition: int | None, classes) -> None:
+    if condition is not None and condition not in classes:
+        raise ConfigError(f"condition {condition} is not a class of the bank; "
+                          f"available: {', '.join(str(c) for c in classes)}")
+
+
+def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec,
+                  condition: int | None = None) -> LatentBank:
+    """Latent bank at one latent side, holding items of ``condition`` if given.
 
     A saved bank must have that side and a channel count the codec can
-    decode. Procedural banks are drawn as image-space textures at the
-    matching pixel resolution and encoded item by item on their way into the
-    bank (`make_bank`), so they are valid latents for any codec.
+    decode, and its classes are checked once it is loaded. Procedural banks
+    hold the classes 0 .. bank.classes - 1 (item k has id k % bank.classes),
+    checked before any item is drawn; they are drawn as image-space textures
+    at the matching pixel resolution and encoded item by item on their way
+    into the bank (`make_bank`), so they are valid latents for any codec.
     """
     if cfg.bank_path:
         bank = load_bank(cfg.bank_path)
@@ -285,6 +287,7 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> Laten
         if bank.channels % codec.channel_factor:
             raise ConfigError(f"bank channels {bank.channels} are not a multiple of the "
                               f"{codec.value} codec's {codec.channel_factor}")
+        _check_condition(condition, bank.classes)
         return bank
     for key, count in (("bank.items", cfg.bank_items), ("bank.classes", cfg.bank_classes),
                        ("bank.channels", cfg.bank_channels)):
@@ -295,6 +298,7 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec) -> Laten
     if cfg.bank_classes > cfg.bank_items:
         raise ConfigError(f"bank.classes ({cfg.bank_classes}) exceeds bank.items "
                           f"({cfg.bank_items}): a class with no items is never a condition")
+    _check_condition(condition, range(cfg.bank_classes))
     try:
         return make_bank(
             cfg.bank_kind,

@@ -6,7 +6,6 @@ oracles embedded here (literal-loop posterior means, cumulative products,
 hand-evaluated closed forms) before being frozen into assertions.
 """
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -48,7 +47,7 @@ from frecas.schedule import (
     vp_default,
 )
 
-from conftest import as_is
+from conftest import as_is, brute_force_eps
 
 SCHED = vp_default()
 
@@ -129,31 +128,6 @@ def test_criterion_4_haar_perfect_reconstruction():
             )
 
 
-def _brute_force_eps(bank, z, t, condition):
-    """Literal posterior mean with python loops in the log domain."""
-    a = alpha_at(SCHED, t)
-    scale, var = math.sqrt(a), 1.0 - a
-    logw, members = [], []
-    zf = z.data.ravel()
-    for k in range(bank.size):
-        if condition is not None and bank.class_ids[k] != condition:
-            continue
-        xf = bank.item(k).data.ravel()
-        d = 0.0
-        for j in range(zf.size):
-            diff = zf[j] - scale * xf[j]
-            d += diff * diff
-        logw.append(math.log(bank.weights[k]) - d / (2.0 * var))
-        members.append(k)
-    m = max(logw)
-    p = [math.exp(v - m) for v in logw]
-    s = sum(p)
-    z0 = np.zeros_like(z.data)
-    for weight, k in zip(p, members):
-        z0 += (weight / s) * bank.item(k).data
-    return (z.data - scale * z0) / math.sqrt(var)
-
-
 def test_criterion_5_bank_denoiser_oracle_equivalence():
     with criterion(5, "posterior-mean denoiser matches the literal oracle"):
         rng = np.random.default_rng(505)
@@ -168,7 +142,7 @@ def test_criterion_5_bank_denoiser_oracle_equivalence():
                 conditions = [None] + ([0, 1] if n_items >= 4 else [])
                 for condition in conditions:
                     eps = predict(bank, z, t, condition, SCHED)
-                    oracle = _brute_force_eps(bank, z, t, condition)
+                    oracle = brute_force_eps(bank, z, t, condition, SCHED)
                     np.testing.assert_allclose(eps.data, oracle, rtol=1e-9, atol=1e-12)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"

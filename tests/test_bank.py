@@ -42,7 +42,7 @@ from frecas.schedule import (
     vp_default,
 )
 
-from conftest import bank_stack, count_map_work, rand_grid
+from conftest import bank_stack, brute_force_eps, count_map_work, rand_grid
 from test_kernels import bilinear_four_gather
 
 SCHED = vp_default()
@@ -64,32 +64,6 @@ def small_bank(rng, n_items=6, channels=2, side=8, n_classes=3) -> LatentBank:
     ids = np.arange(n_items) % n_classes
     w = rng.uniform(0.5, 2.0, n_items)
     return LatentBank(stack, ids, w / w.sum())
-
-
-def brute_force_eps(bank: LatentBank, z: LatentGrid, t: float, condition, sched):
-    """Literal posterior mean: python loops, log-domain for stability."""
-    a = alpha_at(sched, t)
-    scale, var = math.sqrt(a), 1.0 - a
-    logw = []
-    members = []
-    for k in range(bank.size):
-        if condition is not None and bank.class_ids[k] != condition:
-            continue
-        d = 0.0
-        zf = z.data.ravel()
-        xf = bank.item(k).data.ravel()
-        for j in range(zf.size):
-            diff = zf[j] - scale * xf[j]
-            d += diff * diff
-        logw.append(math.log(bank.weights[k]) - d / (2.0 * var))
-        members.append(k)
-    m = max(logw)
-    p = [math.exp(v - m) for v in logw]
-    s = sum(p)
-    z0 = np.zeros_like(z.data)
-    for weight, k in zip(p, members):
-        z0 += (weight / s) * bank.item(k).data
-    return (z.data - scale * z0) / math.sqrt(var)
 
 
 class TestBankType:
@@ -883,12 +857,6 @@ class TestValueNoiseBuild:
         assert bank.item_shape == (channels, 2, 2)
         assert np.isfinite(bank.blocks).all()
 
-    def test_mask_coordinates_are_memoized_read_only(self):
-        yy, xx = bank_module._mask_coords(13)
-        assert bank_module._mask_coords(13)[0] is yy
-        assert (yy.shape, xx.shape) == ((13, 1), (1, 13))
-        assert not yy.flags.writeable and not xx.flags.writeable
-
 
 class TestSerialization:
     def test_roundtrip_to_float32_precision(self, rng, tmp_path):
@@ -961,3 +929,16 @@ class TestSerialization:
         (tmp_path / "manifest.txt").write_text("\n")
         with pytest.raises(ValueError, match="no bank items"):
             load_bank(tmp_path)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: CAMap(np.full((4, 2), 0.5), (0,)), "^one column per class required$"),
+    (lambda: LatentBank(np.zeros((0, 1, 4, 4)), [], []),
+     "^class_ids and weights must have one entry per item, K >= 1$"),
+    (lambda: predict(make_bank("white", 8, n_items=2), LatentGrid(np.zeros((3, 4, 4))), 500,
+                     None, SCHED),
+     r"^latent shape \(3, 4, 4\) does not match bank \(3, 8, 8\)$"),
+], ids=["ca-map-columns", "bank-without-ids", "predict-shape"])
+def test_input_guards_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

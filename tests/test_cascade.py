@@ -952,3 +952,16 @@ class TestPlansAndCost:
     def test_plan_rejects_non_finite_or_negative_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma must be finite"):
             toy_plan(gamma=gamma)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: run_stage(toy_plan().stages[-1], LatentGrid(np.zeros((2, 8, 8))),
+                       toy_bank(np.random.default_rng(0)), None, toy_plan()),
+     r"^latent shape \(2, 8, 8\) does not match bank \(2, 16, 16\)$"),
+    (lambda: StageSpec(Resolution(8), 0, 0.0), "^each stage needs at least one step$"),
+    (lambda: StagePlan((), gamma=2.0, schedule=SCHED, w_l=7.5, w_h=35.0, w_c=0.6),
+     "^plan needs at least one stage$"),
+], ids=["run-stage-shape", "stage-without-steps", "plan-without-stages"])
+def test_input_guards_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -3,6 +3,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,7 +236,7 @@ class TestBuildBank:
         sched = build_schedule(cfg)
         plan = build_plan(cfg, sched)
         bank = build_bank(cfg, plan, IDENTITY)
-        assert bank.resolution().side == 16
+        assert bank.side == 16
         assert bank.size == 6
 
     def test_haar_bank_is_encoded_image_bank(self):
@@ -244,7 +245,7 @@ class TestBuildBank:
         sched = build_schedule(cfg)
         plan = build_plan(cfg, sched)
         bank = build_bank(cfg, plan, HAAR1)
-        assert bank.resolution().side == 16  # latent side
+        assert bank.side == 16  # latent side
         assert bank.channels == 12  # 3 image channels x 4 subbands
 
     def test_bank_path_roundtrip(self, tmp_path):
@@ -319,6 +320,34 @@ class TestBuildBank:
         with pytest.raises(ConfigError, match="^condition 4 is not a class of the bank; "
                                               "available: 0, 1, 2, 3$"):
             build_bank(cfg, plan, IDENTITY)
+
+    def test_saved_bank_classes_are_checked_once_loaded(self, tmp_path):
+        from frecas.bank import LatentBank, save_bank
+
+        # classes 1 and 3: a saved bank's ids need not be 0 .. n - 1
+        save_bank(tmp_path / "bank", LatentBank(np.zeros((2, 2, 16, 16)), [1, 3], [0.5, 0.5]))
+        cfg = RunConfig(stages="8:2:100,16:1:0", preset=None, condition=0,
+                        bank_path=str(tmp_path / "bank"))
+        plan = build_plan(cfg, build_schedule(cfg))
+        with pytest.raises(ConfigError, match="^condition 0 is not a class of the bank; "
+                                              "available: 1, 3$"):
+            build_bank(cfg, plan, IDENTITY)
+
+    @pytest.mark.parametrize("command", [["sample"], ["ablate", "--param", "w_h", "--values", "1"],
+                                         ["bench"]])
+    def test_unknown_condition_is_refused_before_any_item_is_drawn(self, tmp_path, capsys,
+                                                                   monkeypatch, command):
+        from frecas import config as config_module
+
+        calls = []
+        make_bank = config_module.make_bank
+        monkeypatch.setattr(config_module, "make_bank",
+                            lambda *args, **kwargs: calls.append(1) or make_bank(*args, **kwargs))
+        code = main([*command, "--base-side", "4", "--bank-items", "4", "--condition", "7",
+                     "--out", str(tmp_path / "r")])
+        assert (code, len(calls)) == (EXIT_USAGE, 0)
+        assert capsys.readouterr().err == ("frecas: config error: condition 7 is not a class of "
+                                           "the bank; available: 0, 1, 2, 3\n")
 
     @pytest.mark.parametrize("cfg,side", [
         (RunConfig(), 64),

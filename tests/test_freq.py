@@ -287,3 +287,23 @@ class TestPsdCurveInvariants:
         assert again.resolution == curve.resolution
         np.testing.assert_array_equal(again.power, curve.power)
         np.testing.assert_array_equal(again.freqs, curve.freqs)
+
+
+def test_band_energy_fractions_of_a_zero_curve_are_zero():
+    assert band_energy_fractions(PsdCurve(np.zeros(4), Resolution(8))) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda path: psd_decomposition(LatentGrid(np.zeros((3, 8, 8))),
+                                    LatentGrid(np.zeros((3, 16, 16))), [500], SCHED),
+     r"^shape mismatch: \(3, 8, 8\) vs \(3, 16, 16\)$"),
+    (lambda path: band_split(np.zeros((1, 8, 6)), 4), "^band_split needs a square grid, got 8x6$"),
+    (lambda path: write_psd_csv(path, *(PsdCurve(np.zeros(s // 2), Resolution(s))
+                                        for s in (8, 8, 16))),
+     "^curves must share a resolution$"),
+], ids=["decomposition-shape", "band-split-non-square", "csv-of-two-resolutions"])
+def test_input_guards_name_the_fault(tmp_path, call, message):
+    path = tmp_path / "psd.csv"
+    with pytest.raises(ValueError, match=message):
+        call(path)
+    assert not path.exists()

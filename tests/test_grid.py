@@ -194,3 +194,23 @@ class TestGridDump:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(ValueError, match="truncated"):
             read_grid(path)
+
+
+def _read_short_file(path):
+    path.write_bytes(b"FRCG\x01\x00\x00\x00")  # half of the 16-byte header
+    return read_grid(path)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda path: LatentGrid(np.zeros((1, 0, 4))),
+     r"^grid dimensions must be positive, got \(1, 0, 4\)$"),
+    (lambda path: seeded_gaussian((1, -2, 4), 0),
+     r"^shape dimensions must be positive, got \(1, -2, 4\)$"),
+    (lambda path: resample_bilinear_rect(LatentGrid(np.zeros((1, 4, 4))), 0, 4),
+     "^output dimensions must be positive$"),
+    (_read_short_file, "truncated grid header$"),
+], ids=["grid-zero-dimension", "noise-non-positive-shape", "resample-to-no-rows",
+        "short-header"])
+def test_input_guards_name_the_fault(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path / "short.frcg")

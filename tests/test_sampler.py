@@ -204,3 +204,8 @@ class TestEulerFlow:
     def test_times_outside_the_unit_interval_rejected(self, rng, t, t_prev):
         with pytest.raises(ValueError, match="t_prev <= t <= 1"):
             euler_flow_step(rand_array(rng), rand_array(rng), t, t_prev)
+
+
+def test_input_guards_name_the_fault():
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 8, 8\) vs \(3, 4, 4\)$"):
+        predict_z0(LatentGrid(np.zeros((3, 8, 8))), LatentGrid(np.zeros((3, 4, 4))), 500, SCHED)

@@ -304,3 +304,22 @@ class TestForwardModel:
         budget = 8 * EPS * (np.abs(z_t.data) + fwd.c * np.abs(x.data)
                             + fwd.sigma * np.abs(f)) / fwd.sigma
         assert np.all(np.abs(field - f) <= budget)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: forward_model(flow_schedule(), 1.5), r"^flow time 1.5 outside \[0, 1\]$"),
+    (lambda: forward_model(flow_schedule(), -0.25), r"^flow time -0.25 outside \[0, 1\]$"),
+    (lambda: shift_timestep_vp(200.0, 0.0, 2.0, SCHED),
+     r"^resolution ratio must be in \(0, 1\], got 0.0$"),
+    (lambda: shift_timestep_vp(200.0, 2.0, 2.0, SCHED),
+     r"^resolution ratio must be in \(0, 1\], got 2.0$"),
+    (lambda: shift_timestep_vp(200.0, 0.5, -1.0, SCHED), "^gamma must be non-negative, got -1.0$"),
+    (lambda: shift_timestep_vp(0.0, 0.5, 2.0, SCHED), r"^L must lie strictly inside \(0, 1000\)$"),
+    (lambda: shift_timestep_vp(1000.0, 0.5, 2.0, SCHED),
+     r"^L must lie strictly inside \(0, 1000\)$"),
+    (lambda: shift_timestep_flow(0.5, 0.0), "^scale must be positive, got 0.0$"),
+], ids=["flow-t-above-1", "flow-t-below-0", "ratio-0", "ratio-above-1", "negative-gamma",
+        "L-at-0", "L-at-T", "flow-scale-0"])
+def test_input_guards_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
