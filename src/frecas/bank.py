@@ -19,15 +19,17 @@ patches and each patch gets its own posterior over class ids from
 patch-restricted distances, one row of a :class:`CAMap`. These
 row-stochastic maps are the analytic analogue of cross-attention weights;
 the cascade fuses them across stages and feeds them back via the
-``ca_mixture`` argument of :meth:`Posterior.field_blocks`, the one
+``ca_mixture`` argument of :meth:`Posterior.fields`, the one
 prediction, which turns its conditional field into a patchwise mixture of
 class-conditional posterior means. :meth:`CAMap.check_fit` is the one rule
 for whether two maps fit.
 
-One posterior per (latent, t) serves all four uses: :func:`blocked_posterior`
-makes one patch-distance pass over the whole bank, and the unconditional,
-conditional and mixture predictions and the attention map are all derived
-from it, the class evidence and the map on first read. A bank holds its
+One :class:`Posterior` per (latent, t) serves all four uses: the
+unconditional, conditional and mixture predictions and the attention map
+are all derived from its distances, the patch distances, class evidence
+and map on first read. It has two sources, one per layout of the latent.
+:func:`blocked_posterior` makes one patch-distance pass over the whole
+bank, and keeps it, at a latent held as blocks. A bank holds its
 items patch-blocked, (K, P, C*p*p) for the default patch size p of its side,
 so each of these is a BLAS product over the bank in place: the pass's cross
 terms are one batched matrix-vector product, in the norm expansion
@@ -38,22 +40,20 @@ contiguous range of k items that carry weight: the condition masks the
 other classes, and weights below :data:`SUPPORT_FLOOR` of a row's max are
 dropped, so once the exact empirical denoiser collapses onto one memorized
 item, k is often 1. The mixture is one (P, 1, K) @ (P, K, C*p*p) product
-over all K items. The posterior takes the latent in the bank's layout and
-returns its fields in it, so a cascade stage keeps its latent blocked from
-step to step; :func:`predict`, the grid form of the conditional field, is
-the one entry for a (C, H, W) grid latent and forms no evidence or map.
+over all K items. A posterior returns its fields in its latent's layout,
+so a cascade stage keeps its latent blocked from step to step;
+:func:`predict`, the grid form of the conditional field, is the one entry
+for a (C, H, W) grid latent and forms no evidence or map.
 
-A stage that needs only the plain predictions, the one stage of a one-stage
-plan on a bank whose Gram pays for itself (`cascade.runs_in_bank_span`),
-reads the bank's whole-item Gram matrix (:attr:`LatentBank.gram`,
-K x K, built on first read and kept) in place of the bank: under plain
-guidance the latent stays in the span of its entry latent z_F and the items,
-and :class:`BankSpan` holds it as coordinates u over (z_F, x_1..x_K). Its
-distances are G u + u_0 X z_F in the same norm expansion, with X z_F one
-product over the bank per run, and the weights are :func:`plain_weights`,
-the rule the dense posterior uses too; no patch distances, class evidence
-or map are formed. :func:`check_distances` is the one overflow and
-zero-noise check of both routes.
+Under plain guidance a latent stays in the span of its entry latent z_F and
+the items, and :class:`BankSpan` holds it as coordinates u over
+(z_F, x_1..x_K). :meth:`BankSpan.posterior`, the second source, reads the
+bank's whole-item Gram matrix (:attr:`LatentBank.gram`, K x K, built on
+first read and kept) in place of the bank: its distances are
+G u + u_0 X z_F in the same norm expansion, with X z_F one product over the
+bank per span, and its plain means are the coordinates (0, weights). Both
+sources weigh items by :func:`plain_weights` and check their distances by
+:func:`check_distances`.
 
 Every bank is built as ``LatentBank(items, class_ids, weights)`` from a
 stream of items, each blocked as it arrives: :func:`make_bank` encodes each
@@ -245,19 +245,27 @@ def default_patch_size(side: int) -> int:
 class Posterior:
     """The bank posterior at one (latent, t), shared by every prediction.
 
-    Built by :func:`blocked_posterior` from one patch-distance pass over
-    all K items; the unconditional, conditional and mixture fields and the
-    attention map ``ca`` derive from it without touching the bank again,
-    the class evidence and ``ca`` on first read. The latent is held as
-    ``z_blocks`` in the bank's layout, and :meth:`field_blocks`, the one
-    prediction, gives the fields in that layout.
+    It has two sources. :func:`blocked_posterior` holds the latent ``z`` as
+    (P, C*p*p) blocks in the bank's layout and makes one patch-distance pass
+    over all K items; :meth:`BankSpan.posterior` holds it as coordinates in
+    ``span`` and takes its whole-latent distances from the bank's Gram. The
+    unconditional, conditional and mixture fields and the attention map
+    ``ca`` derive from the distances without touching the bank again; the
+    patch distances, the class evidence and ``ca`` on first read.
+    :meth:`fields`, the one prediction, gives the fields in ``z``'s layout.
     """
 
     bank: LatentBank
-    z_blocks: np.ndarray  # (P, C*p*p) the latent, patch-blocked
+    z: np.ndarray  # the latent: (P, C*p*p) blocks, or (K + 1,) coordinates in span
     fwd: ForwardModel  # of the posterior's t
-    d_patch: np.ndarray  # (K, P) per-item patch squared distances
-    d_full: np.ndarray  # (K,) whole-latent squared distances, row sums of the patch ones
+    d_full: np.ndarray  # (K,) whole-latent squared distances
+    span: "BankSpan | None" = None
+
+    @cached_property
+    def d_patch(self) -> np.ndarray:
+        """(K, P) per-item patch squared distances, of the latent's blocks."""
+        z = self.z if self.span is None else self.span.latent(self.z)
+        return _kernels.patch_sq_dists(self.bank.blocks, z, self.fwd.scale, self.bank.patch_norms)
 
     @cached_property
     def log_patch(self) -> np.ndarray:
@@ -279,16 +287,16 @@ class Posterior:
         resp = np.exp(self.evidence - self.evidence.max(axis=0))
         return CAMap((resp / resp.sum(axis=0)).T, self.bank.classes)
 
-    def field_blocks(self, condition: int | None, ca_mixture: CAMap | None = None):
+    def fields(self, condition: int | None, ca_mixture: CAMap | None = None):
         """The predicted noise (VP) or velocity (flow) without and with
-        ``condition``, the pair guidance combines, as (P, C*p*p) blocks in
-        the bank's layout; both plain fields are one product over the bank.
+        ``condition``, the pair guidance combines, in ``z``'s layout; both
+        plain fields are one product over the bank, or none in coordinates.
 
         A ``ca_mixture`` that fits ``ca`` (:meth:`CAMap.check_fit`) makes the
         conditional clean-signal estimate a patchwise mixture: each patch
         mixes the class-conditional posterior means with the map's weights,
         which is how fused attention maps from an earlier stage steer the
-        layout.
+        layout. A mixture leaves the bank span, so it takes blocks.
         """
         if condition is not None:
             self.bank.class_slice(condition)  # the unknown-class check
@@ -297,13 +305,18 @@ class Posterior:
         else:
             self.ca.check_fit(ca_mixture)
             z0s = self._plain_z0([None])[0], self._mixture_z0(ca_mixture)
-        return tuple(self.fwd.field(self.z_blocks, z0) for z0 in z0s)
+        return tuple(self.fwd.field(self.z, z0) for z0 in z0s)
 
     def _plain_z0(self, conditions) -> np.ndarray:
         """Posterior means from :func:`plain_weights` at this posterior's
-        distances and t, (len(conditions), P, D) blocks from one product over
-        the kept item range, a view of the bank: (n, hi - lo) @ (hi - lo, P*D)."""
+        distances and t, in ``z``'s layout: the coordinates (0, weights), or
+        (len(conditions), P, D) blocks from one product over the kept item
+        range, a view of the bank: (n, hi - lo) @ (hi - lo, P*D)."""
         post, lo, hi = plain_weights(self.bank, self.d_full, self.fwd.var, conditions)
+        if self.span is not None:
+            z0 = np.zeros((len(conditions), self.bank.size + 1))
+            z0[:, 1:] = post
+            return z0
         blocks = self.bank.blocks
         z0 = post[:, lo:hi] @ blocks[lo:hi].reshape(hi - lo, -1)
         return z0.reshape(len(conditions), *blocks.shape[1:])
@@ -354,17 +367,19 @@ def check_distances(d_full: np.ndarray, var: float, t: float) -> None:
         raise ValueError(f"denoiser undefined at zero noise level, t = {t:g}")
 
 
-def blocked_posterior(bank: LatentBank, z_blocks: np.ndarray, t: float,
+def blocked_posterior(bank: LatentBank, z: np.ndarray, t: float,
                       sched: NoiseSchedule) -> Posterior:
     """The bank posterior at a latent given as (P, C*p*p) blocks in the
     bank's layout, which the caller keeps finite and of the bank's shape:
     one patch-distance pass over the bank at its patch size, the default
-    one of the latent's side, checked by :func:`check_distances`."""
+    one of the latent's side, whose row sums are checked by
+    :func:`check_distances` and kept as the posterior's ``d_patch``."""
     fwd = forward_model(sched, t)
-    d_patch = _kernels.patch_sq_dists(bank.blocks, z_blocks, fwd.scale, bank.patch_norms)
-    d_full = d_patch.sum(axis=1)
-    check_distances(d_full, fwd.var, t)
-    return Posterior(bank, z_blocks, fwd, d_patch, d_full)
+    d_patch = _kernels.patch_sq_dists(bank.blocks, z, fwd.scale, bank.patch_norms)
+    post = Posterior(bank, z, fwd, d_patch.sum(axis=1))
+    check_distances(post.d_full, fwd.var, t)
+    object.__setattr__(post, "d_patch", d_patch)
+    return post
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -413,6 +428,15 @@ class BankSpan:
         z += u[0] * self.entry
         return z
 
+    def posterior(self, u: np.ndarray, t: float, sched: NoiseSchedule) -> Posterior:
+        """The bank posterior at the latent with coordinates u: its
+        :meth:`distances`, checked by :func:`check_distances`, and no pass
+        over the bank. Its plain fields are coordinates too."""
+        fwd = forward_model(sched, t)
+        d_full = self.distances(u, fwd.scale)
+        check_distances(d_full, fwd.var, t)
+        return Posterior(self.bank, u, fwd, d_full, self)
+
 
 def predict(
     bank: LatentBank,
@@ -422,12 +446,12 @@ def predict(
     sched: NoiseSchedule,
 ):
     """The plain conditional field, as a grid, at a grid latent z_t of the
-    bank's shape: :meth:`Posterior.field_blocks` of the :func:`blocked_posterior`
+    bank's shape: :meth:`Posterior.fields` of the :func:`blocked_posterior`
     of its blocks, which forms no class evidence or map; see :class:`Posterior`."""
     if bank.item_shape != z_t.shape:
         raise ValueError(f"latent shape {z_t.shape} does not match bank {bank.item_shape}")
     post = blocked_posterior(bank, bank.block(z_t.data), t, sched)
-    return LatentGrid(bank.unblock(post.field_blocks(condition)[1]))
+    return LatentGrid(bank.unblock(post.fields(condition)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ schedule, alternates stage sampling with transitions, and decodes the final
 latent. Every timestep it visits comes from its `StagePlan`: stage 0 enters
 at t_max, each later stage at the F that `StagePlan.entry_timestep` derives
 from the previous stage's L through the shifts in :mod:`frecas.schedule`.
-A one-stage plan, the single-stage baseline a cascade is measured against,
-runs its stage in bank coordinates (:class:`frecas.bank.BankSpan`) where
+Every stage runs one step loop, :func:`run_stage`, over one
+:class:`frecas.bank.Posterior` a step, from either of its two sources. A
+one-stage plan, the single-stage baseline a cascade is measured against,
+holds its latent in bank coordinates (:class:`frecas.bank.BankSpan`) where
 the bank's Gram matrix pays for itself (:func:`runs_in_bank_span`); every
-other stage, and every stage of a cascade, runs dense, on the patch-blocked
-latent.
+other stage, and every stage of a cascade, holds it patch-blocked.
 
 Cost model: one denoiser evaluation at side s costs (s / s0)**2 units, so a
 plan costs sum(steps_i * (s_i / s0)**2). Guidance's two evaluations per step
@@ -21,20 +22,12 @@ are a constant factor and excluded.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import _kernels
-from .bank import (
-    BankSpan,
-    CAMap,
-    LatentBank,
-    bank_resample,
-    blocked_posterior,
-    check_distances,
-    plain_weights,
-    predict,
-)
+from .bank import BankSpan, CAMap, LatentBank, bank_resample, blocked_posterior, predict
 from .codec import LatentCodec, decode, encode
 from .grid import LatentGrid, Resolution, resample_bilinear_rect, seeded_gaussian, subseed
 from .sampler import GuidanceWeights, ddim_step, euler_flow_step, facfg_combine, predict_z0
@@ -243,42 +236,57 @@ def run_stage(
     Each fused map and the average are CAMaps, whose rows are checked to sum
     to 1 within 1e-12 (ValueError otherwise).
 
-    A one-stage plan runs in bank coordinates (:func:`_run_in_bank_span`)
-    when :func:`runs_in_bank_span` accepts its bank and step count: its
-    guidance is plain CFG, so the latent stays in the span of its entry
-    latent and the bank items, and a step reads the bank's Gram matrix, not
-    the bank. Every other stage runs dense: a step is
-    :func:`frecas.bank.blocked_posterior`, `Posterior.field_blocks`,
+    Each step takes the :class:`frecas.bank.Posterior` of its latent,
+    fuses its map, takes `Posterior.fields` and applies
     :func:`frecas.sampler.facfg_combine` and :func:`frecas.sampler.ddim_step`
-    or :func:`frecas.sampler.euler_flow_step`, applied to the latent held as
-    (P, C*p*p) blocks in the bank's layout from the distance pass to the
-    update. Only a cut stage's band split unblocks (the guidance difference),
-    and the latent is unblocked once, at the end. Its shape is checked on
-    entry, and each new latent (on the coordinate route, its coordinates)
-    for finiteness: a non-finite one is a ValueError naming the step's t.
+    or :func:`frecas.sampler.euler_flow_step` in the latent's own layout.
+    The latent has one of two sources, picked once per stage. A one-stage
+    plan whose bank and step count :func:`runs_in_bank_span` accepts holds
+    it as coordinates in the :class:`frecas.bank.BankSpan` of its entry
+    latent: its guidance is plain CFG, so it stays in that span, and a step
+    reads the bank's Gram matrix, not the bank. Every other stage holds it
+    as (P, C*p*p) blocks in the bank's layout, and a step is one
+    :func:`frecas.bank.blocked_posterior` pass; only a cut stage's band
+    split unblocks (the guidance difference). The latent is built from its
+    coordinates or unblocked once, at the end. Its shape is checked on
+    entry, and each new latent (in coordinates, its coordinates) for
+    finiteness: a non-finite one is a ValueError naming the step's t. The
+    latent built from finite coordinates is checked at the end, and where
+    the next step's distances fail, under the step before.
     """
     if bank.item_shape != z.shape:
         raise ValueError(f"latent shape {z.shape} does not match bank {bank.item_shape}")
     if len(plan.stages) == 1 and reused_maps is not None:
         raise ValueError("the stage of a one-stage plan has no earlier maps to reuse")
-    if len(plan.stages) == 1 and runs_in_bank_span(bank, spec.steps):
-        return _run_in_bank_span(spec, bank.block(z.data), bank, condition, plan), None
     grid = plan.time_grid(spec)
     gw = plan.guidance(spec)
-    z_blocks = bank.block(z.data)
+    z = bank.block(z.data)
+    span, posterior = None, partial(blocked_posterior, bank)
+    if len(plan.stages) == 1 and runs_in_bank_span(bank, spec.steps):
+        span = BankSpan.of(bank, z)
+        z, posterior = np.zeros(bank.size + 1), span.posterior
+        z[0] = 1.0  # the entry latent's own coordinates
     if reused_maps is not None:
         reused_maps = resample_ca_map(reused_maps, bank.side // bank.patch_size)
     averages = spec != plan.stages[-1]  # only a later stage reads the average
     step_maps = []
     for idx in range(spec.steps):
         t, t_next = float(grid[idx]), float(grid[idx + 1])
-        post = blocked_posterior(bank, z_blocks, t, plan.schedule)
+        try:
+            post = posterior(z, t, plan.schedule)
+        except ValueError:
+            if span is not None and idx:  # the latent may have left the float range
+                _require_finite(span.latent(z), float(grid[idx - 1]))
+            raise
         fused = None if reused_maps is None else fuse_ca_maps(post.ca, reused_maps, plan.w_c)
-        fields = post.field_blocks(condition, ca_mixture=fused)
+        fields = post.fields(condition, ca_mixture=fused)
         if averages:
             step_maps.append(post.ca if fused is None else fused)
-        z_blocks = _guided_step(z_blocks, fields, gw, bank, plan, post.fwd, t, t_next)
-    return LatentGrid(bank.unblock(z_blocks)), average_ca_maps(step_maps) if averages else None
+        z = _guided_step(z, fields, gw, bank, plan, post.fwd, t, t_next)
+    if span is not None:
+        z = span.latent(z)
+        _require_finite(z, t)
+    return LatentGrid(bank.unblock(z)), average_ca_maps(step_maps) if averages else None
 
 
 # Items per step up to which the coordinate route's Gram build, K^2 D / 2
@@ -298,38 +306,6 @@ def runs_in_bank_span(bank: LatentBank, steps: int) -> bool:
     :data:`SPAN_ITEMS_PER_STEP` items per step."""
     k = bank.size
     return k <= bank.blocks[0].size and k <= SPAN_ITEMS_PER_STEP * steps
-
-
-def _run_in_bank_span(spec, entry, bank, condition, plan) -> LatentGrid:
-    """A plain-guidance stage from the entry latent's (P, C*p*p) blocks, in
-    the coordinates of :class:`frecas.bank.BankSpan`, starting at
-    u = (1, 0, ..., 0). Each step takes its distances from the span,
-    its weights from :func:`frecas.bank.plain_weights` and the plain z0 pair
-    as coordinates (0, weights), and runs the same guidance and update as a
-    dense step on the coordinate vectors. The latent is built once, at the
-    end, and checked for finiteness as a step's latent is; it is also built
-    where the distances overflow, to tell a non-finite latent after the step
-    before from an overflow at this one, as the dense route does."""
-    span = BankSpan.of(bank, entry)
-    grid = plan.time_grid(spec)
-    gw = plan.guidance(spec)
-    u = np.zeros(bank.size + 1)
-    u[0] = 1.0
-    z0s = np.zeros((2, bank.size + 1))
-    for idx in range(spec.steps):
-        t, t_next = float(grid[idx]), float(grid[idx + 1])
-        fwd = forward_model(plan.schedule, t)
-        d_full = span.distances(u, fwd.scale)
-        if idx and not np.isfinite(d_full.max()):
-            # where the dense route's check after the last step would fail
-            _require_finite(span.latent(u), float(grid[idx - 1]))
-        check_distances(d_full, fwd.var, t)
-        z0s[:, 1:] = plain_weights(bank, d_full, fwd.var, [None, condition])[0]
-        fields = tuple(fwd.field(u, z0) for z0 in z0s)
-        u = _guided_step(u, fields, gw, bank, plan, fwd, t, t_next)
-    z_blocks = span.latent(u)
-    _require_finite(z_blocks, t)
-    return LatentGrid(bank.unblock(z_blocks))
 
 
 def _guided_step(z, fields, gw, bank, plan, fwd, t, t_next):

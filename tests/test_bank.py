@@ -56,7 +56,7 @@ def posterior_at(bank, z: LatentGrid, t, sched):
 
 def field_grid(post, condition, ca_mixture=None) -> np.ndarray:
     """A posterior's conditional field as a (C, H, W) array."""
-    return post.bank.unblock(post.field_blocks(condition, ca_mixture)[1])
+    return post.bank.unblock(post.fields(condition, ca_mixture)[1])
 
 
 def small_bank(rng, n_items=6, channels=2, side=8, n_classes=3) -> LatentBank:
@@ -202,7 +202,7 @@ class TestPredict:
                 posterior_at(bank, z, 2e-154, FLOW)
             post = posterior_at(bank, z, 1e-150, FLOW)
             for condition in (None, 1):
-                assert all(np.all(np.isfinite(f)) for f in post.field_blocks(condition))
+                assert all(np.all(np.isfinite(f)) for f in post.fields(condition))
 
     def test_overflowing_distances_are_not_a_zero_noise_level(self):
         # at t = 500 var is about 0.99, but a 1e160 latent's squared norm
@@ -301,7 +301,7 @@ def indexed_field(post, condition, t, sched):
     p /= p.sum()
     items = bank_stack(bank)[adm]
     z0 = (np.stack([p, p]) @ items.reshape(adm.size, -1))[1].reshape(items.shape[1:])
-    z_t = bank.unblock(post.z_blocks)
+    z_t = bank.unblock(post.z)
     if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
         return (z_t - post.fwd.scale * z0) / np.sqrt(post.fwd.var)
     return (z_t - z0) / t
@@ -384,7 +384,7 @@ class TestPosterior:
         for condition in (None, 0):
             tracemalloc.start()
             try:
-                post.field_blocks(condition)
+                post.fields(condition)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -398,8 +398,8 @@ class TestPosterior:
         tracemalloc.start()
         try:
             post = posterior_at(bank, rand_grid(rng, side=64), 500.0, SCHED)
-            post.field_blocks(1)
-            post.field_blocks(1, post.ca)
+            post.fields(1)
+            post.fields(1, post.ca)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -434,11 +434,11 @@ class TestPosterior:
         post = posterior_at(bank, z, 300.0, SCHED)
         own = post.ca
         assert (own.values.shape, own.classes) == ((64, 2), (0, 1))
-        post.field_blocks(1, own)
+        post.fields(1, own)
         for m in (CAMap(own.values[:, ::-1], (1, 0)), CAMap(own.values, (5, 9)),
                   CAMap(own.values[:16], (0, 1))):
             with pytest.raises(ValueError, match="does not fit"):
-                post.field_blocks(1, m)
+                post.fields(1, m)
 
 
 def dense_weights(post, conditions) -> np.ndarray:
@@ -554,6 +554,7 @@ class TestBankSpan:
         sched = FLOW if flow else SCHED
         t = sched.t_max if at_t_max else smallest_preset_t(sched)
         fwd = forward_model(sched, t)
+        eps = np.finfo(float).eps
         bank = small_bank(rng, n_items=n_items, n_classes=n_classes)
         span = BankSpan.of(bank, bank.block(rng.standard_normal((2, 8, 8))))
         # a latent as a run holds it: noise times sigma plus scale times a
@@ -561,18 +562,33 @@ class TestBankSpan:
         p = (np.eye(n_items)[rng.integers(n_items)] if on_item
              else rng.dirichlet(np.full(n_items, 0.3)))
         u = np.concatenate([[fwd.sigma], fwd.scale * p])
-        d = span.distances(u, fwd.scale)
+        coords = span.posterior(u, t, sched)
+        d = coords.d_full
+        np.testing.assert_array_equal(d, span.distances(u, fwd.scale))
         z = span.latent(u)
         post = blocked_posterior(bank, z, t, sched)
         cancelled = np.sum(z * z) + fwd.scale**2 * bank.patch_norms.sum(axis=1)
         err = np.abs(d - post.d_full)
-        assert np.all(err <= SPAN_DISTANCE_EPS * np.finfo(float).eps * cancelled)
+        assert np.all(err <= SPAN_DISTANCE_EPS * eps * cancelled)
         # the weights follow within the log-weight error the distances allow
-        conditions = [None, bank.classes[-1] if conditioned else None]
+        condition = bank.classes[-1] if conditioned else None
+        conditions = [None, condition]
         log_err = err.max() / (2.0 * fwd.var)
+        w_err = 4.0 * log_err + 16 * eps
         np.testing.assert_allclose(plain_weights(bank, d, fwd.var, conditions)[0],
                                    plain_weights(bank, post.d_full, post.fwd.var, conditions)[0],
-                                   rtol=0, atol=4.0 * log_err + 16 * np.finfo(float).eps)
+                                   rtol=0, atol=w_err)
+        # and so do the fields, (u - c (0, weights)) / sigma in coordinates,
+        # through the linear span.latent: c / sigma times the weight error of
+        # each item, plus the rounding of two sums of K + 1 terms
+        x_max = max(np.abs(bank.blocks).max(), np.abs(span.entry).max())
+        atol = (fwd.c * n_items * w_err * x_max
+                + 8 * (n_items + 1) * eps * (np.abs(u).sum() + fwd.c) * x_max) / fwd.sigma
+        for mine, dense in zip(coords.fields(condition), post.fields(condition)):
+            np.testing.assert_allclose(span.latent(mine), dense, rtol=0, atol=atol)
+        # the map reads patch distances of the built latent, formed on first read
+        assert "d_patch" not in vars(coords)
+        np.testing.assert_array_equal(coords.ca.values, post.ca.values)
 
     def test_gram_is_the_items_inner_products_built_once_and_read_only(self, rng):
         bank = small_bank(rng, n_items=5)
@@ -735,7 +751,7 @@ class TestCaMaps:
         z = rand_grid(rng, channels=1, side=8)
         bad = CAMap(np.full((4, 2), 0.5), (0, 1))
         with pytest.raises(ValueError):
-            posterior_at(bank, z, 400, SCHED).field_blocks(1, bad)
+            posterior_at(bank, z, 400, SCHED).fields(1, bad)
 
     def test_rows_must_tile_a_square_patch_grid(self):
         for rows in (1, 4, 9, 64):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from frecas import _kernels
 from frecas import cascade as cascade_module
-from frecas.bank import CAMap, LatentBank, bank_resample, blocked_posterior, predict
+from frecas.bank import BankSpan, CAMap, LatentBank, bank_resample, blocked_posterior, predict
 from frecas.cascade import (
     PRESETS,
     SPAN_ITEMS_PER_STEP,
@@ -380,7 +380,7 @@ def reference_stage(spec, z, bank, condition, plan, reused_maps=None):
         if reused_maps is not None:
             reused_maps = resample_ca_map(reused_maps, math.isqrt(len(post.ca.values)))
             fused = fuse_ca_maps(post.ca, reused_maps, plan.w_c)
-        eps_unc, eps_c = (bank.unblock(f) for f in post.field_blocks(condition, fused))
+        eps_unc, eps_c = (bank.unblock(f) for f in post.fields(condition, fused))
         maps.append(post.ca if fused is None else fused)
         eps_hat = facfg_combine(eps_unc, eps_c, gw, spec.resolution.side, as_is, as_is)
         if sched.kind is ScheduleKind.VARIANCE_PRESERVING:
@@ -479,27 +479,38 @@ class TestBankCoordinateStage:
     def test_route_is_cut_where_the_gram_stops_paying(self, rng, monkeypatch, side, n_items,
                                                        steps, in_span):
         # items of D = 2 * side**2 numbers; past either cut the one stage runs
-        # dense, byte for byte the dense loop; no route returns a map
+        # dense, byte for byte the dense loop: each step makes its distance
+        # pass and plain fields. No step on either route reads the class
+        # evidence or map, which only fusion and averaging read, no route
+        # returns a map, and the coordinate route builds its latent once
         bank = toy_bank(rng, side=side, n_items=n_items)
         assert runs_in_bank_span(bank, steps) is in_span
-        calls = []
+        calls = {"patch_sq_dists": 0, "CAMap": 0, "average_ca_maps": 0, "latent": 0}
 
-        def dists(*args, _fn=_kernels.patch_sq_dists):
-            calls.append(1)
-            return _fn(*args)
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
 
-        monkeypatch.setattr(_kernels, "patch_sq_dists", dists)
+        monkeypatch.setattr(_kernels, "patch_sq_dists",
+                            counted("patch_sq_dists", _kernels.patch_sq_dists))
+        monkeypatch.setattr(CAMap, "__post_init__", counted("CAMap", CAMap.__post_init__))
+        monkeypatch.setattr("frecas.cascade.average_ca_maps",
+                            counted("average_ca_maps", average_ca_maps))
+        monkeypatch.setattr(BankSpan, "latent", counted("latent", BankSpan.latent))
         plan = one_stage_plan(side=side, steps=steps)
         z = LatentGrid(rng.standard_normal((2, side, side)))
         out, avg = run_stage(plan.stages[0], z, bank, 1, plan)
-        assert len(calls) == (0 if in_span else steps)
         assert avg is None
+        assert calls == {"patch_sq_dists": 0 if in_span else steps, "CAMap": 0,
+                         "average_ca_maps": 0, "latent": 1 if in_span else 0}
         ref, _ = reference_stage(plan.stages[0], z, bank, 1, plan)
         if in_span:
             err = np.linalg.norm(out.data - ref.data) / np.linalg.norm(ref.data)
             assert err <= 1e-10
         else:
-            np.testing.assert_array_equal(out.data, ref.data)
+            assert out.data.tobytes() == ref.data.tobytes()
             assert "gram" not in vars(bank)
 
     @pytest.mark.parametrize("side,n_items", [(16, 4 * SPAN_ITEMS_PER_STEP + 1), (4, 33)],
@@ -644,7 +655,7 @@ class TestRunCascade:
         grid = np.linspace(F, 0.0, 4)
         for t, t_next in zip(grid[:-1], grid[1:]):
             post = blocked_posterior(banks[1], banks[1].block(z.data), t, SCHED)
-            fields = post.field_blocks(1, fuse(post.ca, avg, 0.4))
+            fields = post.fields(1, fuse(post.ca, avg, 0.4))
             eps_unc, eps_c = (banks[1].unblock(f) for f in fields)
             z = ddim_grid(z, cfg_combine(eps_unc, eps_c, w), t, t_next)
         np.testing.assert_allclose(image.data, z.data, atol=1e-9)

@@ -299,7 +299,7 @@ class TestForwardModel:
             with pytest.raises(ValueError, match="zero noise level"):
                 blocked_posterior(bank, z_blocks, t, sched)
             return
-        field = bank.unblock(blocked_posterior(bank, z_blocks, t, sched).field_blocks(None)[0])
+        field = bank.unblock(blocked_posterior(bank, z_blocks, t, sched).fields(None)[0])
         # the posterior mean is x exactly; z_t - c x cancels, then / sigma
         budget = 8 * EPS * (np.abs(z_t.data) + fwd.c * np.abs(x.data)
                             + fwd.sigma * np.abs(f)) / fwd.sigma
