@@ -56,12 +56,15 @@ sources weigh items by :func:`plain_weights` and check their distances by
 :func:`check_distances`.
 
 Every bank is built as ``LatentBank(items, class_ids, weights)`` from a
-stream of items, each blocked as it arrives: :func:`make_bank` encodes each
-procedural item as it is drawn, :func:`load_bank` reads one saved grid at a
-time and :func:`bank_resample` unblocks one item at a time straight into the
-resampling kernel, so no build holds a second bank or a list of grids. Item
-order is the bank's, not the caller's: items sit stably sorted by class id,
-so a class is a slice of the bank, and the i-th item given is in slot
+stream of items, each blocked as it arrives: an :class:`ItemSource` from
+:func:`procedural_items` encodes each procedural item as it is drawn, one
+from :func:`saved_items` reads one saved grid at a time, and
+:func:`bank_resample` unblocks one item at a time straight into the
+resampling kernel, so no build holds a second bank or a list of grids. An
+item source has two consumers, the bank and ``frecas psd``, which transforms
+each item as it arrives and holds no bank; both run :func:`check_items`.
+Item order is the bank's, not the caller's: items sit stably sorted by class
+id, so a class is a slice of the bank, and the i-th item given is in slot
 ``input_slots[i]``.
 """
 
@@ -69,6 +72,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -122,6 +126,34 @@ class CAMap:
             raise ValueError(f"attention map (rows, classes) {theirs} does not fit {mine}")
 
 
+class ItemSource(NamedTuple):
+    """A bank's K items in the order given, with their class ids and weights.
+    ``items`` yields each (C, side, side) grid once, drawn or read as it is
+    asked for; ``LatentBank(*source)`` builds the bank."""
+
+    items: Iterator
+    class_ids: np.ndarray
+    weights: np.ndarray
+
+
+def check_items(items) -> Iterator[np.ndarray]:
+    """Each item as a float64 array, once it passes the one item check of
+    every consumer of a bank's items: a square (C, H, W) grid of the first
+    item's shape, with finite values."""
+    shape = None
+    for count, item in enumerate(items):
+        item = np.asarray(item, dtype=np.float64)
+        if shape is None:
+            if item.ndim != 3 or item.shape[1] != item.shape[2]:
+                raise ValueError(f"bank items must be square (C, H, W) grids, got {item.shape}")
+            shape = item.shape
+        if item.shape != shape:
+            raise ValueError(f"bank item {count} has shape {item.shape}, not {shape}")
+        if not np.all(np.isfinite(item)):
+            raise ValueError("bank items must be finite")
+        yield item
+
+
 class LatentBank:
     """Finite latent distribution: K items, their class ids and prior weights.
 
@@ -137,8 +169,9 @@ class LatentBank:
 
     def __init__(self, items, class_ids, weights):
         """``items`` yields the K items of ``class_ids`` and ``weights``, as a
-        (K, C, side, side) stack or any iterable of grids. Each is blocked into
-        its slot as it arrives, so a generator build never holds a second copy."""
+        (K, C, side, side) stack or any iterable of grids. Each passes
+        :func:`check_items` and is blocked into its slot as it arrives, so a
+        generator build never holds a second copy."""
         ids = np.ascontiguousarray(class_ids, dtype=np.int64)
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if ids.ndim != 1 or ids.size < 1 or w.shape != ids.shape:
@@ -148,19 +181,12 @@ class LatentBank:
         order = np.argsort(ids, kind="stable")
         slots = np.argsort(order)
         blocks, count = None, 0
-        for item in items:
-            item = np.asarray(item, dtype=np.float64)
-            if blocks is None:
-                if item.ndim != 3 or item.shape[1] != item.shape[2]:
-                    raise ValueError(f"bank items must be square (C, H, W) grids, got {item.shape}")
-                shape, p = item.shape, default_patch_size(item.shape[1])
-                blocks = np.empty((ids.size, (shape[1] // p) ** 2, shape[0] * p * p))
-            if item.shape != shape:
-                raise ValueError(f"bank item {count} has shape {item.shape}, not {shape}")
+        for item in check_items(items):
             if count == ids.size:
                 raise ValueError("class_ids and weights must have one entry per item")
-            if not np.all(np.isfinite(item)):
-                raise ValueError("bank items must be finite")
+            if blocks is None:
+                shape, p = item.shape, default_patch_size(item.shape[1])
+                blocks = np.empty((ids.size, (shape[1] // p) ** 2, shape[0] * p * p))
             _kernels.to_blocks(item, p, out=blocks[slots[count]])
             count += 1
         if count != ids.size:
@@ -532,18 +558,24 @@ def _white_items(rng, side, channels, ids):
 _ITEMS = {"value_noise": _value_noise_items, "white": _white_items}
 
 
-def make_bank(kind: str, side: int, channels=3, n_items=100, n_classes=4, seed=0,
-              codec: LatentCodec = IDENTITY) -> LatentBank:
-    """Procedural bank of ``kind`` (value_noise | white): ``n_items`` image
-    items of ``channels`` x ``side`` x ``side``, ids ``k % n_classes`` and
-    equal weights. Each item is encoded by ``codec`` as it is drawn, so the
-    bank holds codes, e.g. (4 * channels, side / 2, side / 2) for Haar."""
+def procedural_items(kind: str, side: int, channels=3, n_items=100, n_classes=4, seed=0,
+                     codec: LatentCodec = IDENTITY) -> ItemSource:
+    """The items of a procedural bank of ``kind`` (value_noise | white):
+    ``n_items`` image items of ``channels`` x ``side`` x ``side``, ids
+    ``k % n_classes`` and equal weights. Each item is drawn and encoded by
+    ``codec`` when it is asked for, so the items are codes, e.g.
+    (4 * channels, side / 2, side / 2) for Haar."""
     if kind not in _ITEMS:
         raise ValueError(f"unknown bank kind {kind!r}")
     ids = np.arange(n_items, dtype=np.int64) % n_classes
     images = _ITEMS[kind](np.random.default_rng(int(seed)), side, channels, ids)
-    return LatentBank((encode(codec, LatentGrid(x)).data for x in images), ids,
+    return ItemSource((encode(codec, LatentGrid(x)).data for x in images), ids,
                       np.full(n_items, 1.0 / n_items))
+
+
+def make_bank(*args, **kwargs) -> LatentBank:
+    """The bank of :func:`procedural_items` at these arguments."""
+    return LatentBank(*procedural_items(*args, **kwargs))
 
 
 def save_bank(directory, bank: LatentBank) -> None:
@@ -559,9 +591,10 @@ def save_bank(directory, bank: LatentBank) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def load_bank(directory) -> LatentBank:
-    """Bank written by :func:`save_bank`, weights normalised to sum to 1. The
-    whole manifest is checked before the first grid is read."""
+def saved_items(directory) -> ItemSource:
+    """The items of a bank written by :func:`save_bank`, weights normalised
+    to sum to 1. The whole manifest is checked here; each grid is read when
+    it is asked for."""
     manifest = os.path.join(directory, "manifest.txt")
     entries = []
     with open(manifest) as f:
@@ -584,4 +617,9 @@ def load_bank(directory) -> LatentBank:
     names, ids, w = zip(*entries)
     w = np.asarray(w) / max(w)  # so the sum cannot overflow near the float max
     items = (read_grid(os.path.join(directory, name)).data for name in names)
-    return LatentBank(items, ids, w / w.sum())
+    return ItemSource(items, np.array(ids, dtype=np.int64), w / w.sum())
+
+
+def load_bank(directory) -> LatentBank:
+    """The bank of :func:`saved_items` in ``directory``."""
+    return LatentBank(*saved_items(directory))

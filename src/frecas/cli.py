@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bank import LatentBank
+from .bank import LatentBank, check_items
 from .cascade import PRESETS, compute_cost, run_cascade, stage_costs
 from .codec import decode
 from .config import (
@@ -24,11 +24,11 @@ from .config import (
     _coerce,
     ablation_plan,
     build_bank,
-    build_bank_at,
     build_codec,
     build_direct_plan,
     build_plan,
     build_schedule,
+    item_source,
     parse_config_file,
     target_side,
 )
@@ -161,19 +161,20 @@ def cmd_psd(cfg: RunConfig, timesteps) -> int:
     clash = [name for i, name in enumerate(names) if name in names[:i]]
     if clash:
         raise ConfigError(f"--timesteps lists two timesteps written to {clash[0]}")
-    bank = build_bank_at(cfg, target_side(cfg), build_codec(cfg))
-    os.makedirs(cfg.out, exist_ok=True)
+    side = target_side(cfg)
+    source = item_source(cfg, side, build_codec(cfg))
 
-    # per timestep, the three curves summed over the items as given, the i-th
-    # with noise subseed i; each is unblocked, its noise drawn and transformed, once
-    sums = np.zeros((len(timesteps), 3, bank.side // 2))
-    for i, k in enumerate(bank.input_slots):
-        item = bank.item(k)
+    # per timestep, the three curves summed over the items in the order
+    # given, the i-th with noise subseed i: each item is transformed as it
+    # arrives and then dropped, so no bank is held
+    sums = np.zeros((len(timesteps), 3, side // 2))
+    for i, item in enumerate(check_items(source.items)):
         noise = seeded_gaussian(item.shape, subseed(cfg.seed, _SUBSEED_PSD_NOISE, i))
-        sums += psd_decomposition(item, noise, timesteps, sched)
+        sums += psd_decomposition(LatentGrid(item), noise, timesteps, sched)
+    os.makedirs(cfg.out, exist_ok=True)
     summary = ["t,low_band_signal_fraction,high_band_signal_fraction"]
     for t, name, acc in zip(timesteps, names, sums):
-        curves = [PsdCurve(a / bank.size, Resolution(bank.side)) for a in acc]
+        curves = [PsdCurve(a / len(source.class_ids), Resolution(side)) for a in acc]
         write_psd_csv(os.path.join(cfg.out, name), *curves)
         low, high = band_energy_fractions(curves[2])
         summary.append(f"{t:g},{low:.17g},{high:.17g}")

@@ -1,6 +1,12 @@
 """Run configuration: a flat key/value text format plus the logic that turns
 a config into a stage plan, codec, and latent bank.
 
+The bank settings are read once, into an item source (`item_source`) that
+makes every check of the settings before it yields the bank's items one at
+a time. It has two consumers: `build_bank` blocks each item into a
+`LatentBank`, and ``frecas psd`` transforms each item as it arrives and
+holds no bank.
+
 Config files hold one ``key = value`` pair per line; ``#`` starts a comment.
 Dotted keys group related settings (``bank.kind = value_noise``). Command
 line flags override file values, which override the defaults of `RunConfig`.
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import wraps
 from typing import get_args
 
-from .bank import LatentBank, load_bank, make_bank
+from .bank import ItemSource, LatentBank, procedural_items, saved_items
 from .cascade import PRESETS, Preset, StagePlan, ladder, stage_timesteps
 from .codec import LatentCodec
 from .grid import Resolution
@@ -256,8 +262,8 @@ def target_side(cfg: RunConfig) -> int:
 
 def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBank:
     """Latent bank at the plan's highest stage resolution, which must hold
-    items of the run's condition."""
-    return build_bank_at(cfg, plan.stages[-1].resolution.side, codec, cfg.condition)
+    items of the run's condition: its :func:`item_source`, built item by item."""
+    return LatentBank(*item_source(cfg, plan.stages[-1].resolution.side, codec, cfg.condition))
 
 
 def _check_condition(condition: int | None, classes) -> None:
@@ -266,29 +272,24 @@ def _check_condition(condition: int | None, classes) -> None:
                           f"available: {', '.join(str(c) for c in classes)}")
 
 
-def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec,
-                  condition: int | None = None) -> LatentBank:
-    """Latent bank at one latent side, holding items of ``condition`` if given.
+def item_source(cfg: RunConfig, latent_side: int, codec: LatentCodec,
+                condition: int | None = None) -> ItemSource:
+    """The items of the settings' bank at one latent side, holding items of
+    ``condition`` if given, in the order given.
 
-    A saved bank must have that side and a channel count the codec can
-    decode, and its classes are checked once it is loaded. Procedural banks
-    hold the classes 0 .. bank.classes - 1 (item k has id k % bank.classes),
-    checked before any item is drawn; they are drawn as image-space textures
-    at the matching pixel resolution and encoded item by item on their way
-    into the bank (`make_bank`), so they are valid latents for any codec.
+    Every check of the settings and of a saved bank's manifest is made here,
+    before an item is drawn or read. A saved bank's classes are its
+    manifest's, and its first grid must have the latent side and a channel
+    count the codec can decode, checked as it is read. Procedural banks hold
+    the classes 0 .. bank.classes - 1 (item k has id k % bank.classes); they
+    are drawn as image-space textures at the matching pixel resolution and
+    encoded one at a time as they are asked for (`procedural_items`), so
+    they are valid latents for any codec.
     """
     if cfg.bank_path:
-        bank = load_bank(cfg.bank_path)
-        if bank.side != latent_side:
-            raise ConfigError(
-                f"bank resolution {bank.side} does not match the "
-                f"plan's target side {latent_side}"
-            )
-        if bank.channels % codec.channel_factor:
-            raise ConfigError(f"bank channels {bank.channels} are not a multiple of the "
-                              f"{codec.value} codec's {codec.channel_factor}")
-        _check_condition(condition, bank.classes)
-        return bank
+        source = saved_items(cfg.bank_path)
+        _check_condition(condition, sorted(set(source.class_ids.tolist())))
+        return source._replace(items=_at_side(source.items, latent_side, codec))
     for key, count in (("bank.items", cfg.bank_items), ("bank.classes", cfg.bank_classes),
                        ("bank.channels", cfg.bank_channels)):
         if count < 1:
@@ -300,7 +301,7 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec,
                           f"({cfg.bank_items}): a class with no items is never a condition")
     _check_condition(condition, range(cfg.bank_classes))
     try:
-        return make_bank(
+        return procedural_items(
             cfg.bank_kind,
             latent_side * codec.spatial_factor,
             channels=cfg.bank_channels,
@@ -311,3 +312,20 @@ def build_bank_at(cfg: RunConfig, latent_side: int, codec: LatentCodec,
         )
     except ValueError as e:  # an unknown bank.kind
         raise ConfigError(str(e)) from e
+
+
+def _at_side(grids, latent_side: int, codec: LatentCodec):
+    """Saved grids as they are read, the first checked against the latent
+    side and the codec's channel factor."""
+    grids = iter(grids)
+    first = next(grids)
+    channels, side, width = first.shape
+    if side == width:  # a grid that is not square is refused by `check_items`, as in a bank
+        if side != latent_side:
+            raise ConfigError(f"bank resolution {side} does not match the "
+                              f"plan's target side {latent_side}")
+        if channels % codec.channel_factor:
+            raise ConfigError(f"bank channels {channels} are not a multiple of the "
+                              f"{codec.value} codec's {codec.channel_factor}")
+    yield first
+    yield from grids

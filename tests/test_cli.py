@@ -7,11 +7,10 @@ from frecas.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from frecas.config import (
     ConfigError,
     RunConfig,
-    build_bank_at,
+    build_bank,
     build_codec,
     build_plan,
     build_schedule,
-    target_side,
 )
 from frecas.bank import LatentBank, make_bank, save_bank
 from frecas.freq import band_energy_fractions, psd_decomposition, radial_psd
@@ -119,7 +118,7 @@ class TestExitCodes:
         assert exc.value.code == EXIT_USAGE
 
     def test_psd_on_flow_schedule_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("frecas.cli.build_bank_at", pytest.fail)
+        monkeypatch.setattr("frecas.cli.item_source", pytest.fail)
         code = main(["psd", "--preset", "sd3-x4", *FAST, "--out", str(tmp_path / "r")])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
@@ -385,7 +384,7 @@ class TestExitCodes:
                                                         argv):
         # T is checked before the schedule's table is built: T = 10^12 would
         # ask for three 8 TB arrays, and nothing near that is allocated
-        for builder in ("build_bank", "build_bank_at"):
+        for builder in ("build_bank", "item_source"):
             monkeypatch.setattr(f"frecas.cli.{builder}", pytest.fail)
         tracemalloc.start()
         try:
@@ -449,7 +448,7 @@ class TestExitCodes:
                                                           argv, message):
         # rejected before a bank is built or the output directory made
         monkeypatch.setattr("frecas.cli.build_bank", pytest.fail)
-        monkeypatch.setattr("frecas.cli.build_bank_at", pytest.fail)
+        monkeypatch.setattr("frecas.cli.item_source", pytest.fail)
         code = main([*argv, *FAST, "--out", str(tmp_path / "r")])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"frecas: config error: {message}\n"
@@ -500,7 +499,7 @@ class TestPsd:
                      "--out", str(tmp_path / "p")]) == EXIT_OK
         cfg = RunConfig(preset="sdxl-x4", base_side=8, bank_items=8, bank_channels=3, seed=3)
         sched = build_schedule(cfg)
-        bank = build_bank_at(cfg, target_side(cfg), build_codec(cfg))
+        bank = build_bank(cfg, build_plan(cfg, sched), build_codec(cfg))
         noises = [seeded_gaussian(bank.item_shape, subseed(3, 2, k)) for k in range(bank.size)]
         sums = 0
         for k, noise in enumerate(noises):
@@ -527,6 +526,43 @@ class TestPsd:
             procedural, saved = (np.loadtxt(tmp_path / d / f"psd_t{t}.csv", delimiter=",",
                                             skiprows=1) for d in ("p", "s"))
             np.testing.assert_allclose(saved, procedural, rtol=1e-6, atol=1e-9)
+
+    def test_holds_one_item_not_the_bank(self, tmp_path):
+        # each item is transformed as it arrives and dropped, so the peak does
+        # not grow with the bank: a 1024-item bank of 3 x 16 x 16 float64
+        # items is 6.3 MB, and psd on it peaks within a tenth of that of 64 items
+        args = ["psd", "--stages", "16:2:0", "--timesteps", "900"]
+        assert main([*args, "--bank-items", "4", "--out", str(tmp_path / "warm")]) == EXIT_OK
+        peaks = {}
+        for items in (64, 1024):
+            tracemalloc.start()
+            try:
+                code = main([*args, "--bank-items", str(items), "--out", str(tmp_path / "r")])
+                peaks[items] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert abs(peaks[1024] - peaks[64]) < 0.1 * (1024 * 3 * 16 * 16 * 8)
+
+    @pytest.mark.parametrize("argv,item_3_side,code,message", [
+        (["--stages", "16:2:0"], 8, EXIT_RUNTIME,
+         "frecas: error: bank item 3 has shape (3, 8, 8), not (3, 16, 16)\n"),
+        (["--stages", "8:2:0"], 16, EXIT_USAGE,
+         "frecas: config error: bank resolution 16 does not match the plan's target side 8\n"),
+        (["--stages", "16:2:0", "--codec", "haar1"], 16, EXIT_USAGE,
+         "frecas: config error: bank channels 3 are not a multiple of the haar1 codec's 4\n"),
+    ], ids=["item-side", "bank-side", "codec-channels"])
+    def test_saved_bank_is_refused_as_the_bank_refuses_it(self, tmp_path, capsys, argv,
+                                                          item_3_side, code, message):
+        # each fault is found as the items stream by, before the output
+        # directory is made: a fourth grid of another side, a bank of another
+        # side than the plan's and a 3-channel bank under the Haar codec
+        bank = tmp_path / "bank16c3"
+        save_bank(bank, make_bank("value_noise", 16, n_items=8))
+        write_grid(bank / "item_0003.frcg", LatentGrid(np.zeros((3, item_3_side, item_3_side))))
+        assert main(["psd", *argv, "--bank-path", str(bank), "--out", str(tmp_path / "r")]) == code
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "r").exists()
 
     def test_deterministic(self, tmp_path):
         args = ["psd", "--preset", "sdxl-x4", *FAST, "--seed", "3", "--timesteps", "300"]

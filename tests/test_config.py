@@ -279,7 +279,7 @@ class TestBuildBank:
                                                      flag, value, key):
         # more classes than items, or channels other than 1 and 3: without
         # the check an oversized count overflows or allocates until killed
-        monkeypatch.setattr("frecas.config.make_bank", lambda *args, **kwargs: pytest.fail(
+        monkeypatch.setattr("frecas.config.procedural_items", lambda *args, **kwargs: pytest.fail(
             "bank built before its settings were checked"))
         code = main(["sample", "--base-side", "4", "--bank-items", "4", flag, value,
                      "--out", str(tmp_path / "r")])
@@ -333,6 +333,19 @@ class TestBuildBank:
                                               "available: 1, 3$"):
             build_bank(cfg, plan, IDENTITY)
 
+    def test_saved_banks_unknown_condition_is_refused_before_any_grid_is_read(self, tmp_path,
+                                                                              monkeypatch):
+        # the manifest holds the class ids, so no grid need be read to refuse one
+        from frecas.bank import LatentBank, save_bank
+
+        save_bank(tmp_path / "bank", LatentBank(np.zeros((2, 2, 16, 16)), [1, 3], [0.5, 0.5]))
+        monkeypatch.setattr("frecas.bank.read_grid", lambda path: pytest.fail(
+            f"{path} read before the condition was checked"))
+        cfg = RunConfig(stages="8:2:100,16:1:0", preset=None, condition=0,
+                        bank_path=str(tmp_path / "bank"))
+        with pytest.raises(ConfigError, match="^condition 0 is not a class of the bank"):
+            build_bank(cfg, build_plan(cfg, build_schedule(cfg)), IDENTITY)
+
     @pytest.mark.parametrize("command", [["sample"], ["ablate", "--param", "w_h", "--values", "1"],
                                          ["bench"]])
     def test_unknown_condition_is_refused_before_any_item_is_drawn(self, tmp_path, capsys,
@@ -340,9 +353,9 @@ class TestBuildBank:
         from frecas import config as config_module
 
         calls = []
-        make_bank = config_module.make_bank
-        monkeypatch.setattr(config_module, "make_bank",
-                            lambda *args, **kwargs: calls.append(1) or make_bank(*args, **kwargs))
+        procedural_items = config_module.procedural_items
+        monkeypatch.setattr(config_module, "procedural_items", lambda *args, **kwargs:
+                            calls.append(1) or procedural_items(*args, **kwargs))
         code = main([*command, "--base-side", "4", "--bank-items", "4", "--condition", "7",
                      "--out", str(tmp_path / "r")])
         assert (code, len(calls)) == (EXIT_USAGE, 0)
