@@ -60,7 +60,11 @@ stream of items, each blocked as it arrives: an :class:`ItemSource` from
 :func:`procedural_items` encodes each procedural item as it is drawn, one
 from :func:`saved_items` reads one saved grid at a time, and
 :func:`bank_resample` unblocks one item at a time straight into the
-resampling kernel, so no build holds a second bank or a list of grids. An
+resampling kernel, so no build holds a second bank or a list of grids.
+:func:`frecas.config.build_bank` resamples its bank once to each earlier
+stage side of the plan and keeps those stage banks on it
+(:attr:`LatentBank.stage_banks`), where :func:`bank_resample` finds them, so
+no run of the plan rebuilds one. An
 item source has two consumers, the bank and ``frecas psd``, which transforms
 each item as it arrives and holds no bank; both run :func:`check_items`.
 Item order is the bank's, not the caller's: items sit stably sorted by class
@@ -72,6 +76,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -165,6 +170,9 @@ class LatentBank:
     Items sit stably sorted by class id: the c-th smallest id ``classes[c]``
     owns ``class_sizes[c]`` slots from ``class_starts[c]``, and the i-th item
     given sits in slot ``input_slots[i]``; all are computed once, here.
+    ``stage_banks`` is a read-only mapping from a side to this bank
+    resampled there, which :func:`bank_resample` returns; it is empty but on
+    a bank from :func:`frecas.config.build_bank`, which sets it once.
     """
 
     def __init__(self, items, class_ids, weights):
@@ -199,6 +207,7 @@ class LatentBank:
         self.blocks, self.class_ids, self.weights, self.log_weights = blocks, ids, w, log_weights
         self.item_shape, self.patch_size, self.input_slots = shape, p, slots
         self.classes, self.class_starts, self.class_sizes = tuple(classes.tolist()), starts, sizes
+        self.stage_banks = MappingProxyType({})
 
     @property
     def size(self) -> int:
@@ -250,10 +259,14 @@ class LatentBank:
 
 def bank_resample(bank: LatentBank, target: Resolution) -> LatentBank:
     """Every item bilinearly resampled; ids, weights and ``input_slots``
-    preserved. Items go one at a time, in the given order, from the bank's
-    blocks through the resampling kernel into the new bank."""
+    preserved. At the bank's own side that is the bank, and at a side of
+    its ``stage_banks`` the bank kept there. Otherwise a new bank is built:
+    items go one at a time, in the given order, from the bank's blocks
+    through the resampling kernel into it."""
     if bank.side == target.side:
         return bank
+    if target.side in bank.stage_banks:
+        return bank.stage_banks[target.side]
     side, given = target.side, bank.input_slots
     items = (_kernels.bilinear_resample(bank.unblock(bank.blocks[k]), side, side) for k in given)
     return LatentBank(items, bank.class_ids[given], bank.weights[given])
@@ -580,8 +593,8 @@ def make_bank(*args, **kwargs) -> LatentBank:
 
 def save_bank(directory, bank: LatentBank) -> None:
     """Directory of raw grid dumps plus a manifest of ids and weights, in the
-    order the items were given, so :func:`load_bank` restores ``input_slots``."""
-    os.makedirs(directory, exist_ok=True)
+    order the items were given, so :func:`load_bank` restores ``input_slots``;
+    the first grid written makes the directory."""
     lines = []
     for i, k in enumerate(bank.input_slots):
         name = f"item_{i:04d}.frcg"

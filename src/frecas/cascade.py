@@ -379,8 +379,9 @@ def run_cascade(
 
     avg_map = None
     for i, spec in enumerate(plan.stages):
-        # one stage bank alive at a time: it serves the stage and the
-        # transition out of it, and is dropped before the next is built
+        # the stage bank serves the stage and the transition out of it: one
+        # the bank keeps (config.build_bank's), or one resampled here and
+        # dropped before the next is built
         stage_bank = bank_resample(bank, spec.resolution)
         z, avg_map = run_stage(spec, z, stage_bank, condition, plan, reused_maps=avg_map)
         if stage_callback is not None:

@@ -119,8 +119,9 @@ def cmd_sample(cfg: RunConfig) -> int:
     plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     bank = build_bank(cfg, plan, codec)
-    os.makedirs(cfg.out, exist_ok=True)
 
+    # write_grid makes the out directory, at the first stage dump or once
+    # the run has returned, so a failed run leaves none
     dumps = []
 
     def dump_stage(i, z):
@@ -135,6 +136,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     cost, direct_cost = compute_cost(plan), compute_cost(build_direct_plan(cfg, plan, sched))
 
     # the grid goes first: it refuses a latent beyond the float32 range
+    # before it makes the directory
     write_grid(os.path.join(cfg.out, "image.frcg"), image)
     img_name = "image.pgm" if image.channels == 1 else "image.ppm"
     outputs = [("image", img_name)] if write_image(os.path.join(cfg.out, img_name), image) else []
@@ -194,13 +196,14 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
     plans = [ablation_plan(cfg, param, v, sched) for v in values]
     base_plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
-    bank = build_bank(cfg, base_plan, codec)
+    # every variant ends at the same target resolution, so one bank and one
+    # reference spectrum serve the whole sweep; the variants share no other
+    # side, so the bank is built for the one-stage direct plan and keeps no
+    # stage bank: each run resamples its own, one at a time
+    bank = build_bank(cfg, build_direct_plan(cfg, base_plan, sched), codec)
     bank_psd = _bank_mean_psd(bank, codec)
-    os.makedirs(cfg.out, exist_ok=True)
 
     def one(plan):
-        # every variant ends at the same target resolution, so one bank and
-        # one reference spectrum serve the whole sweep
         image, _ = run_cascade(plan, codec, bank, cfg.condition, cfg.seed)
         curve = radial_psd(image)
         cut = curve.low_bins
@@ -209,6 +212,7 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
         return compute_cost(plan), float(high), float(low), dist
 
     rows = [one(p) for p in plans]
+    os.makedirs(cfg.out, exist_ok=True)
     lines = ["value,cost_units,high_band_energy,low_band_energy,bank_psd_distance"]
     for v, (cost, high, low, dist) in zip(values, rows):
         lines.append(f"{v:g},{cost:.17g},{high:.17g},{low:.17g},{dist:.17g}")
@@ -220,8 +224,9 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    """One untimed (cascade, direct) pair warms the process and the bank,
-    then five timed pairs alternate, so drift falls on both sides alike.
+    """One untimed (cascade, direct) pair warms the process and the bank's
+    lazy Gram and patch norms (its stage banks are built with it), then
+    five timed pairs alternate, so drift falls on both sides alike.
     The measured speedup is the median of the pairs' direct / cascade
     ratios, printed with their range."""
     sched = build_schedule(cfg)

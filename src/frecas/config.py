@@ -4,7 +4,8 @@ a config into a stage plan, codec, and latent bank.
 The bank settings are read once, into an item source (`item_source`) that
 makes every check of the settings before it yields the bank's items one at
 a time. It has two consumers: `build_bank` blocks each item into a
-`LatentBank`, and ``frecas psd`` transforms each item as it arrives and
+`LatentBank`, and keeps that bank resampled to each earlier stage side of
+the plan on it, and ``frecas psd`` transforms each item as it arrives and
 holds no bank.
 
 Config files hold one ``key = value`` pair per line; ``#`` starts a comment.
@@ -22,9 +23,10 @@ Each field's ``help`` metadata describes its setting; ``frecas <command>
 
 from dataclasses import dataclass, field, fields, replace
 from functools import wraps
+from types import MappingProxyType
 from typing import get_args
 
-from .bank import ItemSource, LatentBank, procedural_items, saved_items
+from .bank import ItemSource, LatentBank, bank_resample, procedural_items, saved_items
 from .cascade import PRESETS, Preset, StagePlan, ladder, stage_timesteps
 from .codec import LatentCodec
 from .grid import Resolution
@@ -262,8 +264,20 @@ def target_side(cfg: RunConfig) -> int:
 
 def build_bank(cfg: RunConfig, plan: StagePlan, codec: LatentCodec) -> LatentBank:
     """Latent bank at the plan's highest stage resolution, which must hold
-    items of the run's condition: its :func:`item_source`, built item by item."""
-    return LatentBank(*item_source(cfg, plan.stages[-1].resolution.side, codec, cfg.condition))
+    items of the run's condition: its :func:`item_source`, built item by item.
+
+    The bank is the model of every stage: it is resampled here, once, to
+    each earlier stage side of the plan, and each stage bank, with its patch
+    norms, is kept on it (`LatentBank.stage_banks`), so a run of the plan
+    resamples nothing. The bank's own Gram and patch norms are built on
+    first read."""
+    bank = LatentBank(*item_source(cfg, plan.stages[-1].resolution.side, codec, cfg.condition))
+    kept = {}
+    for spec in plan.stages[:-1]:
+        kept[spec.resolution.side] = stage_bank = bank_resample(bank, spec.resolution)
+        stage_bank.patch_norms  # built at set-up, not in a run
+    bank.stage_banks = MappingProxyType(kept)
+    return bank
 
 
 def _check_condition(condition: int | None, classes) -> None:

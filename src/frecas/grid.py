@@ -110,13 +110,16 @@ def resample_bilinear_rect(g: LatentGrid, out_h: int, out_w: int) -> LatentGrid:
 
 def write_grid(path, g: LatentGrid) -> None:
     """Raw dump: 16-byte header (magic, u32 C/H/W, little-endian) + f32 data.
+    The file's directory is made if it is missing.
 
-    ValueError, before the file is opened, for a value that is finite in
-    float64 but not in float32, since :func:`read_grid` would refuse it."""
+    ValueError, before the directory is made or the file opened, for a value
+    that is finite in float64 but not in float32, since :func:`read_grid`
+    would refuse it."""
     with np.errstate(over="ignore"):
         payload = g.data.astype("<f4")
     if not np.all(np.isfinite(payload)):
         raise ValueError(f"{path}: grid values exceed the float32 range of the dump format")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     header = struct.pack("<4sIII", _MAGIC, g.channels, g.height, g.width)
     with open(path, "wb") as f:
         f.write(header)

@@ -775,6 +775,59 @@ class TestRunCascade:
             assert abs(snr(SCHED, first) - target) <= 1e-6 * target
 
 
+def desk_run_inputs(cfg: RunConfig):
+    """The schedule, plan and codec of a run of ``cfg``."""
+    sched = build_schedule(cfg)
+    return sched, build_plan(cfg, sched), build_codec(cfg)
+
+
+class TestStageBanks:
+    def test_each_stage_side_is_resampled_once_per_bank(self, monkeypatch):
+        cfg = RunConfig(base_side=8, bank_items=8)
+        sched, plan, codec = desk_run_inputs(cfg)
+        assert not build_bank(cfg, build_direct_plan(cfg, plan, sched), codec).stage_banks
+        bank = build_bank(cfg, plan, codec)
+        assert sorted(bank.stage_banks) == [s.resolution.side for s in plan.stages[:-1]]
+        for side, kept in bank.stage_banks.items():
+            assert bank_resample(bank, Resolution(side)) is kept
+            assert not kept.stage_banks
+        with pytest.raises(TypeError):
+            bank.stage_banks[12] = bank
+        shapes = []
+
+        def norms(blocks, _fn=_kernels.patch_sq_norms):
+            shapes.append(blocks.shape)
+            return _fn(blocks)
+
+        monkeypatch.setattr(_kernels, "patch_sq_norms", norms)
+        added = []
+        for seed in (1, 2, 3):
+            before = len(shapes)
+            run_cascade(plan, codec, bank, 0, seed)
+            added.append(shapes[before:])
+        # one latent's norms per denoiser evaluation, a stage step or a
+        # transition's denoise; run 1 also builds the target bank's norms
+        evaluations = sum(s.steps for s in plan.stages) + len(plan.stages) - 1
+        assert [len(a) for a in added] == [evaluations + 1, evaluations, evaluations]
+        assert [shape for shape in added[0] if len(shape) == 3] == [bank.blocks.shape]
+        assert all(len(shape) == 2 for shape in added[1] + added[2])
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(base_side=8, bank_items=8),
+        RunConfig(stages="8:2:300,12:2:150,16:2:0", schedule="flow", bank_items=8),
+        RunConfig(preset="sd3-x4", codec="haar1", base_side=8, bank_items=8),
+    ], ids=["sdxl-x4", "flow-ladder", "sd3-x4-haar1"])
+    def test_kept_stage_banks_give_the_bytes_of_resampled_ones(self, cfg):
+        # a bank built for the direct plan keeps no stage bank, so its run
+        # resamples each earlier side for that stage alone
+        sched, plan, codec = desk_run_inputs(cfg)
+        kept = build_bank(cfg, plan, codec)
+        bare = build_bank(cfg, build_direct_plan(cfg, plan, sched), codec)
+        a, _ = run_cascade(plan, codec, kept, 0, seed=5)
+        b, _ = run_cascade(plan, codec, bare, 0, seed=5)
+        assert a.data.tobytes() == b.data.tobytes()
+
+
 class TestPlansAndCost:
     def test_plan_validation(self):
         kw = dict(gamma=2.0, schedule=SCHED, w_l=7.5, w_h=35.0, w_c=0.0)

@@ -363,7 +363,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("w_l", ["1e300", "5e307"])
     def test_latent_beyond_float32_is_runtime_error(self, tmp_path, capsys, w_l):
         # a finite final latent whose float32 dump would be inf: the grid is
-        # written first and refuses it, so no image, grid or manifest appears
+        # written first and refuses it before the out directory is made, so
+        # no image, grid, manifest or directory appears
         out = tmp_path / "r"
         code = main(["sample", "--stages", "8:1:0", "--w-l", w_l, "--bank-items", "8",
                      "--out", str(out)])
@@ -371,7 +372,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == (f"frecas: error: {out / 'image.frcg'}: grid values exceed the "
                        "float32 range of the dump format\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sample", "--stages", "8:1:0", "--w-l", "1e300"],
+         "run/image.frcg: grid values exceed the float32 range of the dump format"),
+        (["ablate", "--stages", "8:4:0", "--param", "w_l", "--values", "1,1e308"],
+         "latent distances to the bank overflow at t = 750"),
+    ], ids=["sample", "ablate"])
+    def test_failed_run_makes_no_out_directory(self, tmp_path, capsys, argv, message):
+        # the run or the sweep fails after the bank is built; the out
+        # directory, and its missing parent, are made only once it returns
+        out = tmp_path / "f" / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([*argv, "--bank-items", "8", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("frecas: error: ") and err.endswith(message + "\n")
+        assert not (tmp_path / "f").exists()
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--T", "0"],
