@@ -252,7 +252,9 @@ def run_stage(
     entry, and each new latent (in coordinates, its coordinates) for
     finiteness: a non-finite one is a ValueError naming the step's t. The
     latent built from finite coordinates is checked at the end, and where
-    the next step's distances fail, under the step before.
+    the next step's distances fail, under the step before. These checks, and
+    the distance check of each posterior, report an overflow alone: numpy's
+    overflow and invalid-value warnings are off over the step loop.
     """
     if bank.item_shape != z.shape:
         raise ValueError(f"latent shape {z.shape} does not match bank {bank.item_shape}")
@@ -270,22 +272,23 @@ def run_stage(
         reused_maps = resample_ca_map(reused_maps, bank.side // bank.patch_size)
     averages = spec != plan.stages[-1]  # only a later stage reads the average
     step_maps = []
-    for idx in range(spec.steps):
-        t, t_next = float(grid[idx]), float(grid[idx + 1])
-        try:
-            post = posterior(z, t, plan.schedule)
-        except ValueError:
-            if span is not None and idx:  # the latent may have left the float range
-                _require_finite(span.latent(z), float(grid[idx - 1]))
-            raise
-        fused = None if reused_maps is None else fuse_ca_maps(post.ca, reused_maps, plan.w_c)
-        fields = post.fields(condition, ca_mixture=fused)
-        if averages:
-            step_maps.append(post.ca if fused is None else fused)
-        z = _guided_step(z, fields, gw, bank, plan, post.fwd, t, t_next)
-    if span is not None:
-        z = span.latent(z)
-        _require_finite(z, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in range(spec.steps):
+            t, t_next = float(grid[idx]), float(grid[idx + 1])
+            try:
+                post = posterior(z, t, plan.schedule)
+            except ValueError:
+                if span is not None and idx:  # the latent may have left the float range
+                    _require_finite(span.latent(z), float(grid[idx - 1]))
+                raise
+            fused = None if reused_maps is None else fuse_ca_maps(post.ca, reused_maps, plan.w_c)
+            fields = post.fields(condition, ca_mixture=fused)
+            if averages:
+                step_maps.append(post.ca if fused is None else fused)
+            z = _guided_step(z, fields, gw, bank, plan, post.fwd, t, t_next)
+        if span is not None:
+            z = span.latent(z)
+            _require_finite(z, t)
     return LatentGrid(bank.unblock(z)), average_ca_maps(step_maps) if averages else None
 
 
@@ -336,6 +339,7 @@ def transition(
     bank: LatentBank,
     condition: int | None,
     noise_seed: int,
+    image_callback=None,
 ):
     """The five-step hop to the next stage: denoise the last latent to a
     clean estimate, decode, bilinearly interpolate to the next pixel
@@ -344,20 +348,27 @@ def transition(
     ``plan.first_timesteps``.
 
     The denoise step is a single conditional evaluation, the plain field of
-    :func:`frecas.bank.predict`, which forms no evidence or map. Returns (z_F, F).
+    :func:`frecas.bank.predict`, which forms no evidence or map. The decoded
+    clean image is passed to ``image_callback``, if given, before the last
+    three steps (:func:`_enter`) start from it. Returns (z_F, F).
     """
     sched = plan.schedule
     L = from_spec.last_timestep
     field = predict(bank, z_last, L, condition, sched)
-    z0 = predict_z0(z_last, field, L, sched)
-    image = decode(codec, z0)
+    image = decode(codec, predict_z0(z_last, field, L, sched))
+    if image_callback is not None:
+        image_callback(image)
+    return _enter(image, from_spec, to_spec, plan, codec, noise_seed)
+
+
+def _enter(image, from_spec, to_spec, plan, codec, noise_seed):
+    """A hop's last three steps, from its clean image: interpolate, encode
+    and diffuse with the noise of ``noise_seed``; returns (z_F, F)."""
     pixel_side = to_spec.resolution.side * codec.spatial_factor
-    image_up = resample_bilinear_rect(image, pixel_side, pixel_side)
-    z0_up = encode(codec, image_up)
+    z0_up = encode(codec, resample_bilinear_rect(image, pixel_side, pixel_side))
     F = plan.entry_timestep(from_spec, to_spec)
     noise = seeded_gaussian(z0_up.shape, noise_seed)
-    z_f = diffuse(z0_up, F, noise, sched)
-    return z_f, F
+    return diffuse(z0_up, F, noise, plan.schedule), F
 
 
 def run_cascade(
@@ -367,18 +378,41 @@ def run_cascade(
     condition: int | None,
     seed: int,
     stage_callback=None,
+    *,
+    shared: dict | None = None,
 ):
     """Full cascaded run; returns (image, report).
 
     The run is a pure function of its arguments: initial noise and every
     transition noise derive from sub-seeds of the run seed. Every timestep it
     visits comes from the plan (`StagePlan.time_grid`).
+
+    ``shared``, a dict that the runs of one sweep pass alike, keeps stage 0's
+    record for a plan of two or more stages: its final latent, its averaged
+    map and the clean image its transition decodes, keyed by all they read,
+    (stage 0, schedule, w_l, codec, bank, condition, seed). Stage 0 enters at
+    t_max, is cut at its own side (plain CFG at w_l) and reuses no map, so
+    w_h, w_c, gamma and the later stages never reach it. A run that finds its
+    key skips stage 0, its bank and that denoise and decode, and enters stage
+    1 from the kept image with its own F and the same noise: the same bytes.
     """
-    shape = (bank.channels, plan.stages[0].resolution.side, plan.stages[0].resolution.side)
-    z = seeded_gaussian(shape, subseed(seed, _SUBSEED_INIT))
+    kept = None
+    if shared is not None and len(plan.stages) > 1:
+        key = (plan.stages[0], plan.schedule, plan.w_l, codec, bank, condition, seed)
+        kept = shared.get(key)
+    if kept is None:
+        side = plan.stages[0].resolution.side
+        z = seeded_gaussian((bank.channels, side, side), subseed(seed, _SUBSEED_INIT))
 
     avg_map = None
     for i, spec in enumerate(plan.stages):
+        if i == 0 and kept is not None:
+            z, avg_map, image = kept
+            if stage_callback is not None:
+                stage_callback(0, z)
+            z, _ = _enter(image, spec, plan.stages[1], plan, codec,
+                          subseed(seed, _SUBSEED_TRANSITION, 0))
+            continue
         # the stage bank serves the stage and the transition out of it: one
         # the bank keeps (config.build_bank's), or one resampled here and
         # dropped before the next is built
@@ -387,10 +421,12 @@ def run_cascade(
         if stage_callback is not None:
             stage_callback(i, z)
         if i + 1 < len(plan.stages):
-            z, _ = transition(
-                z, spec, plan.stages[i + 1], plan, codec, stage_bank, condition,
-                subseed(seed, _SUBSEED_TRANSITION, i),
-            )
+            keep = None
+            if i == 0 and shared is not None:
+                def keep(image, record=(z, avg_map)):
+                    shared[key] = (*record, image)
+            z, _ = transition(z, spec, plan.stages[i + 1], plan, codec, stage_bank, condition,
+                              subseed(seed, _SUBSEED_TRANSITION, i), image_callback=keep)
         del stage_bank
 
     image = decode(codec, z)

@@ -197,14 +197,17 @@ def cmd_ablate(cfg: RunConfig, param: str, values) -> int:
     base_plan = build_plan(cfg, sched)
     codec = build_codec(cfg)
     # every variant ends at the same target resolution, so one bank and one
-    # reference spectrum serve the whole sweep; the variants share no other
-    # side, so the bank is built for the one-stage direct plan and keeps no
-    # stage bank: each run resamples its own, one at a time
+    # reference spectrum serve the whole sweep. It is built for the
+    # one-stage direct plan and keeps no stage bank: a variant resamples its
+    # own, one at a time. Variants that agree on stage 0 (an N, w_h or w_c
+    # sweep) share its run, its denoise and its decode through `shared`,
+    # dropped with the sweep
     bank = build_bank(cfg, build_direct_plan(cfg, base_plan, sched), codec)
     bank_psd = _bank_mean_psd(bank, codec)
+    shared = {}
 
     def one(plan):
-        image, _ = run_cascade(plan, codec, bank, cfg.condition, cfg.seed)
+        image, _ = run_cascade(plan, codec, bank, cfg.condition, cfg.seed, shared=shared)
         curve = radial_psd(image)
         cut = curve.low_bins
         low, high = curve.power[:cut].sum(), curve.power[cut:].sum()

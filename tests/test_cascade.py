@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -421,6 +422,7 @@ class TestBlockedStage:
         (1, (7.5, 1e308), None),  # the high band's weight overflows
         (None, (1e308, 35.0), "1000"),  # a one-stage plan, run in bank coordinates
     ], ids=["w_l", "w_h", "one-stage-w_l"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_latent_names_the_step(self, rng, stage, w, t):
         plan = one_stage_plan(w_l=w[0]) if stage is None else toy_plan(w=w)
         spec = plan.stages[stage or 0]
@@ -432,9 +434,8 @@ class TestBlockedStage:
         bank = toy_bank(rng, side=side, scale=1.0 if stage is not None else 100.0)
         z = LatentGrid(rng.standard_normal((2, side, side)))
         t = t or f"{plan.first_timesteps[stage]:g}"
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=f"non-finite latent after the step at t = {t}$"):
-                run_stage(spec, z, bank, 1, plan)
+        with pytest.raises(ValueError, match=f"non-finite latent after the step at t = {t}$"):
+            run_stage(spec, z, bank, 1, plan)
 
 
 class TestBankCoordinateStage:
@@ -560,15 +561,15 @@ class TestBankCoordinateStage:
             run_cascade(one_stage_plan(), IDENTITY, bank, 1, seed=seed)
         assert calls == [bank.blocks.shape]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_built_latent_is_checked(self, rng):
         # one step: the coordinates stay finite, the latent built from them
         # overflows (see test_non_finite_latent_names_the_step)
         plan = one_stage_plan(steps=1, w_l=1e308)
         bank = toy_bank(rng, side=8, scale=100.0)
         z = LatentGrid(rng.standard_normal((2, 8, 8)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite latent after the step at t = 1000$"):
-                run_stage(plan.stages[0], z, bank, 1, plan)
+        with pytest.raises(ValueError, match="non-finite latent after the step at t = 1000$"):
+            run_stage(plan.stages[0], z, bank, 1, plan)
 
     def test_stage_returns_no_map_and_takes_none(self, rng):
         bank = toy_bank(rng, side=8)
@@ -826,6 +827,113 @@ class TestStageBanks:
         a, _ = run_cascade(plan, codec, kept, 0, seed=5)
         b, _ = run_cascade(plan, codec, bare, 0, seed=5)
         assert a.data.tobytes() == b.data.tobytes()
+
+
+SWEEP_CFGS = {
+    "sdxl-x4": RunConfig(base_side=8, bank_items=8),
+    "sd3-x4-haar1": RunConfig(preset="sd3-x4", codec="haar1", base_side=8, bank_items=8),
+    "flow-ladder": RunConfig(stages="8:2:300,12:2:150,16:2:0", schedule="flow", bank_items=8),
+}
+SWEEPS = {
+    "N": (0, 1, 2, 3),
+    "w_h": (1.0, 7.5, 15.0, 35.0),
+    "w_c": (0.0, 0.3, 0.6, 1.0),
+    "L": (100.0, 200.0, 300.0),
+    "w_l": (1.0, 7.5, 15.0),
+}
+
+
+def sweep_inputs(cfg: RunConfig, param: str):
+    """The plans, codec and bank of `frecas ablate` over ``SWEEPS[param]``:
+    the bank is built for the direct plan, as the sweep builds it."""
+    sched, plan, codec = desk_run_inputs(cfg)
+    plans = [ablation_plan(cfg, param, v, sched) for v in SWEEPS[param]]
+    return plans, codec, build_bank(cfg, build_direct_plan(cfg, plan, sched), codec)
+
+
+def count_stages(monkeypatch) -> list:
+    """The sides of the run_stage calls made from this call on."""
+    sides = []
+
+    def counted(spec, *args, _fn=cascade_module.run_stage, **kwargs):
+        sides.append(spec.resolution.side)
+        return _fn(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cascade_module, "run_stage", counted)
+    return sides
+
+
+class TestSharedFirstStage:
+    """Runs of one sweep that agree on stage 0 share its record through
+    run_cascade's ``shared`` dict, and give the bytes of unshared runs."""
+
+    @pytest.mark.parametrize("param", ["N", "w_h", "w_c"])
+    @pytest.mark.parametrize("name", list(SWEEP_CFGS))
+    def test_a_shared_sweep_gives_each_plans_unshared_bytes(self, name, param):
+        plans, codec, bank = sweep_inputs(SWEEP_CFGS[name], param)
+        alone = [run_cascade(p, codec, bank, 0, seed=5)[0] for p in plans]
+        shared = {}
+        together = [run_cascade(p, codec, bank, 0, seed=5, shared=shared)[0] for p in plans]
+        assert [a.data.tobytes() for a in alone] == [b.data.tobytes() for b in together]
+        assert len(shared) == 1  # every cascade of the sweep has the same stage 0
+
+    @pytest.mark.parametrize("name,param,unshared,shared_count", [
+        ("sd3-x4-haar1", "N", 10, 8),
+        ("sdxl-x4", "w_h", 8, 5),
+        ("sdxl-x4", "w_c", 8, 5),
+        ("sdxl-x4", "L", 6, 6),
+        ("sdxl-x4", "w_l", 6, 6),
+    ])
+    def test_a_sweep_runs_each_distinct_stage_0_once(self, monkeypatch, name, param,
+                                                      unshared, shared_count):
+        plans, codec, bank = sweep_inputs(SWEEP_CFGS[name], param)
+        sides = count_stages(monkeypatch)
+        for p in plans:
+            run_cascade(p, codec, bank, 0, seed=5)
+        assert len(sides) == unshared
+        sides.clear()
+        shared = {}
+        for p in plans:
+            run_cascade(p, codec, bank, 0, seed=5, shared=shared)
+        assert len(sides) == shared_count
+        # an L or w_l sweep changes stage 0 itself, so no two runs share it
+        assert len(shared) == (1 if shared_count < unshared else len(plans))
+
+    def test_a_one_stage_plan_leaves_the_dict_empty(self):
+        cfg = SWEEP_CFGS["sdxl-x4"]
+        sched, plan, codec = desk_run_inputs(cfg)
+        direct = build_direct_plan(cfg, plan, sched)
+        bank = build_bank(cfg, direct, codec)
+        shared = {}
+        image, _ = run_cascade(direct, codec, bank, 0, seed=5, shared=shared)
+        assert shared == {}
+        assert image.data.tobytes() == run_cascade(direct, codec, bank, 0, seed=5)[0].data.tobytes()
+
+    def test_one_dict_across_seeds_conditions_and_banks(self):
+        cfg = SWEEP_CFGS["sdxl-x4"]
+        sched, plan, codec = desk_run_inputs(cfg)
+        banks = [build_bank(replace(cfg, bank_seed=s), plan, codec) for s in (0, 1)]
+        shared = {}
+        for _ in range(2):  # the second round only hits
+            for bank in banks:
+                for condition in (0, 1):
+                    for seed in (1, 2):
+                        a, _ = run_cascade(plan, codec, bank, condition, seed, shared=shared)
+                        b, _ = run_cascade(plan, codec, bank, condition, seed)
+                        assert a.data.tobytes() == b.data.tobytes()
+        assert len(shared) == 8
+
+    def test_a_hit_calls_back_with_stage_0s_latent(self):
+        cfg = SWEEP_CFGS["sd3-x4-haar1"]
+        sched, plan, codec = desk_run_inputs(cfg)
+        bank = build_bank(cfg, plan, codec)
+        shared, runs = {}, []
+        for kwargs in ({}, {"shared": shared}, {"shared": shared}):  # none, a miss, a hit
+            dumps = []
+            run_cascade(plan, codec, bank, 0, 5, lambda i, z: dumps.append((i, z)), **kwargs)
+            runs.append([(i, z.data.tobytes()) for i, z in dumps])
+        assert [i for i, _ in runs[0]] == [0, 1]
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestPlansAndCost:

@@ -336,26 +336,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"frecas: config error: {key} must be at least 1, got 0\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flag,t", [("--w-l", "1000"), ("--w-h", None)])
     def test_overflowing_guidance_is_runtime_error(self, tmp_path, capsys, flag, t):
         # a finite weight whose guided field overflows: the step's new latent
         # is non-finite, and the error names the step (stage 1 enters at F)
+        # in one line, with no numpy warning before it
         cfg = RunConfig(base_side=8, bank_items=8)
         t = t or f"{build_plan(cfg, build_schedule(cfg)).first_timesteps[1]:g}"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["sample", "--preset", "sdxl-x4", *FAST[:4], flag, "1e308",
-                         "--out", str(tmp_path / "r")])
+        code = main(["sample", "--preset", "sdxl-x4", *FAST[:4], flag, "1e308",
+                     "--out", str(tmp_path / "r")])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err == f"frecas: error: non-finite latent after the step at t = {t}\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_distances_name_t_as_the_step_check_does(self, tmp_path, capsys):
         # the first step's latent is finite but its distances to the bank
         # overflow at the second step, t = 750; t is written as the
         # step's finiteness check writes it
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["sample", "--stages", "8:4:0", "--w-l", "1e308",
-                         "--out", str(tmp_path / "r")])
+        code = main(["sample", "--stages", "8:4:0", "--w-l", "1e308",
+                     "--out", str(tmp_path / "r")])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err == "frecas: error: latent distances to the bank overflow at t = 750\n"
@@ -374,18 +375,20 @@ class TestExitCodes:
                        "float32 range of the dump format\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv,message", [
         (["sample", "--stages", "8:1:0", "--w-l", "1e300"],
          "run/image.frcg: grid values exceed the float32 range of the dump format"),
+        (["sample", "--w-h", "1e308", "--base-side", "8"],
+         "non-finite latent after the step at t = 296.068"),
         (["ablate", "--stages", "8:4:0", "--param", "w_l", "--values", "1,1e308"],
          "latent distances to the bank overflow at t = 750"),
-    ], ids=["sample", "ablate"])
+    ], ids=["sample", "sample-dense-w_h", "ablate"])
     def test_failed_run_makes_no_out_directory(self, tmp_path, capsys, argv, message):
         # the run or the sweep fails after the bank is built; the out
         # directory, and its missing parent, are made only once it returns
         out = tmp_path / "f" / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([*argv, "--bank-items", "8", "--out", str(out)])
+        code = main([*argv, "--bank-items", "8", "--out", str(out)])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("frecas: error: ") and err.endswith(message + "\n")
