@@ -75,7 +75,7 @@ id, so a class is a slice of the bank, and the i-th item given is in slot
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
@@ -510,27 +510,70 @@ _OCTAVE_GAINS = {16: 3.534, 8: 4.957, 4: 3.833, 2: 11.317, 1: 12.333}
 _SHAPE_AMPLITUDE = 0.2
 
 
+def _octaves(side: int) -> tuple:
+    """(octave side, gain) of each value-noise octave at ``side``, coarse to
+    fine; the last is the side itself."""
+    return tuple((side // factor, gain)
+                 for factor, gain in sorted(_OCTAVE_GAINS.items(), reverse=True)
+                 if side // factor >= 2)
+
+
+def _interpolation_rows(n_in: int, n_out: int) -> np.ndarray:
+    """(n_out, n_in) matrix of the bilinear taps of :func:`_kernels._taps`:
+    row i weighs the two samples that output sample i lerps between."""
+    lo, hi, f = _kernels._taps(n_in, n_out)
+    rows = np.zeros((n_out, n_in))
+    out = np.arange(n_out)
+    rows[out, lo] = 1.0 - f
+    rows[out, hi] = f
+    return rows
+
+
+@lru_cache
+def _synthesis(side: int):
+    """The x matrices R_o^T, one (o, side) per coarser octave (o, gain) of
+    ``side``, and the (side, sum of o) y matrix whose columns are the
+    octaves' rows R_o, each scaled by its gain; memoized, so the arrays are
+    read-only. They serve the value-noise generator alone: every resample
+    of a grid or a bank goes through :func:`_kernels.bilinear_resample`."""
+    coarse = _octaves(side)[:-1]
+    xs = tuple(np.ascontiguousarray(_interpolation_rows(o, side).T) for o, _ in coarse)
+    y = np.concatenate([gain * _interpolation_rows(o, side) for o, gain in coarse], axis=1)
+    for a in (*xs, y):
+        a.setflags(write=False)
+    return xs, y
+
+
 def _value_noise(rng, side: int, channels: int) -> np.ndarray:
     """(channels, side, side) sum of bilinear-upsampled white octaves, each
     scaled by its ``_OCTAVE_GAINS`` gain. The coarse grids are drawn channel
     by channel, each channel's octaves coarse to fine, straight into one
-    (channels, o, o) array per octave; each coarser octave is then upsampled
-    for all channels in one kernel call and freed, and the finest, at the
-    side itself, is added as drawn."""
-    octaves = [(side // factor, gain)
-               for factor, gain in sorted(_OCTAVE_GAINS.items(), reverse=True)
-               if side // factor >= 2]
-    coarse = [np.empty((channels, o, o)) for o, _ in octaves]
+    (channels, o, o) array per octave. Upsampling the coarser octaves and
+    summing them is one linear map, done as products: each octave is
+    interpolated along x by one matmul over all channels, (channels, o, o)
+    @ R_o^T, into its rows of a (channels, sum of o, side) stack, and the
+    whole stack along y by one matmul with the gain-weighted rows of every
+    octave (:func:`_synthesis`). The finest octave, at the side itself, is
+    added as drawn, times its gain; a side too small for a coarser octave
+    (2 or 3) is that octave alone."""
+    octaves = _octaves(side)
+    draws = [np.empty((channels, o, o)) for o, _ in octaves]
     for c in range(channels):
-        for octave in coarse:
+        for octave in draws:
             rng.standard_normal(out=octave[c])
-    acc = np.zeros((channels, side, side))
-    for o, gain in octaves:
-        layer = coarse.pop(0)
-        if o < side:
-            layer = _kernels.bilinear_resample(layer, side, side)
-        layer *= gain
-        acc += layer
+    *coarse, (_, gain) = octaves
+    finest = draws.pop()
+    finest *= gain
+    if not coarse:
+        return finest
+    xs, y = _synthesis(side)
+    stack = np.empty((channels, y.shape[1], side))
+    start = 0
+    for layer, x in zip(draws, xs):
+        np.matmul(layer, x, out=stack[:, start:start + len(x)])
+        start += len(x)
+    acc = np.matmul(y, stack)
+    acc += finest
     return acc
 
 
@@ -551,15 +594,24 @@ def _shape_mask(rng, side: int, kind: int) -> np.ndarray:
 
 def _value_noise_items(rng, side, channels, ids):
     """Multi-octave value-noise textures plus geometric shapes, one item per
-    class id; classes differ by shape vocabulary."""
+    class id; classes differ by shape vocabulary. Each texture is centred
+    and scaled to unit std, its class's two shapes, each scaled by its own
+    draw, are summed at (side, side) and added to every channel at once,
+    and the item is scaled to unit std again. Both stds are numpy
+    reductions, not BLAS dots, so an item's bytes do not depend on the
+    BLAS thread count."""
     for cls in ids:
         item = _value_noise(rng, side, channels)
         item -= item.mean()
-        item /= item.std()
+        item /= math.sqrt(np.square(item).mean())  # the std, as the mean is 0
+        shapes = np.zeros((side, side))
         for _ in range(2):
             mask = _shape_mask(rng, side, cls % 4)
-            item += _SHAPE_AMPLITUDE * float(rng.normal()) * mask[None]
-        yield item / item.std()
+            mask *= _SHAPE_AMPLITUDE * float(rng.normal())
+            shapes += mask
+        item += shapes
+        item /= item.std()
+        yield item
 
 
 def _white_items(rng, side, channels, ids):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frecas import _kernels
 from frecas import bank as bank_module
 from frecas.bank import (
     SUPPORT_FLOOR,
@@ -43,7 +44,6 @@ from frecas.schedule import (
 )
 
 from conftest import bank_stack, brute_force_eps, count_map_work, rand_grid
-from test_kernels import bilinear_four_gather
 
 SCHED = vp_default()
 FLOW = flow_schedule()
@@ -808,23 +808,35 @@ class TestProceduralBanks:
         np.testing.assert_array_equal(latents.weights, images.weights)
 
 
-def reference_value_noise_bank(side, channels, n_items, n_classes, seed, codec):
-    """The value-noise bank build's earlier form, kept as the reference: one
-    four-gather kernel call per channel and octave below the side (the
-    finest octave added as drawn), the channels stacked, and each shape
-    mask on np.mgrid coordinates."""
-    rng = np.random.default_rng(seed)
+def interpolation_matrix(n_in, side):
+    """(side, n_in) matrix of the bilinear taps of ``_kernels._taps``."""
+    lo, hi, f = _kernels._taps(n_in, side)
+    rows = np.zeros((side, n_in))
+    rows[np.arange(side), lo] = 1.0 - f
+    rows[np.arange(side), hi] = f
+    return rows
 
-    def value_noise():
-        acc = np.zeros((side, side))
-        for factor, gain in sorted(bank_module._OCTAVE_GAINS.items(), reverse=True):
-            octave = side // factor
-            if octave < 2:
-                continue
-            coarse = rng.standard_normal((octave, octave))
-            if octave < side:
-                coarse = bilinear_four_gather(coarse[None], side, side)[0]
-            acc += gain * coarse
+
+def reference_value_noise_bank(side, channels, n_items, n_classes, seed, codec):
+    """The value-noise bank build written channel by channel and item by
+    item: each coarse octave of a channel interpolated along x by its own
+    (o, o) @ R_o^T product, the octaves' rows stacked and interpolated along
+    y by one product with the gain-weighted rows R_o, the finest octave
+    added times its gain, and each shape mask on np.mgrid coordinates."""
+    rng = np.random.default_rng(seed)
+    octaves = [(side // factor, gain)
+               for factor, gain in sorted(bank_module._OCTAVE_GAINS.items(), reverse=True)
+               if side // factor >= 2]
+    *coarse, (_, finest_gain) = octaves
+    if coarse:
+        x_rows = [interpolation_matrix(o, side).T.copy() for o, _ in coarse]
+        y_rows = np.hstack([gain * interpolation_matrix(o, side) for o, gain in coarse])
+
+    def channel():
+        *layers, finest = [rng.standard_normal((o, o)) for o, _ in octaves]
+        acc = finest * finest_gain
+        if coarse:
+            acc += y_rows @ np.vstack([layer @ x for layer, x in zip(layers, x_rows)])
         return acc
 
     def shape_mask(kind):
@@ -843,14 +855,33 @@ def reference_value_noise_bank(side, channels, n_items, n_classes, seed, codec):
     ids = np.arange(n_items, dtype=np.int64) % n_classes
     items = []
     for cls in ids:
-        item = np.stack([value_noise() for _ in range(channels)])
+        item = np.stack([channel() for _ in range(channels)])
         item -= item.mean()
-        item /= item.std()
+        item /= np.sqrt(np.mean(item * item))
+        shapes = []
         for _ in range(2):
             mask = shape_mask(cls % 4)
-            item += bank_module._SHAPE_AMPLITUDE * float(rng.normal()) * mask[None]
+            shapes.append(bank_module._SHAPE_AMPLITUDE * float(rng.normal()) * mask)
+        item += shapes[0] + shapes[1]
         items.append(encode(codec, LatentGrid(item / item.std())).data)
     return LatentBank(items, ids, np.full(n_items, 1.0 / n_items))
+
+
+def upsampled_value_noise(rng, side, channels):
+    """The value-noise synthesis's earlier form: each coarse octave
+    upsampled by ``bilinear_resample``, times its gain, and accumulated
+    coarse to fine; the draws are the generator's."""
+    octaves = bank_module._octaves(side)
+    draws = [np.empty((channels, o, o)) for o, _ in octaves]
+    for c in range(channels):
+        for octave in draws:
+            rng.standard_normal(out=octave[c])
+    acc = np.zeros((channels, side, side))
+    for (o, gain), layer in zip(octaves, draws):
+        if o < side:
+            layer = _kernels.bilinear_resample(layer, side, side)
+        acc += gain * layer
+    return acc
 
 
 class TestValueNoiseBuild:
@@ -866,6 +897,21 @@ class TestValueNoiseBuild:
         assert bank.blocks.tobytes() == ref.blocks.tobytes()
         np.testing.assert_array_equal(bank.class_ids, ref.class_ids)
         assert bank.weights.tobytes() == ref.weights.tobytes()
+
+    @pytest.mark.parametrize("side", [2, 3, 13, 37, 64, 128])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_synthesis_is_the_upsampled_octave_sum(self, side, channels):
+        # the two products regroup the sum of the upsampled octaves, so the
+        # items move by rounding only (<= 1.4e-16 relative L2 measured); the
+        # draws are the same calls in the same order, so both generators
+        # end in the same state
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(4):
+            got = bank_module._value_noise(rng, side, channels)
+            want = upsampled_value_noise(ref_rng, side, channels)
+            assert got.shape == (channels, side, side)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_side_two_bank_builds(self, channels):
